@@ -8,96 +8,15 @@ momenta and orbit centers, and classifies the quantum spectrum into oscillator
 ladders plus a continuum.
 """
 
-from .canonical import (
-    CanonicalCoords,
-    CanonicalForm,
-    GammaTensor,
-    canonical_tensor,
-    decompose,
-    metric_singular_columns,
-    orthonormality_residual,
-    reconstruction_residual,
-    to_canonical,
-)
-from .dynamics import (
-    DynamicsMatrix,
-    OrbitDecomposition,
-    ParticleState,
-    dual_momentum_value,
-    dynamics_matrix,
-    evolve_exact,
-    evolve_exact_trajectory,
-    evolve_rk4,
-    kinetic_energy,
-    orbit_decomposition,
-    write_trajectory_csv,
-)
-from .operators import (
-    AffineOperator,
-    canonical_momentum,
-    commutator,
-    dual_momentum,
-    translation_phase,
-)
-from .spectrum import (
-    SpectrumReport,
-    classify_spectrum,
-    cyclotron_frequencies,
-    landau_level,
-    level_listing,
-)
-from .tensors import (
-    FieldTensor,
-    GaugeMatrix,
-    MetricTensor,
-    PhysicalConstants,
-    check_radiation_gauge,
-    field_from_3d_vector,
-    field_from_gauge,
-    gauge_antisymmetric,
-    gauge_triangular,
-)
+# Each module's __all__ lists its public names once; the package re-exports them.
+from . import canonical, dynamics, operators, spectrum, tensors
+from .canonical import *  # noqa: F403
+from .dynamics import *  # noqa: F403
+from .operators import *  # noqa: F403
+from .spectrum import *  # noqa: F403
+from .tensors import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineOperator",
-    "CanonicalCoords",
-    "CanonicalForm",
-    "DynamicsMatrix",
-    "FieldTensor",
-    "GammaTensor",
-    "GaugeMatrix",
-    "MetricTensor",
-    "OrbitDecomposition",
-    "ParticleState",
-    "PhysicalConstants",
-    "SpectrumReport",
-    "canonical_momentum",
-    "canonical_tensor",
-    "check_radiation_gauge",
-    "classify_spectrum",
-    "commutator",
-    "cyclotron_frequencies",
-    "decompose",
-    "dual_momentum",
-    "dual_momentum_value",
-    "dynamics_matrix",
-    "evolve_exact",
-    "evolve_exact_trajectory",
-    "evolve_rk4",
-    "field_from_3d_vector",
-    "field_from_gauge",
-    "gauge_antisymmetric",
-    "gauge_triangular",
-    "kinetic_energy",
-    "landau_level",
-    "level_listing",
-    "metric_singular_columns",
-    "orbit_decomposition",
-    "orthonormality_residual",
-    "reconstruction_residual",
-    "to_canonical",
-    "translation_phase",
-    "write_trajectory_csv",
-]
+__all__ = [*canonical.__all__, *dynamics.__all__, *operators.__all__, *spectrum.__all__,
+           *tensors.__all__]

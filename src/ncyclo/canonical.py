@@ -167,8 +167,10 @@ def decompose(field: FieldTensor, gamma: GammaTensor | None = None) -> Canonical
     seeds are orthogonalized against the pairs already produced, which makes
     the output deterministic (ties broken by forcing the leading component of
     each seed to be non-negative) even though the pairing itself is not unique.
-    Strengths at or below ``ZERO_STRENGTH_RTOL`` times the tensor scale are
-    treated as zero and their directions become free.
+    Strengths at or below ``ZERO_STRENGTH_RTOL`` times the Frobenius norm of
+    the whitened tensor are treated as zero and their directions become free;
+    the cut has no absolute floor, so the block count does not depend on the
+    field's units.
     """
     n = field.n
     if gamma is not None and gamma.n != n:
@@ -185,7 +187,7 @@ def decompose(field: FieldTensor, gamma: GammaTensor | None = None) -> Canonical
     gram = skew.T @ skew  # equals -skew @ skew: symmetric, positive semidefinite
     gram = (gram + gram.T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(gram)
-    zero_cut = ZERO_STRENGTH_RTOL * max(1.0, float(np.linalg.norm(skew)))
+    zero_cut = ZERO_STRENGTH_RTOL * float(np.linalg.norm(skew))
 
     pairs: list[tuple[float, np.ndarray, np.ndarray]] = []
     free_cols: list[np.ndarray] = []

@@ -32,6 +32,7 @@ from .dynamics import (
     evolve_rk4,
     kinetic_energy,
     orbit_decomposition,
+    trajectory_table,
     write_trajectory_csv,
 )
 from .operators import canonical_momentum, commutator, dual_momentum
@@ -121,7 +122,7 @@ def cmd_spectrum(config: RunConfig, out_path: str | None, levels: int) -> int:
 def _block_statistics(samples, form, field, constants):
     """Center, radius, and measured-frequency statistics per block."""
     nb = form.num_blocks
-    times = np.array([st.time for st in samples])
+    times = samples.time
     centers = np.zeros((len(samples), nb, 2))
     relatives = np.zeros((len(samples), nb, 2))
     for i, st in enumerate(samples):
@@ -162,10 +163,11 @@ def cmd_simulate(config: RunConfig, out_path: str | None, out_format: str | None
     tol = _tolerance()
 
     kmat = dynamics_matrix(field, metric, constants)
-    if method == "exact":
-        states = evolve_exact_trajectory(state, kmat, metric, constants, dt, steps)
-    else:
-        states = evolve_rk4(state, kmat, metric, constants, dt, steps)
+    evolve = evolve_exact_trajectory if method == "exact" else evolve_rk4
+    try:
+        trajectory = evolve(state, kmat, metric, constants, dt, steps)
+    except ValueError as exc:  # the configured orbit leaves the floating-point range
+        raise ConfigError(str(exc)) from None
 
     output = dict(config.output or {})
     path = out_path or output.get("path")
@@ -174,31 +176,25 @@ def cmd_simulate(config: RunConfig, out_path: str | None, out_format: str | None
         raise ConfigError("simulate needs an output path (config output.path or --out)")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if fmt == "csv":
-            write_trajectory_csv(states, field, metric, constants, fh)
+            write_trajectory_csv(trajectory, field, metric, constants, fh)
         else:
-            rows = []
-            for st in states:
-                rows.append({
-                    "t": st.time,
-                    "x": [float(v) for v in st.position],
-                    "p": [float(v) for v in st.momentum],
-                    "pT": [float(v) for v in dual_momentum_value(st, field, constants)],
-                    "E_total": kinetic_energy(st, metric, constants),
-                })
+            table = trajectory_table(trajectory, field, metric, constants)
+            columns = {name: column.tolist() for name, column in table.items()}
+            rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
             fh.write(json.dumps({"trajectory": rows}, indent=2, sort_keys=True) + "\n")
 
     form = decompose(field, gamma)
     gamma_matrix = np.eye(form.n) if gamma is None else gamma.matrix
     geometric_valid = bool(np.abs(metric.matrix - gamma_matrix).max() <= 1e-12)
 
-    stride = max(1, len(states) // _REPORT_SAMPLES)
-    samples = states[::stride]
-    if samples[-1] is not states[-1]:
-        samples = samples + [states[-1]]
+    # Every stride-th sample, and the last one.
+    count = len(trajectory)
+    stride = max(1, count // _REPORT_SAMPLES)
+    samples = trajectory[np.unique(np.r_[0:count:stride, count - 1])]
 
-    duals = np.array([dual_momentum_value(st, field, constants) for st in samples])
+    duals = dual_momentum_value(samples, field, constants)
     dual_scale = max(1.0, float(np.abs(duals[0]).max()))
-    energies = np.array([kinetic_energy(st, metric, constants) for st in samples])
+    energies = kinetic_energy(samples, metric, constants)
     residuals = {
         "dual_momentum_drift": float(np.abs(duals - duals[0]).max()) / dual_scale,
         "energy_drift": (float(np.abs(energies - energies[0]).max())
@@ -217,7 +213,7 @@ def cmd_simulate(config: RunConfig, out_path: str | None, out_format: str | None
             residuals["frequency_mismatch"] = float(max(mismatches))
 
     failing = sorted(name for name, value in residuals.items() if not value <= tol)
-    split0 = orbit_decomposition(states[0], form, field, constants)
+    split0 = orbit_decomposition(trajectory[0], form, field, constants)
     report = {
         "method": method,
         "dt": dt,

@@ -2,14 +2,15 @@
 
 The momentum obeys a linear equation ``p' = K p`` with a constant matrix, so
 the flow has a closed form through the matrix exponential; a classical
-Runge-Kutta integrator is kept alongside as an independent cross-check.  The
-dual momentum ``p - (q/c) H x`` is an integral of the motion for every metric,
-and in the block basis it locates the centers of the cyclotron orbits.
+Runge-Kutta integrator is kept alongside as an independent cross-check.  Both
+sample the orbit into one :class:`Trajectory` of time, position and momentum
+arrays.  The dual momentum ``p - (q/c) H x`` is an integral of the motion for
+every metric, and in the block basis it locates the centers of the cyclotron
+orbits.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ from .tensors import FieldTensor, MetricTensor, PhysicalConstants, _frozen
 
 __all__ = [
     "ParticleState",
-    "DynamicsMatrix",
+    "Trajectory",
     "OrbitDecomposition",
     "dynamics_matrix",
     "evolve_exact",
@@ -29,8 +30,13 @@ __all__ = [
     "dual_momentum_value",
     "kinetic_energy",
     "orbit_decomposition",
+    "trajectory_table",
     "write_trajectory_csv",
 ]
+
+# CSV rows are formatted this many at a time, which bounds the memory held by
+# the Python floats of one batch.
+_CSV_BATCH = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,20 +64,46 @@ class ParticleState:
 
 
 @dataclass(frozen=True, eq=False)
-class DynamicsMatrix:
-    """Generator ``K = (q / m c) H g^{-1}`` of the momentum flow ``p' = K p``."""
+class Trajectory:
+    """Samples of one orbit: ``time`` (N,), ``position`` and ``momentum`` (N, n).
 
-    matrix: np.ndarray
+    Reads as a sequence of :class:`ParticleState`: ``len`` and iteration work,
+    an int index returns one state, and a slice or an index array returns a
+    shorter trajectory.  Finiteness is checked once, over all samples; the
+    error names the first sample that left the floating-point range.
+    """
+
+    time: np.ndarray
+    position: np.ndarray
+    momentum: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"dynamics matrix must be square, got shape {m.shape}")
-        object.__setattr__(self, "matrix", _frozen(m))
+        t = np.asarray(self.time, dtype=float)
+        x = np.asarray(self.position, dtype=float)
+        p = np.asarray(self.momentum, dtype=float)
+        if t.ndim != 1 or x.ndim != 2 or x.shape != p.shape or x.shape[0] != t.size:
+            raise ValueError(f"a trajectory needs N times and (N, n) positions and momenta, "
+                             f"got shapes {t.shape}, {x.shape} and {p.shape}")
+        finite = np.isfinite(t) & np.isfinite(x).all(axis=1) & np.isfinite(p).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(f"the orbit leaves the floating-point range at step {i} "
+                             f"(t = {t[i]:.12g})")
+        # Frozen views, so arrays passed in keep their own write flag.
+        object.__setattr__(self, "time", _frozen(t.view()))
+        object.__setattr__(self, "position", _frozen(x.view()))
+        object.__setattr__(self, "momentum", _frozen(p.view()))
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
+    def __len__(self) -> int:
+        return self.time.size
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return ParticleState(self.position[index], self.momentum[index], self.time[index])
+        return Trajectory(self.time[index], self.position[index], self.momentum[index])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,108 +138,121 @@ class OrbitDecomposition:
 
 
 def dynamics_matrix(field: FieldTensor, metric: MetricTensor,
-                    constants: PhysicalConstants) -> DynamicsMatrix:
-    """Assemble ``K = (q / m c) H g^{-1}`` so that ``p' = K p``, ``x' = g^{-1} p / m``."""
+                    constants: PhysicalConstants) -> np.ndarray:
+    """Read-only ``K = (q / m c) H g^{-1}``, so that ``p' = K p``, ``x' = g^{-1} p / m``."""
     if field.n != metric.n:
         raise ValueError(f"field is {field.n}x{field.n} but the metric is {metric.n}x{metric.n}")
     factor = constants.charge / (constants.mass * constants.light_speed)
-    return DynamicsMatrix(factor * (field.matrix @ metric.inverse))
+    return _frozen(factor * (field.matrix @ metric.inverse))
 
 
-def _step_maps(kmat: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+def _step_maps(k: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     # Van Loan augmented exponential: the top-right block of
     # expm(dt * [[K, I], [0, 0]]) is the integral of expm(s K) over [0, dt].
     # No inverse of K appears, so singular K (free directions) needs no care.
-    n = kmat.shape[0]
+    n = k.shape[0]
     aug = np.zeros((2 * n, 2 * n))
-    aug[:n, :n] = dt * kmat
+    aug[:n, :n] = dt * k
     aug[:n, n:] = dt * np.eye(n)
     full = expm(aug)
     return full[:n, :n], full[:n, n:]
 
 
-def evolve_exact(state: ParticleState, k: DynamicsMatrix, metric: MetricTensor,
+def _sample(state: ParticleState, dt: float, steps: int, advance) -> Trajectory:
+    """Iterate ``(x, p) -> advance(x, p)`` ``steps`` times into preallocated rows."""
+    position = np.empty((steps + 1, state.n))
+    momentum = np.empty((steps + 1, state.n))
+    x, p = state.position, state.momentum
+    position[0], momentum[0] = x, p
+    # An orbit that overflows is reported once, by Trajectory, instead of
+    # through a floating-point warning per operation.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, steps + 1):
+            x, p = advance(x, p)
+            position[i], momentum[i] = x, p
+    return Trajectory(state.time + np.arange(steps + 1) * dt, position, momentum)
+
+
+def evolve_exact(state: ParticleState, k: np.ndarray, metric: MetricTensor,
                  constants: PhysicalConstants, dt: float) -> ParticleState:
     """Advance a state by ``dt`` using the closed-form flow.
 
     Exact up to matrix-exponential accuracy; there is no step-size error, and
-    ``dt`` may be negative.
+    ``dt`` may be negative.  This is the one-step case of
+    :func:`evolve_exact_trajectory`.
     """
-    if not np.isfinite(dt):
-        raise ValueError("dt must be finite")
-    prop, integral = _step_maps(k.matrix, dt)
-    new_p = prop @ state.momentum
-    new_x = state.position + metric.inverse @ (integral @ state.momentum) / constants.mass
-    return ParticleState(new_x, new_p, state.time + dt)
+    return evolve_exact_trajectory(state, k, metric, constants, dt, 1)[1]
 
 
-def evolve_exact_trajectory(state: ParticleState, k: DynamicsMatrix, metric: MetricTensor,
+def evolve_exact_trajectory(state: ParticleState, k: np.ndarray, metric: MetricTensor,
                             constants: PhysicalConstants, dt: float,
-                            steps: int) -> list[ParticleState]:
+                            steps: int) -> Trajectory:
     """Sample the closed-form flow at ``steps`` uniform increments of ``dt``.
 
     The propagator is built once and iterated, so each sample costs one
-    matrix-vector product pair.  Returns ``steps + 1`` states, the input first.
+    matrix-vector product pair.  Returns ``steps + 1`` samples, the input first.
     """
     if not np.isfinite(dt):
         raise ValueError("dt must be finite")
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    prop, integral = _step_maps(k.matrix, dt)
+    prop, integral = _step_maps(k, dt)
     ginv_over_m = metric.inverse / constants.mass
-    out = [state]
-    x, p = state.position, state.momentum
-    for i in range(steps):
-        x = x + ginv_over_m @ (integral @ p)
-        p = prop @ p
-        out.append(ParticleState(x, p, state.time + (i + 1) * dt))
-    return out
+    return _sample(state, dt, steps,
+                   lambda x, p: (x + ginv_over_m @ (integral @ p), prop @ p))
 
 
-def evolve_rk4(state: ParticleState, k: DynamicsMatrix, metric: MetricTensor,
-               constants: PhysicalConstants, dt: float, steps: int) -> list[ParticleState]:
+def evolve_rk4(state: ParticleState, k: np.ndarray, metric: MetricTensor,
+               constants: PhysicalConstants, dt: float, steps: int) -> Trajectory:
     """Classic fourth-order Runge-Kutta reference trajectory.
 
-    Returns ``steps + 1`` states including the initial one.  Kept independent
+    Returns ``steps + 1`` samples including the initial one.  Kept independent
     of :func:`evolve_exact` so the two can cross-validate each other.
     """
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive")
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    kmat = k.matrix
     ginv_over_m = metric.inverse / constants.mass
-    x, p = state.position, state.momentum
-    out = [state]
-    for i in range(steps):
-        k1p = kmat @ p
+
+    def advance(x, p):
+        k1p = k @ p
         k1x = ginv_over_m @ p
         p2 = p + 0.5 * dt * k1p
-        k2p = kmat @ p2
+        k2p = k @ p2
         k2x = ginv_over_m @ p2
         p3 = p + 0.5 * dt * k2p
-        k3p = kmat @ p3
+        k3p = k @ p3
         k3x = ginv_over_m @ p3
         p4 = p + dt * k3p
-        k4p = kmat @ p4
+        k4p = k @ p4
         k4x = ginv_over_m @ p4
-        x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        out.append(ParticleState(x, p, state.time + (i + 1) * dt))
-    return out
+        return (x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
+                p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p))
+
+    return _sample(state, dt, steps, advance)
 
 
-def dual_momentum_value(state: ParticleState, field: FieldTensor,
+def _apply(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    # matrix @ v for one vector or for each row of a stack.  einsum sums every
+    # row in the same order whatever the stack's shape, so a state and the
+    # same sample of a trajectory give identical bits (BLAS does not promise
+    # that between its vector and matrix kernels).
+    return np.einsum("jk,...k->...j", matrix, vectors)
+
+
+def dual_momentum_value(state: ParticleState | Trajectory, field: FieldTensor,
                         constants: PhysicalConstants) -> np.ndarray:
-    """Conserved dual momentum ``p - (q/c) H x`` of a classical state."""
-    return state.momentum - constants.coupling * (field.matrix @ state.position)
+    """Conserved dual momentum ``p - (q/c) H x``: one vector, or one row per sample."""
+    return state.momentum - constants.coupling * _apply(field.matrix, state.position)
 
 
-def kinetic_energy(state: ParticleState, metric: MetricTensor,
-                   constants: PhysicalConstants) -> float:
-    """Kinetic energy ``g^{jk} p_j p_k / 2m``."""
+def kinetic_energy(state: ParticleState | Trajectory, metric: MetricTensor,
+                   constants: PhysicalConstants) -> float | np.ndarray:
+    """Kinetic energy ``g^{jk} p_j p_k / 2m``: a float, or an array with one per sample."""
     p = state.momentum
-    return float(p @ metric.inverse @ p) / (2.0 * constants.mass)
+    energy = np.einsum("...j,...j->...", _apply(metric.inverse, p), p) / (2.0 * constants.mass)
+    return float(energy) if energy.ndim == 0 else energy
 
 
 def orbit_decomposition(state: ParticleState, form: CanonicalForm, field: FieldTensor,
@@ -243,7 +288,23 @@ def orbit_decomposition(state: ParticleState, form: CanonicalForm, field: FieldT
     )
 
 
-def write_trajectory_csv(states: list[ParticleState], field: FieldTensor,
+def trajectory_table(trajectory: Trajectory, field: FieldTensor, metric: MetricTensor,
+                     constants: PhysicalConstants) -> dict[str, np.ndarray]:
+    """Columns of both trajectory formats, in order: ``t, x, p, pT, E_total``.
+
+    ``x``, ``p`` and the dual momentum ``pT`` have one row of n values per
+    sample; ``t`` and ``E_total`` one value per sample.
+    """
+    return {
+        "t": trajectory.time,
+        "x": trajectory.position,
+        "p": trajectory.momentum,
+        "pT": dual_momentum_value(trajectory, field, constants),
+        "E_total": kinetic_energy(trajectory, metric, constants),
+    }
+
+
+def write_trajectory_csv(trajectory: Trajectory, field: FieldTensor,
                          metric: MetricTensor, constants: PhysicalConstants,
                          stream) -> None:
     """Write a trajectory as CSV: ``t, x1..xn, p1..pn, pT1..pTn, E_total``.
@@ -251,13 +312,16 @@ def write_trajectory_csv(states: list[ParticleState], field: FieldTensor,
     Numbers are rendered with 17 significant digits so the file round-trips
     bit-faithfully.
     """
-    n = states[0].n if states else 0
-    header = (["t"] + [f"x{i + 1}" for i in range(n)] + [f"p{i + 1}" for i in range(n)]
-              + [f"pT{i + 1}" for i in range(n)] + ["E_total"])
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
-    for st in states:
-        dual = dual_momentum_value(st, field, constants)
-        energy = kinetic_energy(st, metric, constants)
-        row = np.concatenate(([st.time], st.position, st.momentum, dual, [energy]))
-        writer.writerow([f"{value:.17g}" for value in row])
+    table = trajectory_table(trajectory, field, metric, constants)
+    header = []
+    for name, column in table.items():
+        if column.ndim == 1:
+            header.append(name)
+        else:
+            header += [f"{name}{i + 1}" for i in range(column.shape[1])]
+    rows = np.column_stack(list(table.values()))
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    stream.write(",".join(header) + "\n")
+    for start in range(0, len(rows), _CSV_BATCH):
+        stream.write("".join(line % tuple(row)
+                             for row in rows[start:start + _CSV_BATCH].tolist()))

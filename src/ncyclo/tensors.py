@@ -72,7 +72,7 @@ class MetricTensor:
             raise ValueError(f"metric is not symmetric: max |g - g^T| = {asym:.3e}")
         g = (g + g.T) / 2.0
         eigvals = np.linalg.eigvalsh(g)
-        if np.abs(eigvals).min() <= 1e-12 * max(1.0, float(np.abs(eigvals).max())):
+        if np.abs(eigvals).min() <= 1e-12 * float(np.abs(eigvals).max()):
             raise ValueError("metric is singular: it has a (near-)zero eigenvalue")
         inv = np.linalg.inv(g)
         inv = (inv + inv.T) / 2.0

@@ -99,6 +99,15 @@ class TestDecompose:
         assert orthonormality_residual(form) <= 1e-12
         assert np.all(canonical_tensor(form) == 0.0)
 
+    def test_block_count_independent_of_field_scale(self):
+        m = random_antisymmetric(np.random.default_rng(16), 16)
+        reference = decompose(FieldTensor(m))
+        assert reference.num_blocks == 8
+        for scale in (1e-12, 1e6):
+            form = decompose(FieldTensor(scale * m))
+            assert form.num_blocks == reference.num_blocks
+            np.testing.assert_allclose(form.strengths, scale * reference.strengths, rtol=1e-10)
+
     def test_general_gamma(self, rng):
         for _ in range(10):
             n = 5

@@ -156,6 +156,23 @@ class TestSimulateCommand:
         assert report["failed_invariants"]
         assert "residuals above tolerance" in captured.err
 
+    def test_overflowing_orbit_refused_by_name(self, tmp_path, capsys):
+        # A Minkowski boost grows like exp(t), so at dt = 10 it overflows at step 72.
+        out = tmp_path / "boost.csv"
+        config = write_config(tmp_path, {
+            "n": 2,
+            "metric": "minkowski",
+            "field": [[0.0, 1.0], [-1.0, 0.0]],
+            "initial": {"x": [0.0, 0.0], "p": [1.0, 0.5]},
+            "integration": {"dt": 10.0, "steps": 100, "method": "exact"},
+            "output": {"path": str(out), "format": "csv"},
+        })
+        assert main(["simulate", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "step 72 (t = 720)" in err
+        assert not out.exists()
+
     def test_missing_output_path(self, tmp_path, capsys):
         config = circle2d(tmp_path, output=None)
         data = json.loads((tmp_path / "run.json").read_text())
@@ -173,6 +190,13 @@ class TestSpectrumCommand:
         assert doc["fully_discrete"] is True
         assert doc["ground_energy"] == pytest.approx(0.5)
         assert doc["levels"][0]["quantum_numbers"] == [0]
+
+    def test_tiny_planar_field_discrete(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"n": 2, "field": [[0.0, 1e-11], [-1e-11, 0.0]]})
+        assert main(["spectrum", "--config", config]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["num_blocks"] == 1
+        assert doc["fully_discrete"] is True
 
     def test_3d_continuum(self, tmp_path, capsys):
         config = write_config(tmp_path, {"n": 3, "field": [0.0, 0.0, 1.0]})

@@ -8,6 +8,7 @@ from ncyclo import (
     MetricTensor,
     ParticleState,
     PhysicalConstants,
+    Trajectory,
     decompose,
     dual_momentum_value,
     dynamics_matrix,
@@ -36,29 +37,29 @@ class TestDynamicsMatrix:
     def test_planar_unit_metric(self):
         h = FieldTensor([[0.0, 2.0], [-2.0, 0.0]])
         k = dynamics_matrix(h, EUCLID2, UNIT)
-        np.testing.assert_array_equal(k.matrix, [[0.0, 2.0], [-2.0, 0.0]])
+        np.testing.assert_array_equal(k, [[0.0, 2.0], [-2.0, 0.0]])
 
     def test_zero_field_free_particle(self):
         k = dynamics_matrix(FieldTensor(np.zeros((3, 3))), MetricTensor.euclidean(3), UNIT)
-        assert np.all(k.matrix == 0.0)
+        assert np.all(k == 0.0)
 
     def test_indefinite_metric_is_symmetric_generator(self):
         # H scaled by diag(1, -1) flips one column: hyperbolic motion
         h = FieldTensor([[0.0, 2.0], [-2.0, 0.0]])
         metric = MetricTensor(np.diag([1.0, -1.0]))
         k = dynamics_matrix(h, metric, UNIT)
-        np.testing.assert_array_equal(k.matrix, [[0.0, -2.0], [-2.0, 0.0]])
+        np.testing.assert_array_equal(k, [[0.0, -2.0], [-2.0, 0.0]])
 
     def test_constants_scaling(self):
         h = FieldTensor([[0.0, 1.0], [-1.0, 0.0]])
         constants = PhysicalConstants(mass=2.0, charge=3.0, light_speed=0.5)
         k = dynamics_matrix(h, EUCLID2, constants)
-        np.testing.assert_allclose(k.matrix, (3.0 / (2.0 * 0.5)) * h.matrix)
+        np.testing.assert_allclose(k, (3.0 / (2.0 * 0.5)) * h.matrix)
 
     def test_paired_eigenvalues_any_metric(self, rng):
         h = FieldTensor(random_antisymmetric(rng, 4))
         metric = MetricTensor(np.diag([1.0, 1.0, -1.0, 1.0]))
-        eigvals = np.linalg.eigvals(dynamics_matrix(h, metric, UNIT).matrix)
+        eigvals = np.linalg.eigvals(dynamics_matrix(h, metric, UNIT))
         for lam in eigvals:  # the spectrum is symmetric under negation
             assert np.abs(eigvals + lam).min() < 1e-10
 
@@ -70,8 +71,43 @@ class TestDynamicsMatrix:
         strengths = decompose(h).strengths
         expected = np.sort(np.concatenate(
             [factor * strengths, -factor * strengths, np.zeros(5 - 2 * len(strengths))]))
-        np.testing.assert_allclose(np.sort(np.linalg.eigvals(k.matrix).imag),
+        np.testing.assert_allclose(np.sort(np.linalg.eigvals(k).imag),
                                    expected, atol=1e-8)
+
+
+class TestTrajectory:
+    def test_sequence_access(self):
+        h, k, state = unit_circle_setup()
+        trajectory = evolve_exact_trajectory(state, k, EUCLID2, UNIT, 0.25, 8)
+        assert len(trajectory) == 9
+        third = trajectory[3]
+        assert isinstance(third, ParticleState) and third.time == 0.75
+        np.testing.assert_array_equal(third.position, trajectory.position[3])
+        assert trajectory[np.int64(-1)].time == 2.0
+        evens = trajectory[::2]
+        assert isinstance(evens, Trajectory)
+        np.testing.assert_array_equal(evens.time, [0.0, 0.5, 1.0, 1.5, 2.0])
+        np.testing.assert_array_equal(trajectory[[0, 8]].momentum,
+                                      trajectory.momentum[[0, 8]])
+        assert [st.time for st in trajectory] == list(trajectory.time)
+
+    def test_arrays_are_read_only(self):
+        h, k, state = unit_circle_setup()
+        trajectory = evolve_rk4(state, k, EUCLID2, UNIT, 0.1, 3)
+        for arr in (trajectory.time, trajectory.position, trajectory.momentum):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_names_first_non_finite_sample(self):
+        position = np.zeros((5, 2))
+        position[3, 1] = np.inf
+        position[4] = np.nan
+        with pytest.raises(ValueError, match=r"step 3 \(t = 1\.5\)"):
+            Trajectory(0.5 * np.arange(5), position, np.zeros((5, 2)))
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="shapes"):
+            Trajectory(np.arange(3.0), np.zeros((3, 2)), np.zeros((2, 2)))
 
 
 class TestEvolveExact:
@@ -199,6 +235,24 @@ class TestDualMomentum:
         for sample in evolve_exact_trajectory(state, k, metric, constants, 0.05, 200):
             np.testing.assert_allclose(dual_momentum_value(sample, h, constants),
                                        reference, atol=1e-12)
+
+
+    def test_trajectory_rows_match_per_state_values(self, rng):
+        # The array forms must give each sample's own per-state bits.
+        n = 5
+        h = FieldTensor(random_antisymmetric(rng, n))
+        a = rng.standard_normal((n, n))
+        metric = MetricTensor(a @ a.T + n * np.eye(n))
+        constants = PhysicalConstants(mass=0.7, charge=1.3, light_speed=0.9)
+        k = dynamics_matrix(h, metric, constants)
+        state = ParticleState(rng.standard_normal(n), rng.standard_normal(n))
+        trajectory = evolve_rk4(state, k, metric, constants, 0.05, 40)[::3]
+        np.testing.assert_array_equal(
+            dual_momentum_value(trajectory, h, constants),
+            [dual_momentum_value(st, h, constants) for st in trajectory])
+        np.testing.assert_array_equal(
+            kinetic_energy(trajectory, metric, constants),
+            [kinetic_energy(st, metric, constants) for st in trajectory])
 
 
 class TestOrbitDecomposition:

@@ -149,6 +149,12 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="singular"):
             MetricTensor([[1.0, 1.0], [1.0, 1.0]])
 
+    def test_metric_singularity_cut_is_relative(self):
+        tiny = MetricTensor(1e-13 * np.eye(2))
+        np.testing.assert_allclose(tiny.inverse, 1e13 * np.eye(2))
+        with pytest.raises(ValueError, match="singular"):
+            MetricTensor(np.diag([1.0, 1e-13]))
+
     def test_constants_validation(self):
         with pytest.raises(ValueError, match="mass"):
             PhysicalConstants(mass=0.0)
