@@ -19,8 +19,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+from scipy.linalg import schur
 
-from .tensors import FieldTensor, PhysicalConstants, SYMMETRY_RTOL, _as_square_matrix, _frozen
+from .tensors import (FieldTensor, PhysicalConstants, _as_square_matrix, _as_symmetric_matrix,
+                      _frozen)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dynamics import ParticleState
@@ -39,9 +41,6 @@ __all__ = [
 
 # A block strength is treated as zero below this fraction of the tensor scale.
 ZERO_STRENGTH_RTOL = 1e-10
-# Eigenvector candidates whose component orthogonal to the already-produced
-# columns is smaller than this are redundant partners of an earlier pair.
-_REDUNDANT_TOL = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,12 +50,7 @@ class GammaTensor:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        g = _as_square_matrix(self.matrix, "gamma")
-        scale = max(float(np.abs(g).max()), 1.0)
-        asym = float(np.abs(g - g.T).max())
-        if asym > SYMMETRY_RTOL * scale:
-            raise ValueError(f"gamma is not symmetric: max deviation {asym:.3e}")
-        g = (g + g.T) / 2.0
+        g = _as_symmetric_matrix(self.matrix, "gamma")
         if np.linalg.eigvalsh(g).min() <= 0.0:
             raise ValueError("gamma must be positive definite")
         object.__setattr__(self, "matrix", _frozen(g))
@@ -131,15 +125,6 @@ def _inverse_sqrt(matrix: np.ndarray) -> np.ndarray:
     return eigvecs @ np.diag(1.0 / np.sqrt(eigvals)) @ eigvecs.T
 
 
-def _orthogonal_residual(vector: np.ndarray, columns: list[np.ndarray]) -> np.ndarray:
-    # Two Gram-Schmidt passes keep the result orthogonal to working precision.
-    r = vector.copy()
-    for _ in range(2):
-        for col in columns:
-            r -= (col @ r) * col
-    return r
-
-
 def decompose(field: FieldTensor, gamma: GammaTensor | None = None) -> CanonicalForm:
     """Block-diagonalize a field tensor in a gamma-orthonormal basis.
 
@@ -160,17 +145,17 @@ def decompose(field: FieldTensor, gamma: GammaTensor | None = None) -> Canonical
     Notes
     -----
     The tensor is first whitened with the inverse square root of ``gamma``,
-    which keeps it antisymmetric.  Minus its square is symmetric positive
-    semidefinite, so an ordinary symmetric eigensolve yields the squared
-    strengths; each retained eigenvector seeds a block whose partner is its
-    image under the whitened tensor.  Inside degenerate eigenspaces candidate
-    seeds are orthogonalized against the pairs already produced, which makes
-    the output deterministic (ties broken by forcing the leading component of
-    each seed to be non-negative) even though the pairing itself is not unique.
+    which keeps it antisymmetric.  An antisymmetric matrix is normal, so its
+    real Schur form ``Z.T @ S @ Z = T`` is block diagonal: 2x2 blocks, found
+    where the subdiagonal of ``T`` is nonzero, and 1x1 zeros.  Each block's
+    strength is the mean of its two off-diagonal magnitudes; a block with
+    negative orientation gets its second column negated, so every strength is
+    positive.  Blocks are ordered by descending strength with a stable sort,
+    so equal strengths keep their Schur order and the output is deterministic.
     Strengths at or below ``ZERO_STRENGTH_RTOL`` times the Frobenius norm of
-    the whitened tensor are treated as zero and their directions become free;
-    the cut has no absolute floor, so the block count does not depend on the
-    field's units.
+    the whitened tensor are treated as zero and their columns join the free
+    ones, which come last in Schur order; the cut has no absolute floor, so
+    the block count does not depend on the field's units.
     """
     n = field.n
     if gamma is not None and gamma.n != n:
@@ -178,53 +163,24 @@ def decompose(field: FieldTensor, gamma: GammaTensor | None = None) -> Canonical
 
     if gamma is None or np.array_equal(gamma.matrix, np.eye(n)):
         white = None
-        skew = np.array(field.matrix)
+        skew = field.matrix
     else:
         white = _inverse_sqrt(gamma.matrix)
         skew = white @ field.matrix @ white
         skew = (skew - skew.T) / 2.0
 
-    gram = skew.T @ skew  # equals -skew @ skew: symmetric, positive semidefinite
-    gram = (gram + gram.T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    zero_cut = ZERO_STRENGTH_RTOL * float(np.linalg.norm(skew))
-
-    pairs: list[tuple[float, np.ndarray, np.ndarray]] = []
-    free_cols: list[np.ndarray] = []
-    accepted: list[np.ndarray] = []
-    for i in np.argsort(-eigvals, kind="stable"):
-        residual = _orthogonal_residual(eigvecs[:, i], accepted)
-        size = float(np.linalg.norm(residual))
-        if size < _REDUNDANT_TOL:
-            continue  # direction already produced as the partner of an earlier seed
-        lead = residual / size
-        if lead[0] < 0.0:
-            lead = -lead
-        image = skew @ lead
-        strength = float(np.linalg.norm(image))
-        if strength <= zero_cut:
-            free_cols.append(lead)
-            accepted.append(lead)
-            continue
-        partner = _orthogonal_residual(-image / strength, accepted + [lead])
-        partner /= np.linalg.norm(partner)
-        pairs.append((float(lead @ skew @ partner), lead, partner))
-        accepted.append(lead)
-        accepted.append(partner)
-
-    if 2 * len(pairs) + len(free_cols) != n:
-        raise RuntimeError("block pairing failed to span the space; "
-                           "the field tensor may be badly scaled")
-
-    pairs.sort(key=lambda item: -item[0])
-    columns = []
-    for _, lead, partner in pairs:
-        columns.append(lead)
-        columns.append(partner)
-    columns.extend(free_cols)
-    vmat = np.column_stack(columns)
+    t, z = schur(skew, output="real")
+    lead = np.flatnonzero(np.diag(t, -1))
+    strengths = (t[lead, lead + 1] - t[lead + 1, lead]) / 2.0
+    z[:, lead[strengths < 0.0] + 1] *= -1.0
+    strengths = np.abs(strengths)
+    kept = strengths > ZERO_STRENGTH_RTOL * float(np.linalg.norm(skew))
+    order = np.argsort(-strengths[kept], kind="stable")
+    lead, strengths = lead[kept][order], strengths[kept][order]
+    paired = np.column_stack([lead, lead + 1]).reshape(-1)
+    vmat = z[:, np.r_[paired, np.setdiff1d(np.arange(n), paired)]]
     basis = vmat if white is None else white @ vmat
-    return CanonicalForm(basis=basis, strengths=np.array([s for s, _, _ in pairs]))
+    return CanonicalForm(basis=basis, strengths=strengths)
 
 
 def canonical_tensor(form: CanonicalForm) -> np.ndarray:
@@ -285,5 +241,5 @@ def metric_singular_columns(form: CanonicalForm, metric_matrix: np.ndarray,
     """
     g = np.asarray(metric_matrix, dtype=float)
     norms = np.einsum("ja,jk,ka->a", form.basis, g, form.basis)
-    cut = rel_tol * max(1.0, float(np.abs(norms).max()) if norms.size else 1.0)
+    cut = rel_tol * float(np.abs(norms).max(initial=0.0))
     return [int(i) for i in np.nonzero(np.abs(norms) <= cut)[0]]

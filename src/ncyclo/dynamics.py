@@ -89,6 +89,14 @@ class Trajectory:
             i = int(np.argmin(finite))
             raise ValueError(f"the orbit leaves the floating-point range at step {i} "
                              f"(t = {t[i]:.12g})")
+        # Energies, radii and drifts square the samples, so those squares must
+        # stay finite too.
+        with np.errstate(over="ignore"):
+            squares = np.isfinite(np.einsum("ij,ij->i", x, x) + np.einsum("ij,ij->i", p, p))
+        if not squares.all():
+            i = int(np.argmin(squares))
+            raise ValueError(f"the squares of the orbit overflow at step {i} "
+                             f"(t = {t[i]:.12g})")
         # Frozen views, so arrays passed in keep their own write flag.
         object.__setattr__(self, "time", _frozen(t.view()))
         object.__setattr__(self, "position", _frozen(x.view()))

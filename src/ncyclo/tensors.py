@@ -46,6 +46,15 @@ def _as_square_matrix(value, name: str) -> np.ndarray:
     return arr
 
 
+def _as_symmetric_matrix(value, name: str) -> np.ndarray:
+    """A square matrix, symmetrized after checking its asymmetry against its own scale."""
+    g = _as_square_matrix(value, name)
+    asym = float(np.abs(g - g.T).max())
+    if asym > SYMMETRY_RTOL * float(np.abs(g).max()):
+        raise ValueError(f"{name} is not symmetric: max |g - g^T| = {asym:.3e}")
+    return (g + g.T) / 2.0
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -65,12 +74,7 @@ class MetricTensor:
     signature: tuple[int, int] = _field(init=False)
 
     def __post_init__(self) -> None:
-        g = _as_square_matrix(self.matrix, "metric")
-        scale = max(float(np.abs(g).max()), 1.0)
-        asym = float(np.abs(g - g.T).max())
-        if asym > SYMMETRY_RTOL * scale:
-            raise ValueError(f"metric is not symmetric: max |g - g^T| = {asym:.3e}")
-        g = (g + g.T) / 2.0
+        g = _as_symmetric_matrix(self.matrix, "metric")
         eigvals = np.linalg.eigvalsh(g)
         if np.abs(eigvals).min() <= 1e-12 * float(np.abs(eigvals).max()):
             raise ValueError("metric is singular: it has a (near-)zero eigenvalue")

@@ -82,15 +82,25 @@ class TestDecompose:
             np.testing.assert_allclose(a, b, atol=1e-8)
 
     def test_degenerate_equal_blocks(self):
+        # Two equal blocks in the canonical frame, and integer blocks 1..3
+        # conjugated by a 64x64 Sylvester-Hadamard matrix W (W W^T = 64 I): each
+        # strength 64, 128 or 192 repeats about ten times in a dense frame.
         c = 1.5
         m = np.zeros((4, 4))
         m[0, 1], m[1, 0] = c, -c
         m[2, 3], m[3, 2] = c, -c
-        h = FieldTensor(m)
-        form = decompose(h)
-        np.testing.assert_allclose(form.strengths, [c, c])
-        assert orthonormality_residual(form) <= 1e-12
-        assert reconstruction_residual(form, h) <= 1e-12
+        w = np.ones((1, 1))
+        while w.shape[0] < 64:
+            w = np.block([[w, w], [w, -w]])
+        values = np.sort(np.random.default_rng(64).integers(1, 4, 32))[::-1]
+        dense = w @ canonical_tensor(CanonicalForm(np.eye(64), values)) @ w.T
+        for tensor, expected in ((m, [c, c]), (dense, 64 * values)):
+            h = FieldTensor(tensor)
+            form = decompose(h)
+            np.testing.assert_allclose(form.strengths, expected, rtol=1e-10)
+            assert orthonormality_residual(form) <= 1e-12
+            assert reconstruction_residual(form, h) <= 1e-12
+            np.testing.assert_array_equal(decompose(h).basis, form.basis)
 
     def test_zero_field(self):
         form = decompose(FieldTensor(np.zeros((3, 3))))
@@ -100,13 +110,26 @@ class TestDecompose:
         assert np.all(canonical_tensor(form) == 0.0)
 
     def test_block_count_independent_of_field_scale(self):
-        m = random_antisymmetric(np.random.default_rng(16), 16)
-        reference = decompose(FieldTensor(m))
-        assert reference.num_blocks == 8
-        for scale in (1e-12, 1e6):
-            form = decompose(FieldTensor(scale * m))
-            assert form.num_blocks == reference.num_blocks
-            np.testing.assert_allclose(form.strengths, scale * reference.strengths, rtol=1e-10)
+        # A dense generic field, and one in a rotated frame whose two blocks
+        # are nine orders of magnitude apart, both far above the zero cut.
+        # The small strength is exact only to the roundoff of the whole
+        # tensor, so its tolerance is a share of the largest strength.
+        q = random_orthogonal(np.random.default_rng(5), 5)
+        spread = q @ canonical_tensor(CanonicalForm(np.eye(5), [1.0, 1e-9])) @ q.T
+        cases = [(random_antisymmetric(np.random.default_rng(16), 16), 8, 0.0),
+                 ((spread - spread.T) / 2.0, 2, 1e-14)]
+        for m, blocks, share in cases:
+            reference = decompose(FieldTensor(m))
+            assert reference.num_blocks == blocks
+            for scale in (1.0, 1e-12, 1e6):
+                h = FieldTensor(scale * m)
+                form = decompose(h)
+                assert form.num_blocks == reference.num_blocks
+                assert form.free_dims == m.shape[0] - 2 * blocks
+                np.testing.assert_allclose(form.strengths, scale * reference.strengths,
+                                           rtol=1e-10, atol=share * form.strengths[0])
+                assert orthonormality_residual(form) <= 1e-12
+                assert reconstruction_residual(form, h) <= 1e-12
 
     def test_general_gamma(self, rng):
         for _ in range(10):
@@ -227,3 +250,6 @@ class TestMetricSingularColumns:
         minkowski = np.diag([1.0, 1.0, 1.0, -1.0])
         assert metric_singular_columns(form, minkowski) == [2, 3]
         assert metric_singular_columns(form, np.eye(4)) == []
+        # The cut is relative to the metric's own scale.
+        assert metric_singular_columns(form, 1e-13 * minkowski) == [2, 3]
+        assert metric_singular_columns(form, 1e-13 * np.eye(4)) == []

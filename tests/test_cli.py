@@ -65,6 +65,24 @@ class TestDecomposeCommand:
         assert main(["decompose", "--config", config, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_strengths_nine_orders_apart(self, tmp_path, capsys):
+        q, r = np.linalg.qr(np.random.default_rng(9).standard_normal((5, 5)))
+        q = q * np.sign(np.diag(r))
+        theta = np.zeros((5, 5))
+        theta[0, 1], theta[2, 3] = 1.0, 1e-9
+        m = q @ (theta - theta.T) @ q.T
+        config = write_config(tmp_path, {"n": 5, "field": ((m - m.T) / 2.0).tolist()})
+        assert main(["decompose", "--config", config]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert (doc["num_blocks"], doc["free_dims"]) == (2, 1)
+        np.testing.assert_allclose(doc["strengths"], [1.0, 1e-9], rtol=1e-6)
+        assert main(["spectrum", "--config", config]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["num_blocks"] == 2
+
     def test_invalid_config_exit_2(self, tmp_path, capsys):
         config = write_config(tmp_path, {"n": 2, "field": [[0.0, 1.0], [-1.0, 0.0, 9]]})
         assert main(["decompose", "--config", config]) == 2
@@ -171,6 +189,25 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "step 72 (t = 720)" in err
+        assert not out.exists()
+
+    def test_orbit_with_overflowing_squares_refused_by_name(self, tmp_path, capsys):
+        # RK4 at dt = 10 multiplies the boost mode by about 644 per step: the
+        # samples stay finite to the end, but their squares overflow at step 55.
+        out = tmp_path / "boost.csv"
+        config = write_config(tmp_path, {
+            "n": 2,
+            "metric": "minkowski",
+            "field": [[0.0, 1.0], [-1.0, 0.0]],
+            "initial": {"x": [0.0, 0.0], "p": [1.0, 0.5]},
+            "integration": {"dt": 10.0, "steps": 100, "method": "rk4"},
+            "output": {"path": str(out), "format": "csv"},
+        })
+        assert main(["simulate", "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "step 55 (t = 550)" in captured.err
         assert not out.exists()
 
     def test_missing_output_path(self, tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 
 from ncyclo import (
     FieldTensor,
+    GammaTensor,
     GaugeMatrix,
     MetricTensor,
     PhysicalConstants,
@@ -144,6 +145,13 @@ class TestDomainTypes:
     def test_metric_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="not symmetric"):
             MetricTensor([[1.0, 0.5], [0.0, 1.0]])
+
+    def test_symmetry_check_is_relative(self):
+        # 10% asymmetric at any scale; a cut floored at 1 would pass it at 1e-13.
+        skewed = 1e-13 * np.array([[1.0, 0.5], [0.4, 1.0]])
+        for cls in (MetricTensor, GammaTensor):
+            with pytest.raises(ValueError, match="not symmetric"):
+                cls(skewed)
 
     def test_metric_rejects_singular(self):
         with pytest.raises(ValueError, match="singular"):
