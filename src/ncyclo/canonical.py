@@ -25,7 +25,7 @@ from .tensors import (FieldTensor, PhysicalConstants, _as_square_matrix, _as_sym
                       _frozen)
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .dynamics import ParticleState
+    from .dynamics import ParticleState, Trajectory
 
 __all__ = [
     "GammaTensor",
@@ -102,8 +102,9 @@ class CanonicalForm:
 
 @dataclass(frozen=True, eq=False)
 class CanonicalCoords:
-    """Position and momenta of one state expressed in a decomposition basis.
+    """Position and momenta in a decomposition basis, of one state or of each sample.
 
+    Each field is one ``(n,)`` vector, or ``(N, n)`` with one row per sample.
     Both momenta carry the light-speed-over-charge rescaling that makes the
     block equations read ``Theta @ position = momentum - dual_momentum``.
     """
@@ -114,10 +115,9 @@ class CanonicalCoords:
 
     def __post_init__(self) -> None:
         for name in ("position", "momentum", "dual_momentum"):
-            v = np.array(getattr(self, name), dtype=float).reshape(-1)
-            object.__setattr__(self, name, _frozen(v))
-        if not (self.position.size == self.momentum.size == self.dual_momentum.size):
-            raise ValueError("canonical coordinate vectors must share one dimension")
+            object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype=float)))
+        if not (self.position.shape == self.momentum.shape == self.dual_momentum.shape):
+            raise ValueError("canonical coordinate arrays must share one shape")
 
 
 def _inverse_sqrt(matrix: np.ndarray) -> np.ndarray:
@@ -194,25 +194,27 @@ def canonical_tensor(form: CanonicalForm) -> np.ndarray:
 
 def to_canonical(
     form: CanonicalForm,
-    state: "ParticleState",
+    state: "ParticleState | Trajectory",
     field: FieldTensor,
     constants: PhysicalConstants,
 ) -> CanonicalCoords:
-    """Express a particle state in the decomposition basis.
+    """Express a state, or every sample of a trajectory, in the decomposition basis.
 
     The returned momenta are rescaled by ``c / q`` so that, together with the
     assembled block tensor, they satisfy
-    ``canonical_tensor(form) @ position = momentum - dual_momentum``.
+    ``canonical_tensor(form) @ position = momentum - dual_momentum``; for a
+    trajectory each array has one row per sample.
     """
-    if form.n != field.n or state.position.size != form.n:
+    x, p = state.position, state.momentum
+    if form.n != field.n or x.shape[-1] != form.n:
         raise ValueError("form, field, and state dimensions do not agree")
     b = form.basis
     scale = constants.light_speed / constants.charge
-    p_dual = state.momentum - constants.coupling * (field.matrix @ state.position)
+    p_dual = p - constants.coupling * (x @ field.matrix.T)
     return CanonicalCoords(
-        position=np.linalg.solve(b, state.position),
-        momentum=scale * (b.T @ state.momentum),
-        dual_momentum=scale * (b.T @ p_dual),
+        position=np.linalg.solve(b, x.T).T,
+        momentum=scale * (p @ b),
+        dual_momentum=scale * (p_dual @ b),
     )
 
 

@@ -140,6 +140,11 @@ class RunConfig:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from None
         return cls.from_dict(data)
 
+    def _field_is_3_vector(self) -> bool:
+        """Whether ``field`` is an ordinary 3-D field vector rather than a matrix."""
+        return (self.n == 3 and isinstance(self.field, tuple)
+                and not any(isinstance(e, tuple) for e in self.field))
+
     def _validate(self) -> None:
         n = self.n
         if isinstance(self.metric, str):
@@ -162,8 +167,7 @@ class RunConfig:
         elif self.gauge is not None:
             _check_matrix(self.gauge, n, "gauge")
         if self.field is not None:
-            if (n == 3 and isinstance(self.field, tuple)
-                    and not any(isinstance(e, tuple) for e in self.field)):
+            if self._field_is_3_vector():
                 _check_vector(self.field, 3, "field")
             else:
                 _check_matrix(self.field, n, "field")
@@ -262,8 +266,7 @@ class RunConfig:
             try:
                 if self.field is None:
                     return field_from_gauge(GaugeMatrix(_listed(self.gauge)))
-                if (self.n == 3 and isinstance(self.field, tuple)
-                        and not any(isinstance(e, tuple) for e in self.field)):
+                if self._field_is_3_vector():
                     return field_from_3d_vector(_listed(self.field))
                 return FieldTensor(_listed(self.field))
             except ValueError as exc:

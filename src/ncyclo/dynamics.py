@@ -116,33 +116,31 @@ class Trajectory:
 
 @dataclass(frozen=True, eq=False)
 class OrbitDecomposition:
-    """Split of one state into orbit centers, relative coordinates, and free motion.
+    """Split of a state, or of each sample, into orbit centers, relatives and free motion.
 
     ``centers`` and ``relatives`` hold one coordinate pair per block, expressed
     in the decomposition basis and carrying the same ``c/q`` rescaling as the
     block equations; their sum reproduces the in-block canonical position.
     Energies are physical (no rescaling) and sum to the kinetic energy whenever
-    the metric is the identity.
+    the metric is the identity.  A trajectory's split has one leading row per
+    sample on every field, so ``free_energy`` is then an array, not a float.
     """
 
     centers: np.ndarray
     relatives: np.ndarray
     free_velocity: np.ndarray
     block_energies: np.ndarray
-    free_energy: float
+    free_energy: float | np.ndarray
 
     def __post_init__(self) -> None:
-        for name, width in (("centers", 2), ("relatives", 2)):
-            arr = np.array(getattr(self, name), dtype=float).reshape(-1, width)
-            object.__setattr__(self, name, _frozen(arr))
-        for name in ("free_velocity", "block_energies"):
-            arr = np.array(getattr(self, name), dtype=float).reshape(-1)
-            object.__setattr__(self, name, _frozen(arr))
-        object.__setattr__(self, "free_energy", float(self.free_energy))
+        for name in ("centers", "relatives", "free_velocity", "block_energies"):
+            object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype=float)))
+        energy = _frozen(np.array(self.free_energy, dtype=float))
+        object.__setattr__(self, "free_energy", float(energy) if energy.ndim == 0 else energy)
 
     @property
     def num_blocks(self) -> int:
-        return self.centers.shape[0]
+        return self.centers.shape[-2]
 
 
 def dynamics_matrix(field: FieldTensor, metric: MetricTensor,
@@ -263,9 +261,9 @@ def kinetic_energy(state: ParticleState | Trajectory, metric: MetricTensor,
     return float(energy) if energy.ndim == 0 else energy
 
 
-def orbit_decomposition(state: ParticleState, form: CanonicalForm, field: FieldTensor,
-                        constants: PhysicalConstants) -> OrbitDecomposition:
-    """Split a state into orbit centers, relative coordinates, and free motion.
+def orbit_decomposition(state: ParticleState | Trajectory, form: CanonicalForm,
+                        field: FieldTensor, constants: PhysicalConstants) -> OrbitDecomposition:
+    """Split a state, or each sample of a trajectory, into orbits and free motion.
 
     Per block the center comes from the conserved dual momentum pair and the
     relative coordinate from the kinetic one, each rotated a quarter turn and
@@ -275,24 +273,22 @@ def orbit_decomposition(state: ParticleState, form: CanonicalForm, field: FieldT
     verbatim regardless, so callers decide how to label the result.
     """
     coords = to_canonical(form, state, field, constants)
-    raw = form.basis.T @ state.momentum  # physical momenta, no c/q rescaling
-    nb = form.num_blocks
-    mass = constants.mass
-    centers = np.zeros((nb, 2))
-    relatives = np.zeros((nb, 2))
-    block_energies = np.zeros(nb)
-    for l, s in enumerate(form.strengths):
-        lead, trail = 2 * l, 2 * l + 1
-        centers[l] = (coords.dual_momentum[trail] / s, -coords.dual_momentum[lead] / s)
-        relatives[l] = (-coords.momentum[trail] / s, coords.momentum[lead] / s)
-        block_energies[l] = (raw[lead] ** 2 + raw[trail] ** 2) / (2.0 * mass)
-    tail = raw[2 * nb:]
+    raw = state.momentum @ form.basis  # physical momenta, no c/q rescaling
+    nb, mass = form.num_blocks, constants.mass
+
+    def turned(v: np.ndarray) -> np.ndarray:
+        # (..., n) -> (..., nb, 2): block l's pair (a, b) = (v[2l], v[2l + 1])
+        # turned a quarter, to (b, -a).
+        return v[..., :2 * nb].reshape(v.shape[:-1] + (nb, 2))[..., ::-1] * [1.0, -1.0]
+
+    strengths = form.strengths[:, None]
+    tail = raw[..., 2 * nb:]
     return OrbitDecomposition(
-        centers=centers,
-        relatives=relatives,
+        centers=turned(coords.dual_momentum) / strengths,
+        relatives=-turned(coords.momentum) / strengths,
         free_velocity=tail / mass,
-        block_energies=block_energies,
-        free_energy=float(tail @ tail) / (2.0 * mass),
+        block_energies=np.square(turned(raw)).sum(axis=-1) / (2.0 * mass),
+        free_energy=np.einsum("...j,...j->...", tail, tail) / (2.0 * mass),
     )
 
 

@@ -2,8 +2,8 @@
 
 An operator here is ``scalar + position_coeff . x + momentum_coeff . (-i hbar grad)``.
 The commutator of two such operators is a plain number, so it is evaluated in
-closed form from the coefficient vectors; no grid, truncation, or operator
-application is involved anywhere.
+closed form from the coefficient vectors (for two stacks of operators, the
+table of all pairs); no grid, truncation, or operator application is involved.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import FieldTensor, GaugeMatrix, PhysicalConstants
+from .tensors import FieldTensor, GaugeMatrix, PhysicalConstants, _frozen
 
 __all__ = [
     "AffineOperator",
@@ -25,7 +25,10 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class AffineOperator:
-    """First-order operator ``scalar + position . x + momentum . (-i hbar grad)``."""
+    """First-order operator ``scalar + position . x + momentum . (-i hbar grad)``.
+
+    ``(n,)`` coefficients make one operator, ``(k, n)`` rows a stack of ``k``.
+    """
 
     scalar: complex
     position: np.ndarray
@@ -33,21 +36,21 @@ class AffineOperator:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        pos = np.array(self.position, dtype=complex).reshape(-1)
-        mom = np.array(self.momentum, dtype=complex).reshape(-1)
-        if pos.size != mom.size:
-            raise ValueError("position and momentum coefficient vectors differ in length")
+        pos = np.array(self.position, dtype=complex)
+        mom = np.array(self.momentum, dtype=complex)
+        if pos.shape != mom.shape or pos.ndim not in (1, 2):
+            raise ValueError(f"coefficient shapes {pos.shape} and {mom.shape} differ or are "
+                             f"not (n,) or (k, n)")
         if not (np.isfinite(self.hbar) and self.hbar > 0):
             raise ValueError("hbar must be positive and finite")
-        pos.setflags(write=False)
-        mom.setflags(write=False)
-        object.__setattr__(self, "scalar", complex(self.scalar))
-        object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "momentum", mom)
+        scalar = np.full(pos.shape[:-1], self.scalar, dtype=complex)
+        object.__setattr__(self, "scalar", _frozen(scalar)[()])
+        object.__setattr__(self, "position", _frozen(pos))
+        object.__setattr__(self, "momentum", _frozen(mom))
 
     @property
     def n(self) -> int:
-        return self.position.size
+        return self.position.shape[-1]
 
     def _like(self, other: "AffineOperator") -> None:
         if self.n != other.n:
@@ -77,42 +80,45 @@ class AffineOperator:
     __rmul__ = __mul__
 
 
+def _momentum(rows: np.ndarray, constants: PhysicalConstants, index) -> AffineOperator:
+    # -i hbar d_j - (q/c) rows[j, k] x^k for one component j or an array of them.
+    n = rows.shape[0]
+    index = np.asarray(index)
+    bad = index[(index < 0) | (index >= n)]
+    if bad.size:
+        raise IndexError(f"component {bad[0]} out of range for dimension {n}")
+    return AffineOperator(0.0, -constants.coupling * rows[index], np.eye(n)[index],
+                          constants.hbar)
+
+
 def canonical_momentum(gauge: GaugeMatrix, constants: PhysicalConstants,
-                       index: int) -> AffineOperator:
-    """Kinetic momentum component ``-i hbar d_j - (q/c) A[k, j] x^k`` (0-based ``j``)."""
-    if not 0 <= index < gauge.n:
-        raise IndexError(f"component {index} out of range for dimension {gauge.n}")
-    deriv = np.zeros(gauge.n)
-    deriv[index] = 1.0
-    return AffineOperator(0.0, -constants.coupling * gauge.matrix[:, index],
-                          deriv, constants.hbar)
+                       index) -> AffineOperator:
+    """Kinetic momentum ``-i hbar d_j - (q/c) A[k, j] x^k``; an int array ``j`` gives a stack."""
+    return _momentum(gauge.matrix.T, constants, index)
 
 
 def dual_momentum(gauge: GaugeMatrix, constants: PhysicalConstants,
-                  index: int) -> AffineOperator:
-    """Conserved dual of :func:`canonical_momentum`.
+                  index) -> AffineOperator:
+    """Conserved dual of :func:`canonical_momentum`, for an int or an int array ``j``.
 
     Built from the transposed gauge, ``-i hbar d_j - (q/c) A[j, k] x^k``; it
     equals the kinetic momentum minus ``(q/c) H[j, k] x^k`` componentwise and
     generates magnetic translations.
     """
-    if not 0 <= index < gauge.n:
-        raise IndexError(f"component {index} out of range for dimension {gauge.n}")
-    deriv = np.zeros(gauge.n)
-    deriv[index] = 1.0
-    return AffineOperator(0.0, -constants.coupling * gauge.matrix[index, :],
-                          deriv, constants.hbar)
+    return _momentum(gauge.matrix, constants, index)
 
 
-def commutator(op1: AffineOperator, op2: AffineOperator) -> complex:
+def commutator(op1: AffineOperator, op2: AffineOperator) -> complex | np.ndarray:
     """Central value of ``[O1, O2]`` for affine operators.
 
     Only the cross terms between a position coefficient and an elementary
     momentum survive, giving the exact scalar
-    ``i hbar (position1 . momentum2 - momentum1 . position2)``.
+    ``i hbar (position1 . momentum2 - momentum1 . position2)``; for stacks of
+    ``k1`` and ``k2`` operators, the ``(k1, k2)`` table of all pairs.
     """
     op1._like(op2)
-    return 1j * op1.hbar * complex(op1.position @ op2.momentum - op1.momentum @ op2.position)
+    return 1j * op1.hbar * (np.inner(op1.position, op2.momentum)
+                            - np.inner(op1.momentum, op2.position))
 
 
 def translation_phase(x, y, field: FieldTensor, constants: PhysicalConstants) -> float:

@@ -284,10 +284,29 @@ class TestVerifyCommand:
         assert "[p, pT]" in out
 
     def test_radiation_warning_for_traceful_gauge(self, tmp_path, capsys):
+        # The cut is relative to the gauge's scale, so a tiny traceful gauge warns too.
+        for gauge in ([[1.0, 1.0], [0.0, 1.0]], [[1e-11, 1e-11], [0.0, 0.0]]):
+            config = write_config(tmp_path, {"n": 2, "gauge": gauge})
+            assert main(["verify", "--config", config]) == 0
+            assert "radiation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-11, 1.0, 1e6])
+    def test_verdict_independent_of_field_scale(self, tmp_path, capsys, scale):
+        a = np.random.default_rng(0).standard_normal((4, 4))
         config = write_config(tmp_path, {
-            "n": 2, "gauge": [[1.0, 1.0], [0.0, 1.0]]})
+            "n": 4, "field": (scale * (a - a.T)).tolist(),
+            "particle": {"q": 3.0, "c": 1.7, "hbar": 0.3}})
         assert main(["verify", "--config", config]) == 0
-        assert "radiation" in capsys.readouterr().err
+        assert capsys.readouterr().err == ""
+
+    def test_violation_measured_against_field_scale(self, tmp_path, capsys):
+        # The gauge passes the absolute consistency check but generates a
+        # field 5e-7 off in relative terms: that is a violated relation.
+        config = write_config(tmp_path, {
+            "n": 2, "field": [[0.0, 1e-6], [-1e-6, 0.0]],
+            "gauge": [[0.0, 1e-6 + 5e-13], [0.0, 0.0]]})
+        assert main(["verify", "--config", config]) == 1
+        assert "relation violated: [p, p]" in capsys.readouterr().err
 
 
 class TestEntryPoint:

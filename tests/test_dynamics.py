@@ -5,6 +5,7 @@ import pytest
 
 from ncyclo import (
     FieldTensor,
+    GammaTensor,
     MetricTensor,
     ParticleState,
     PhysicalConstants,
@@ -18,9 +19,10 @@ from ncyclo import (
     field_from_3d_vector,
     kinetic_energy,
     orbit_decomposition,
+    to_canonical,
     write_trajectory_csv,
 )
-from conftest import random_antisymmetric
+from conftest import random_antisymmetric, random_spd
 
 EUCLID2 = MetricTensor.euclidean(2)
 UNIT = PhysicalConstants()
@@ -322,6 +324,30 @@ class TestOrbitDecomposition:
         for sample in evolve_exact_trajectory(state, k, metric, UNIT, 0.1, 100):
             split = orbit_decomposition(sample, form, h, UNIT)
             np.testing.assert_allclose(split.centers, reference, atol=1e-10)
+
+    def test_trajectory_rows_match_per_state_splits(self, rng):
+        # A general gamma makes the basis non-orthogonal, so to_canonical's
+        # solve is exercised; one free dimension checks the free part.
+        n = 5
+        h = FieldTensor(random_antisymmetric(rng, n))
+        metric = MetricTensor(random_spd(rng, n))
+        constants = PhysicalConstants(mass=1.3, charge=-0.7, light_speed=2.0)
+        form = decompose(h, GammaTensor(metric.matrix))
+        assert form.num_blocks == 2
+        k = dynamics_matrix(h, metric, constants)
+        state = ParticleState(rng.standard_normal(n), rng.standard_normal(n))
+        samples = evolve_exact_trajectory(state, k, metric, constants, 0.05, 40)
+        checks = ((lambda s: to_canonical(form, s, h, constants),
+                   ("position", "momentum", "dual_momentum")),
+                  (lambda s: orbit_decomposition(s, form, h, constants),
+                   ("centers", "relatives", "free_velocity", "block_energies", "free_energy")))
+        for split, names in checks:
+            whole, per_state = split(samples), [split(s) for s in samples]
+            for name in names:
+                rows = np.array([getattr(item, name) for item in per_state])
+                table = getattr(whole, name)
+                assert table.shape == rows.shape
+                assert np.abs(table - rows).max() <= 1e-14 * np.abs(rows).max()
 
     def test_relative_rotation_rate_and_radius(self, rng):
         # two distinct blocks: each relative pair turns rigidly at its own frequency

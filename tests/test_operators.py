@@ -75,6 +75,11 @@ class TestMomentumConstruction:
             assert np.all(diff.momentum == 0.0)
             np.testing.assert_allclose(diff.position,
                                        -constants.coupling * h.matrix[j, :], atol=1e-14)
+        # The same for the stacks of all components: one row per component.
+        index = np.arange(4)
+        diff = dual_momentum(gauge, constants, index) - canonical_momentum(gauge, constants, index)
+        assert diff.momentum.shape == (4, 4) and np.all(diff.momentum == 0.0)
+        np.testing.assert_allclose(diff.position, -constants.coupling * h.matrix, atol=1e-14)
 
     def test_antisymmetric_gauge_dual_flips_gauge_sign(self, rng):
         constants = PhysicalConstants()
@@ -91,6 +96,12 @@ class TestMomentumConstruction:
             canonical_momentum(gauge, PhysicalConstants(), 2)
         with pytest.raises(IndexError):
             dual_momentum(gauge, PhysicalConstants(), -1)
+        # An index array must not wrap a negative entry around.
+        for index in ([0, 2], [-1, 1]):
+            with pytest.raises(IndexError):
+                canonical_momentum(gauge, PhysicalConstants(), np.array(index))
+            with pytest.raises(IndexError):
+                dual_momentum(gauge, PhysicalConstants(), np.array(index))
 
 
 class TestCommutator:
@@ -110,6 +121,18 @@ class TestCommutator:
                     assert commutator(dual[j], dual[k]) == pytest.approx(
                         -factor * h.matrix[j, k], abs=1e-12)
                     assert commutator(kin[j], dual[k]) == pytest.approx(0.0, abs=1e-12)
+        # The stacked tables of one n = 5 gauge equal the per-pair values bit for bit.
+        gauge = GaugeMatrix(random_gauge(rng, 5))
+        index = np.arange(5)
+        stacks = (canonical_momentum(gauge, constants, index),
+                  dual_momentum(gauge, constants, index))
+        singles = [[build(gauge, constants, j) for j in range(5)]
+                   for build in (canonical_momentum, dual_momentum)]
+        for a, b in ((0, 0), (1, 1), (0, 1)):
+            table = commutator(stacks[a], stacks[b])
+            pairs = np.array([[commutator(x, y) for y in singles[b]] for x in singles[a]])
+            assert table.shape == (5, 5)
+            assert table.tobytes() == pairs.tobytes()
 
     def test_small_integer_mode_is_exact(self, rng):
         constants = PhysicalConstants()
