@@ -17,14 +17,12 @@ import numpy as np
 
 from . import __version__
 from .canonical import (
-    GammaTensor,
-    canonical_tensor,
     decompose,
     metric_singular_columns,
     orthonormality_residual,
     reconstruction_residual,
 )
-from .config import ConfigError, RunConfig
+from .config import OUTPUT_FORMATS, ConfigError, RunConfig
 from .dynamics import (
     dual_momentum_value,
     dynamics_matrix,
@@ -80,15 +78,10 @@ def _warn_radiation(config: RunConfig) -> None:
               f"(|g^jk A_jk| = {residual:.3e})", file=sys.stderr)
 
 
-def _decomposed(config: RunConfig):
-    gamma = config.gamma_tensor()
-    form = decompose(config.field_tensor(), gamma)
-    return form, gamma
-
-
 def cmd_decompose(config: RunConfig, out_path: str | None) -> int:
     _warn_radiation(config)
-    form, gamma = _decomposed(config)
+    gamma = config.gamma_tensor()
+    form = decompose(config.field_tensor(), gamma)
     metric = config.metric_tensor()
     document = {
         "n": form.n,
@@ -106,7 +99,7 @@ def cmd_decompose(config: RunConfig, out_path: str | None) -> int:
 
 def cmd_spectrum(config: RunConfig, out_path: str | None, levels: int) -> int:
     _warn_radiation(config)
-    form, _ = _decomposed(config)
+    form = decompose(config.field_tensor(), config.gamma_tensor())
     constants = config.constants()
     report = classify_spectrum(form, constants, config.metric_tensor())
     document = {
@@ -165,9 +158,9 @@ def cmd_simulate(config: RunConfig, out_path: str | None, out_format: str | None
     except ValueError as exc:  # the configured orbit leaves the floating-point range
         raise ConfigError(str(exc)) from None
 
-    output = dict(config.output or {})
-    path = out_path or output.get("path")
-    fmt = out_format or output.get("format", "csv")
+    output = config.settings("output")
+    path = out_path or output["path"]
+    fmt = out_format or output["format"]
     if not path:
         raise ConfigError("simulate needs an output path (config output.path or --out)")
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -282,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="integrate the motion and report the orbits")
     p.add_argument("--config", required=True, help="path to the JSON run configuration")
     p.add_argument("--out", help="trajectory file path (overrides config output.path)")
-    p.add_argument("--format", choices=["csv", "structured"],
+    p.add_argument("--format", choices=OUTPUT_FORMATS,
                    help="trajectory format (overrides config output.format)")
 
     p = sub.add_parser("spectrum", help="frequencies, levels, and discreteness")
@@ -307,10 +300,7 @@ def main(argv=None) -> int:
         if args.command == "spectrum":
             return cmd_spectrum(config, args.out, args.levels)
         return cmd_verify(config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,15 +1,18 @@
 """Run configuration for the command-line tools.
 
 A run is described by one JSON file with nested keys and row-major matrices.
-Parsing keeps the raw values, so a parsed configuration serializes back to the
-exact document it came from; the heavyweight objects (tensors, constants,
-initial state) are materialized on demand.
+The top-level keys are the fields of :class:`RunConfig`; the keys, checks and
+defaults of its object sections live in one table, ``SECTIONS``, the one place
+that validation and every default read them from.  Parsing keeps the parsed
+JSON values as given, so a parsed configuration serializes back to the exact
+document it came from; the heavyweight objects (tensors, constants, initial
+state) are materialized on demand.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as _field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,22 +36,45 @@ NAMED_METRICS = ("euclidean", "minkowski")
 NAMED_GAUGES = ("antisymmetric", "triangular")
 INTEGRATION_METHODS = ("exact", "rk4")
 OUTPUT_FORMATS = ("csv", "structured")
-GAUGE_FIELD_CONSISTENCY_ATOL = 1e-12
-
-_PARTICLE_KEYS = ("m", "q", "c", "hbar")
+GAUGE_FIELD_CONSISTENCY_RTOL = 1e-12
 
 
 class ConfigError(ValueError):
     """Raised for a malformed or inconsistent run configuration."""
 
 
-def _check_number(value, ctx: str) -> float:
+# Every checker takes (value, ctx, n) and raises ConfigError naming ``ctx``.
+
+def _check_number(value, ctx: str, *_) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{ctx}: expected a number, got {value!r}")
     return float(value)
 
 
-def _check_matrix(value, n: int, ctx: str) -> None:
+def _check_positive(value, ctx: str, *_) -> None:
+    number = _check_number(value, ctx)
+    if number <= 0 or not np.isfinite(number):
+        raise ConfigError(f"{ctx} must be positive, got {number}")
+
+
+def _check_count(value, ctx: str, *_) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{ctx} must be a positive integer, got {value!r}")
+
+
+def _check_string(value, ctx: str, *_) -> None:
+    if not isinstance(value, str):
+        raise ConfigError(f"{ctx} must be a string")
+
+
+def _one_of(choices: tuple):
+    def check(value, ctx: str, *_) -> None:
+        if value not in choices:
+            raise ConfigError(f"{ctx} must be one of {', '.join(choices)}, got {value!r}")
+    return check
+
+
+def _check_matrix(value, ctx: str, n: int) -> None:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{ctx}: expected a nested array of {n} rows")
     if len(value) != n:
@@ -62,7 +88,7 @@ def _check_matrix(value, n: int, ctx: str) -> None:
             _check_number(entry, f"{ctx}: row {i}, column {j}")
 
 
-def _check_vector(value, n: int, ctx: str) -> None:
+def _check_vector(value, ctx: str, n: int) -> None:
     if not isinstance(value, (list, tuple)) or any(isinstance(e, (list, tuple)) for e in value):
         raise ConfigError(f"{ctx}: expected a flat array of {n} numbers")
     if len(value) != n:
@@ -71,21 +97,26 @@ def _check_vector(value, n: int, ctx: str) -> None:
         _check_number(entry, f"{ctx}: entry {j}")
 
 
-def _tupled(value):
-    if isinstance(value, (list, tuple)):
-        return tuple(_tupled(v) for v in value)
-    return value
+REQUIRED = object()
 
-
-def _listed(value):
-    if isinstance(value, tuple):
-        return [_listed(v) for v in value]
-    return value
+# Object section -> key -> (checker, default); REQUIRED marks a key with no
+# default.  Key order is the order of the error messages and of settings().
+SECTIONS = {
+    "particle": {key: (_check_number, 1.0) for key in ("m", "q", "c", "hbar")},
+    "initial": {key: (_check_vector, REQUIRED) for key in ("x", "p")},
+    "integration": {"dt": (_check_positive, REQUIRED), "steps": (_check_count, REQUIRED),
+                    "method": (_one_of(INTEGRATION_METHODS), "exact")},
+    "output": {"path": (_check_string, None),
+               "format": (_one_of(OUTPUT_FORMATS), "csv")},
+}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run description holding the raw (serializable) values."""
+    """Validated run description holding the parsed (serializable) values.
+
+    The fields are the top-level keys of the JSON document.
+    """
 
     n: int
     metric: object = "euclidean"
@@ -96,9 +127,9 @@ class RunConfig:
     initial: object = None
     integration: object = None
     output: object = None
-    _resolved: dict = _field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
+        # Materialized objects; not a field, so not a key, compared or shown.
         object.__setattr__(self, "_resolved", {})
 
     # ---------------------------------------------------------- construction
@@ -107,27 +138,13 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ConfigError("configuration must be a JSON object")
-        known = {"n", "metric", "gamma", "gauge", "field",
-                 "particle", "initial", "integration", "output"}
+        known = {f.name for f in fields(cls)}
         for key in data:
             if key not in known:
                 raise ConfigError(f"unknown configuration key '{key}'")
         if "n" not in data:
             raise ConfigError("missing required key 'n'")
-        n = data["n"]
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ConfigError(f"n must be a positive integer, got {n!r}")
-        config = cls(
-            n=n,
-            metric=_tupled(data.get("metric", "euclidean")),
-            gamma=_tupled(data.get("gamma")),
-            gauge=_tupled(data.get("gauge")),
-            field=_tupled(data.get("field")),
-            particle=_tupled(data.get("particle")),
-            initial=_tupled(data.get("initial")),
-            integration=_tupled(data.get("integration")),
-            output=_tupled(data.get("output")),
-        )
+        config = cls(**data)
         config._validate()
         return config
 
@@ -142,19 +159,20 @@ class RunConfig:
 
     def _field_is_3_vector(self) -> bool:
         """Whether ``field`` is an ordinary 3-D field vector rather than a matrix."""
-        return (self.n == 3 and isinstance(self.field, tuple)
-                and not any(isinstance(e, tuple) for e in self.field))
+        return (self.n == 3 and isinstance(self.field, (list, tuple))
+                and not any(isinstance(e, (list, tuple)) for e in self.field))
 
     def _validate(self) -> None:
         n = self.n
+        _check_count(n, "n")
         if isinstance(self.metric, str):
             if self.metric not in NAMED_METRICS:
                 raise ConfigError(f"metric: unknown name '{self.metric}' "
                                   f"(expected one of {', '.join(NAMED_METRICS)})")
         else:
-            _check_matrix(self.metric, n, "metric")
+            _check_matrix(self.metric, "metric", n)
         if self.gamma is not None:
-            _check_matrix(self.gamma, n, "gamma")
+            _check_matrix(self.gamma, "gamma", n)
 
         if self.gauge is None and self.field is None:
             raise ConfigError("either 'field' or an explicit 'gauge' matrix is required")
@@ -165,79 +183,62 @@ class RunConfig:
             if self.field is None:
                 raise ConfigError(f"gauge '{self.gauge}' needs a 'field' to derive from")
         elif self.gauge is not None:
-            _check_matrix(self.gauge, n, "gauge")
+            _check_matrix(self.gauge, "gauge", n)
         if self.field is not None:
             if self._field_is_3_vector():
-                _check_vector(self.field, 3, "field")
+                _check_vector(self.field, "field", 3)
             else:
-                _check_matrix(self.field, n, "field")
+                _check_matrix(self.field, "field", n)
 
-        if self.particle is not None:
-            if not isinstance(self.particle, dict):
-                raise ConfigError("particle: expected an object with keys m, q, c, hbar")
-            for key, value in self.particle.items():
-                if key not in _PARTICLE_KEYS:
-                    raise ConfigError(f"particle: unknown key '{key}'")
-                _check_number(value, f"particle.{key}")
-        if self.initial is not None:
-            if not isinstance(self.initial, dict):
-                raise ConfigError("initial: expected an object with keys x, p")
-            for key in ("x", "p"):
-                if key not in self.initial:
-                    raise ConfigError(f"initial: missing key '{key}'")
-                _check_vector(self.initial[key], n, f"initial.{key}")
-            for key in self.initial:
-                if key not in ("x", "p"):
-                    raise ConfigError(f"initial: unknown key '{key}'")
-        if self.integration is not None:
-            if not isinstance(self.integration, dict):
-                raise ConfigError("integration: expected an object with keys dt, steps, method")
-            for key in self.integration:
-                if key not in ("dt", "steps", "method"):
-                    raise ConfigError(f"integration: unknown key '{key}'")
-            dt = _check_number(self.integration.get("dt", 0.0), "integration.dt")
-            if dt <= 0 or not np.isfinite(dt):
-                raise ConfigError(f"integration.dt must be positive, got {dt}")
-            steps = self.integration.get("steps", 0)
-            if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
-                raise ConfigError(f"integration.steps must be a positive integer, got {steps!r}")
-            method = self.integration.get("method", "exact")
-            if method not in INTEGRATION_METHODS:
-                raise ConfigError(f"integration.method must be one of "
-                                  f"{', '.join(INTEGRATION_METHODS)}, got {method!r}")
-        if self.output is not None:
-            if not isinstance(self.output, dict):
-                raise ConfigError("output: expected an object with keys path, format")
-            for key in self.output:
-                if key not in ("path", "format"):
-                    raise ConfigError(f"output: unknown key '{key}'")
-            if "path" in self.output and not isinstance(self.output["path"], str):
-                raise ConfigError("output.path must be a string")
-            fmt = self.output.get("format", "csv")
-            if fmt not in OUTPUT_FORMATS:
-                raise ConfigError(f"output.format must be one of "
-                                  f"{', '.join(OUTPUT_FORMATS)}, got {fmt!r}")
+        for name, keys in SECTIONS.items():
+            section = getattr(self, name)
+            if section is None:
+                continue
+            if not isinstance(section, dict):
+                raise ConfigError(f"{name}: expected an object with keys {', '.join(keys)}")
+            for key in section:
+                if key not in keys:
+                    raise ConfigError(f"{name}: unknown key '{key}'")
+            for key, (check, default) in keys.items():
+                if key in section:
+                    check(section[key], f"{name}.{key}", n)
+                elif default is REQUIRED:
+                    raise ConfigError(f"{name}: missing key '{key}'")
 
         # Materialize everything once so value-level errors surface at parse time.
         self.metric_tensor()
         self.gamma_tensor()
         self.constants()
-        field = self.field_tensor()
-        gauge = self.gauge_matrix()
-        derived = field_from_gauge(gauge)
-        mismatch = float(np.abs(derived.matrix - field.matrix).max())
-        if mismatch > GAUGE_FIELD_CONSISTENCY_ATOL:
-            raise ConfigError(f"gauge and field are inconsistent: the gauge generates a "
-                              f"field differing by {mismatch:.3e}")
+        field, gauge = self.field_tensor(), self.gauge_matrix()
+        # Only an explicit gauge next to a field can disagree with it (halving
+        # a subnormal field for the default gauge is not exact).  The cut is
+        # relative to the field's largest entry, with no floor: a zero field
+        # needs an exact match.
+        if self.field is not None and isinstance(self.gauge, (list, tuple)):
+            mismatch = float(np.abs(field_from_gauge(gauge).matrix - field.matrix).max())
+            if mismatch > GAUGE_FIELD_CONSISTENCY_RTOL * float(np.abs(field.matrix).max()):
+                raise ConfigError(f"gauge and field are inconsistent: the gauge generates a "
+                                  f"field differing by {mismatch:.3e}")
         if self.initial is not None:
             self.initial_state()
 
     # ----------------------------------------------------------- resolution
 
     def _cache(self, key: str, build):
+        """Build and keep one materialized object; a value error names ``key``."""
         if key not in self._resolved:
-            self._resolved[key] = build()
+            try:
+                self._resolved[key] = build()
+            except ConfigError:
+                raise
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
         return self._resolved[key]
+
+    def settings(self, section: str) -> dict:
+        """Every key of an object section: its given value, else its default."""
+        given = getattr(self, section) or {}
+        return {key: given.get(key, default) for key, (_, default) in SECTIONS[section].items()}
 
     def metric_tensor(self) -> MetricTensor:
         def build():
@@ -245,32 +246,19 @@ class RunConfig:
                 return MetricTensor.euclidean(self.n)
             if self.metric == "minkowski":
                 return MetricTensor.minkowski(self.n)
-            try:
-                return MetricTensor(_listed(self.metric))
-            except ValueError as exc:
-                raise ConfigError(f"metric: {exc}") from None
+            return MetricTensor(self.metric)
         return self._cache("metric", build)
 
     def gamma_tensor(self) -> GammaTensor | None:
-        def build():
-            if self.gamma is None:
-                return None
-            try:
-                return GammaTensor(_listed(self.gamma))
-            except ValueError as exc:
-                raise ConfigError(f"gamma: {exc}") from None
-        return self._cache("gamma", build)
+        return self._cache("gamma", lambda: None if self.gamma is None else GammaTensor(self.gamma))
 
     def field_tensor(self) -> FieldTensor:
         def build():
-            try:
-                if self.field is None:
-                    return field_from_gauge(GaugeMatrix(_listed(self.gauge)))
-                if self._field_is_3_vector():
-                    return field_from_3d_vector(_listed(self.field))
-                return FieldTensor(_listed(self.field))
-            except ValueError as exc:
-                raise ConfigError(f"field: {exc}") from None
+            if self.field is None:
+                return field_from_gauge(GaugeMatrix(self.gauge))
+            if self._field_is_3_vector():
+                return field_from_3d_vector(self.field)
+            return FieldTensor(self.field)
         return self._cache("field", build)
 
     def gauge_matrix(self) -> GaugeMatrix:
@@ -279,47 +267,32 @@ class RunConfig:
                 return gauge_antisymmetric(self.field_tensor())
             if self.gauge == "triangular":
                 return gauge_triangular(self.field_tensor())
-            return GaugeMatrix(_listed(self.gauge))
+            return GaugeMatrix(self.gauge)
         return self._cache("gauge", build)
 
     def constants(self) -> PhysicalConstants:
         def build():
-            raw = dict(self.particle or {})
-            try:
-                return PhysicalConstants(
-                    mass=float(raw.get("m", 1.0)),
-                    charge=float(raw.get("q", 1.0)),
-                    light_speed=float(raw.get("c", 1.0)),
-                    hbar=float(raw.get("hbar", 1.0)),
-                )
-            except ValueError as exc:
-                raise ConfigError(f"particle: {exc}") from None
-        return self._cache("constants", build)
+            m, q, c, hbar = map(float, self.settings("particle").values())
+            return PhysicalConstants(mass=m, charge=q, light_speed=c, hbar=hbar)
+        return self._cache("particle", build)
 
     def initial_state(self) -> ParticleState:
         if self.initial is None:
             raise ConfigError("this command needs an 'initial' section with x and p")
-        def build():
-            return ParticleState(_listed(self.initial["x"]), _listed(self.initial["p"]))
-        return self._cache("initial", build)
+        return self._cache("initial", lambda: ParticleState(self.initial["x"], self.initial["p"]))
 
     def integration_settings(self) -> tuple[float, int, str]:
         if self.integration is None:
             raise ConfigError("this command needs an 'integration' section "
                               "with dt, steps, and method")
-        return (float(self.integration["dt"]), int(self.integration["steps"]),
-                str(self.integration.get("method", "exact")))
+        dt, steps, method = self.settings("integration").values()
+        return float(dt), int(steps), str(method)
 
     # -------------------------------------------------------- serialization
 
     def to_dict(self) -> dict:
-        out: dict = {"n": self.n}
-        for key in ("metric", "gamma", "gauge", "field", "particle",
-                    "initial", "integration", "output"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = _listed(value)
-        return out
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if getattr(self, f.name) is not None}
 
     def dumps(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from ncyclo.cli import main
+from ncyclo.cli import cmd_verify, main
+from ncyclo.config import RunConfig
 
 
 def write_config(tmp_path, data, name="run.json"):
@@ -84,9 +85,21 @@ class TestDecomposeCommand:
         assert json.loads(captured.out)["num_blocks"] == 2
 
     def test_invalid_config_exit_2(self, tmp_path, capsys):
-        config = write_config(tmp_path, {"n": 2, "field": [[0.0, 1.0], [-1.0, 0.0, 9]]})
-        assert main(["decompose", "--config", config]) == 2
-        assert "row 1" in capsys.readouterr().err
+        nan = float("nan")
+        field = [[0.0, 1.0], [-1.0, 0.0]]
+        cases = [
+            ({"n": 2, "field": [[0.0, 1.0], [-1.0, 0.0, 9]]}, "row 1"),
+            ({"n": 2, "field": field, "initial": {"x": [0.0, nan], "p": [1.0, 0.0]}},
+             "error: initial: particle state entries must be finite\n"),
+            ({"n": 2, "field": field, "gauge": [[0.0, nan], [0.0, 0.0]]},
+             "error: gauge: gauge has a non-finite entry at row 0, column 1\n"),
+        ]
+        for data, message in cases:
+            config = write_config(tmp_path, data)
+            assert main(["decompose", "--config", config]) == 2
+            captured = capsys.readouterr()
+            assert message in captured.err
+            assert captured.out == ""
 
 
 class TestSimulateCommand:
@@ -300,12 +313,14 @@ class TestVerifyCommand:
         assert capsys.readouterr().err == ""
 
     def test_violation_measured_against_field_scale(self, tmp_path, capsys):
-        # The gauge passes the absolute consistency check but generates a
-        # field 5e-7 off in relative terms: that is a violated relation.
-        config = write_config(tmp_path, {
-            "n": 2, "field": [[0.0, 1e-6], [-1e-6, 0.0]],
-            "gauge": [[0.0, 1e-6 + 5e-13], [0.0, 0.0]]})
-        assert main(["verify", "--config", config]) == 1
+        # The gauge generates a field 5e-7 off in relative terms: the config's
+        # relative consistency check refuses it at parse time, and verify's own
+        # gate, fed the same pair without validation, calls it a violation.
+        field, gauge = [[0.0, 1e-6], [-1e-6, 0.0]], [[0.0, 1e-6 + 5e-13], [0.0, 0.0]]
+        config = write_config(tmp_path, {"n": 2, "field": field, "gauge": gauge})
+        assert main(["verify", "--config", config]) == 2
+        assert "inconsistent" in capsys.readouterr().err
+        assert cmd_verify(RunConfig(n=2, field=field, gauge=gauge)) == 1
         assert "relation violated: [p, p]" in capsys.readouterr().err
 
 

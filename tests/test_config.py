@@ -106,6 +106,21 @@ class TestValidation:
                                  "gauge": [[0.0, 1.0], [0.0, 0.0]],
                                  "field": [[0.0, 2.0], [-2.0, 0.0]]})
 
+    @pytest.mark.parametrize("scale", [1e-11, 1.0, 1e6])
+    def test_consistency_relative_to_field_scale(self, scale):
+        # H/3 + H/6 generates H only to roundoff, which grows with the scale
+        # (1.164e-10 at 1e6 for this seed).
+        m = scale * np.random.default_rng(5).standard_normal((4, 4))
+        h = m - m.T
+        config = RunConfig.from_dict({"n": 4, "field": h.tolist(),
+                                      "gauge": (h / 3 + h / 6).tolist()})
+        assert config.gauge_matrix().n == 4
+
+    def test_default_gauge_of_subnormal_field_accepted(self):
+        # H/2 of the smallest subnormal rounds to 0; the derived gauge is not checked.
+        config = RunConfig.from_dict({"n": 2, "field": [[0.0, 5e-324], [-5e-324, 0.0]]})
+        assert config.field_tensor().matrix[0, 1] == 5e-324
+
     def test_consistent_gauge_and_field_accepted(self):
         config = RunConfig.from_dict({"n": 2,
                                       "gauge": [[0.0, 1.0], [0.0, 0.0]],
@@ -122,6 +137,10 @@ class TestValidation:
         with pytest.raises(ConfigError, match="method"):
             RunConfig.from_dict(with_overrides(
                 integration={"dt": 0.1, "steps": 5, "method": "euler"}))
+        with pytest.raises(ConfigError, match="^integration: missing key 'dt'$"):
+            RunConfig.from_dict(with_overrides(integration={"steps": 5}))
+        with pytest.raises(ConfigError, match="^integration: missing key 'steps'$"):
+            RunConfig.from_dict(with_overrides(integration={"dt": 0.1}))
 
     def test_bad_initial_length(self):
         with pytest.raises(ConfigError, match="initial.x"):
