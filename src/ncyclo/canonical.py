@@ -7,10 +7,10 @@ chosen positive-definite quadratic form, in which the tensor is a direct sum of
 padded by a zero block spanning the force-free directions.  Each nonzero block
 singles out a plane of circular motion; the zero block carries free motion.
 
-The orthonormality form used here is deliberately distinct from the dynamical
-metric: the decomposition basis is orthonormal against the positive-definite
-form only, and may contain vectors that are null with respect to an indefinite
-dynamical metric (see :func:`metric_singular_columns`).
+A definite dynamical metric ``g`` is its own frame (``g`` or ``-g``): then
+``B.T @ K @ inv(B.T) = +-(q/mc) Theta`` and the strengths give the true frequencies.
+An indefinite ``g`` has none, so a chosen form stands in and the basis may hold
+``g``-null vectors (see :func:`metric_singular_columns`).
 """
 
 from __future__ import annotations
@@ -237,7 +237,7 @@ def metric_singular_columns(form: CanonicalForm, metric_matrix: np.ndarray,
                             rel_tol: float = ZERO_STRENGTH_RTOL) -> list[int]:
     """Indices of basis columns that are null with respect to a dynamical metric.
 
-    For an indefinite metric the gamma-orthonormal basis can contain vectors of
+    For an indefinite metric the frame's orthonormal basis can contain vectors of
     vanishing metric norm; motion along them has no velocity interpretation, so
     callers typically just surface the indices in reports.
     """

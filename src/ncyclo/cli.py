@@ -79,26 +79,22 @@ def _warn_radiation(config: RunConfig) -> None:
 
 
 def cmd_decompose(config: RunConfig, out_path: str | None) -> int:
-    _warn_radiation(config)
-    gamma = config.gamma_tensor()
-    form = decompose(config.field_tensor(), gamma)
-    metric = config.metric_tensor()
+    form = decompose(config.field_tensor(), config.gamma_tensor())
     document = {
         "n": form.n,
         "basis": [[float(v) for v in row] for row in form.basis],
         "strengths": [float(s) for s in form.strengths],
         "num_blocks": form.num_blocks,
         "free_dims": form.free_dims,
-        "orthonormality_residual": orthonormality_residual(form, gamma),
+        "orthonormality_residual": orthonormality_residual(form, config.gamma_tensor()),
         "reconstruction_residual": reconstruction_residual(form, config.field_tensor()),
-        "metric_singular_columns": metric_singular_columns(form, metric.matrix),
+        "metric_singular_columns": metric_singular_columns(form, config.metric_tensor().matrix),
     }
     _emit(document, out_path)
     return 0
 
 
 def cmd_spectrum(config: RunConfig, out_path: str | None, levels: int) -> int:
-    _warn_radiation(config)
     form = decompose(config.field_tensor(), config.gamma_tensor())
     constants = config.constants()
     report = classify_spectrum(form, constants, config.metric_tensor())
@@ -142,9 +138,7 @@ def _block_statistics(times, split, form):
 
 
 def cmd_simulate(config: RunConfig, out_path: str | None, out_format: str | None) -> int:
-    _warn_radiation(config)
     metric = config.metric_tensor()
-    gamma = config.gamma_tensor()
     field = config.field_tensor()
     constants = config.constants()
     state = config.initial_state()
@@ -172,9 +166,7 @@ def cmd_simulate(config: RunConfig, out_path: str | None, out_format: str | None
             rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
             fh.write(json.dumps({"trajectory": rows}, indent=2, sort_keys=True) + "\n")
 
-    form = decompose(field, gamma)
-    gamma_matrix = np.eye(form.n) if gamma is None else gamma.matrix
-    geometric_valid = bool(np.abs(metric.matrix - gamma_matrix).max() <= 1e-12)
+    form = decompose(field, config.gamma_tensor())
 
     # Every stride-th sample, and the last one.
     count = len(trajectory)
@@ -193,7 +185,7 @@ def cmd_simulate(config: RunConfig, out_path: str | None, out_format: str | None
     blocks = _block_statistics(samples.time, split, form)
     if blocks:
         residuals["center_drift"] = max(entry["center_drift"] for entry in blocks)
-    if geometric_valid and blocks:
+    if metric.is_definite and blocks:
         residuals["radius_drift"] = max(entry["radius_drift"] for entry in blocks)
         omegas = cyclotron_frequencies(form, constants)
         mismatches = [abs(entry["measured_frequency"] - w) / w
@@ -211,7 +203,7 @@ def cmd_simulate(config: RunConfig, out_path: str | None, out_format: str | None
         "trajectory_format": fmt,
         "num_blocks": form.num_blocks,
         "free_dims": form.free_dims,
-        "geometric_interpretation_valid": geometric_valid,
+        "geometric_interpretation_valid": metric.is_definite,
         "metric_singular_columns": metric_singular_columns(form, metric.matrix),
         "blocks": blocks,
         "free_velocity": [float(v) for v in split.free_velocity[0]],
@@ -230,7 +222,6 @@ def cmd_simulate(config: RunConfig, out_path: str | None, out_format: str | None
 
 
 def cmd_verify(config: RunConfig) -> int:
-    _warn_radiation(config)
     gauge = config.gauge_matrix()
     constants = config.constants()
     components = np.arange(gauge.n)
@@ -259,6 +250,12 @@ def cmd_verify(config: RunConfig) -> int:
     return 0
 
 
+def non_negative_int(text: str) -> int:
+    if int(text) < 0:
+        raise ValueError(text)  # argparse: "argument --levels: invalid non_negative_int value"
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncyclo",
@@ -281,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="frequencies, levels, and discreteness")
     p.add_argument("--config", required=True, help="path to the JSON run configuration")
     p.add_argument("--out", help="write the document here instead of stdout")
-    p.add_argument("--levels", type=int, default=10,
+    p.add_argument("--levels", type=non_negative_int, default=10,
                    help="how many ladder levels to list (default 10)")
 
     p = sub.add_parser("verify", help="check the commutation relations of the momenta")
@@ -293,6 +290,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = RunConfig.load(args.config)
+        _warn_radiation(config)
         if args.command == "decompose":
             return cmd_decompose(config, args.out)
         if args.command == "simulate":

@@ -206,8 +206,7 @@ class RunConfig:
                     raise ConfigError(f"{name}: missing key '{key}'")
 
         # Materialize everything once so value-level errors surface at parse time.
-        self.metric_tensor()
-        self.gamma_tensor()
+        self.gamma_tensor()  # the metric first, then the frame
         self.constants()
         field, gauge = self.field_tensor(), self.gauge_matrix()
         # Only an explicit gauge next to a field can disagree with it (halving
@@ -250,7 +249,16 @@ class RunConfig:
         return self._cache("metric", build)
 
     def gamma_tensor(self) -> GammaTensor | None:
-        return self._cache("gamma", lambda: None if self.gamma is None else GammaTensor(self.gamma))
+        """The decomposition frame: ``g`` or ``-g`` for a definite metric, else ``gamma``."""
+        def build():
+            metric = self.metric_tensor()
+            if not metric.is_definite:
+                return None if self.gamma is None else GammaTensor(self.gamma)
+            if self.gamma is not None:
+                raise ValueError("a definite metric is its own frame; "
+                                 "gamma applies only to an indefinite metric")
+            return GammaTensor(metric.matrix if metric.signature[0] else -metric.matrix)
+        return self._cache("gamma", build)
 
     def field_tensor(self) -> FieldTensor:
         def build():

@@ -121,9 +121,9 @@ class OrbitDecomposition:
     ``centers`` and ``relatives`` hold one coordinate pair per block, expressed
     in the decomposition basis and carrying the same ``c/q`` rescaling as the
     block equations; their sum reproduces the in-block canonical position.
-    Energies are physical (no rescaling) and sum to the kinetic energy whenever
-    the metric is the identity.  A trajectory's split has one leading row per
-    sample on every field, so ``free_energy`` is then an array, not a float.
+    Energies are physical (no rescaling); in the frame ``g`` of a positive-definite
+    metric they sum to the kinetic energy (to minus it in the frame ``-g``).  A
+    trajectory's split has one leading row per sample, so ``free_energy`` is an array.
     """
 
     centers: np.ndarray
@@ -268,9 +268,9 @@ def orbit_decomposition(state: ParticleState | Trajectory, form: CanonicalForm,
     Per block the center comes from the conserved dual momentum pair and the
     relative coordinate from the kinetic one, each rotated a quarter turn and
     divided by the block strength; the geometric reading (fixed center, rigidly
-    rotating relative vector) holds when the dynamical metric equals the form
-    the decomposition was orthonormalized against.  The formulas are evaluated
-    verbatim regardless, so callers decide how to label the result.
+    rotating relative vector) holds for every definite metric decomposed in its
+    own frame, ``g`` or ``-g``.  The formulas are evaluated verbatim for any
+    other frame too, so callers decide how to label the result.
     """
     coords = to_canonical(form, state, field, constants)
     raw = state.momentum @ form.basis  # physical momenta, no c/q rescaling

@@ -73,8 +73,8 @@ def classify_spectrum(form: CanonicalForm, constants: PhysicalConstants | None =
 
     Discrete ladders come one per block; the remaining directions carry a
     continuum, so the spectrum is fully discrete exactly when there are no
-    free directions.  With an indefinite metric the classification is marked
-    not applicable instead of being forced to a boolean.
+    free directions.  ``form`` must come from the metric's frame (see
+    ``RunConfig.gamma_tensor``); with an indefinite metric the label is ``None``.
     """
     constants = constants or PhysicalConstants()
     omegas = cyclotron_frequencies(form, constants)

@@ -1,10 +1,17 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import random_antisymmetric, random_spd
 from ncyclo.cli import cmd_verify, main
 from ncyclo.config import RunConfig
+
+SAMPLE_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+ANISOTROPIC = Path(__file__).resolve().parent.parent / "configs" / "anisotropic2d.json"
+FRAME_ERROR = ("error: gamma: a definite metric is its own frame; "
+               "gamma applies only to an indefinite metric\n")
 
 
 def write_config(tmp_path, data, name="run.json"):
@@ -167,6 +174,48 @@ class TestSimulateCommand:
         assert "radius_drift" not in report["residuals"]
         assert report["residuals"]["dual_momentum_drift"] < 1e-10
 
+    def test_anisotropic_metric_is_geometric(self, tmp_path, capsys):
+        # metric diag(4, 1), unit field: the frame is g itself, so the orbit is
+        # read geometrically and turns at 0.5, the frequency of K = H g^-1.
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--config", str(ANISOTROPIC), "--out", str(out)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["geometric_interpretation_valid"] is True
+        assert (report["dt"], report["steps"], report["method"]) == (0.01, 2000, "exact")
+        residuals = report["residuals"]
+        assert residuals["radius_drift"] <= report["tolerance"]
+        assert residuals["frequency_mismatch"] <= report["tolerance"]
+        assert report["blocks"][0]["measured_frequency"] == pytest.approx(0.5, rel=1e-9)
+        first = out.read_text().split("\n")[1].split(",")
+        total = sum(report["block_energies"]) + report["free_energy"]
+        assert total == pytest.approx(float(first[-1]), rel=1e-12)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_definite_metric_energies_and_gates(self, tmp_path, capsys, rng, sign):
+        # In the frame g (or -g) the block and free energies sum to the kinetic
+        # energy (or to minus it), and every definite metric gets the radius and
+        # frequency gates.
+        n = 5
+        g = random_spd(rng, n)
+        out = tmp_path / "traj.csv"
+        config = write_config(tmp_path, {
+            "n": n,
+            "metric": (sign * (g + g.T) / 2.0).tolist(),
+            "field": random_antisymmetric(rng, n).tolist(),
+            "particle": {"m": 2.5, "q": -0.7, "c": 3.0},
+            "initial": {"x": rng.standard_normal(n).tolist(),
+                        "p": rng.standard_normal(n).tolist()},
+            "integration": {"dt": 0.05, "steps": 400, "method": "exact"},
+            "output": {"path": str(out), "format": "csv"},
+        })
+        assert main(["simulate", "--config", config]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["geometric_interpretation_valid"] is True
+        assert {"radius_drift", "frequency_mismatch"} <= set(report["residuals"])
+        first = out.read_text().split("\n")[1].split(",")
+        total = sum(report["block_energies"]) + report["free_energy"]
+        assert total == pytest.approx(sign * float(first[-1]), rel=1e-12)
+
     def test_structured_trajectory_format(self, tmp_path, capsys):
         out = tmp_path / "traj.json"
         config = circle2d(tmp_path, integration={"dt": 0.1, "steps": 5, "method": "exact"})
@@ -267,6 +316,49 @@ class TestSpectrumCommand:
         np.testing.assert_allclose(doc["frequencies"], [2.0, 1.0])
         assert [entry["energy"] for entry in doc["levels"]] == [1.5, 2.5, 3.5, 3.5]
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_frequencies_are_the_eigenvalues_of_k(self, tmp_path, capsys, rng, sign):
+        # Oracle: the positive imaginary parts of the eigenvalues of
+        # K = (q / m c) H g^-1, on definite metrics and non-unit constants.
+        n, m, q, c = 5, 2.5, -0.7, 3.0
+        for _ in range(5):
+            g = random_spd(rng, n)
+            g = sign * (g + g.T) / 2.0
+            h = random_antisymmetric(rng, n)
+            config = write_config(tmp_path, {
+                "n": n, "metric": g.tolist(), "field": h.tolist(),
+                "particle": {"m": m, "q": q, "c": c}})
+            assert main(["spectrum", "--config", config]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            imag = np.linalg.eigvals((q / (m * c)) * h @ np.linalg.inv(g)).imag
+            oracle = np.sort(imag[imag > 1e-8 * np.abs(imag).max()])[::-1]
+            np.testing.assert_allclose(json.loads(captured.out)["frequencies"], oracle,
+                                       rtol=1e-12, atol=0.0)
+
+    def test_anisotropic_metric(self, capsys):
+        assert main(["spectrum", "--config", str(ANISOTROPIC)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        np.testing.assert_allclose(doc["frequencies"], [0.5], rtol=1e-12, atol=0.0)
+        assert doc["ground_energy"] == pytest.approx(0.25, rel=1e-12)
+        assert doc["fully_discrete"] is True
+
+    def test_negative_levels_refused(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"n": 2, "field": [[0.0, 1.0], [-1.0, 0.0]]})
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--config", config, "--levels", "-3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --levels" in captured.err
+        assert captured.out == ""
+
+    def test_zero_levels_listed_empty(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"n": 2, "field": [[0.0, 1.0], [-1.0, 0.0]]})
+        assert main(["spectrum", "--config", config, "--levels", "0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["levels"] == []
+        assert doc["frequencies"] == [1.0]
+
     def test_indefinite_metric_null_classification(self, tmp_path, capsys):
         config = write_config(tmp_path, {
             "n": 2, "metric": "minkowski", "field": [[0.0, 1.0], [-1.0, 0.0]]})
@@ -322,6 +414,42 @@ class TestVerifyCommand:
         assert "inconsistent" in capsys.readouterr().err
         assert cmd_verify(RunConfig(n=2, field=field, gauge=gauge)) == 1
         assert "relation violated: [p, p]" in capsys.readouterr().err
+
+
+class TestFrame:
+    @pytest.mark.parametrize("metric", ["euclidean", [[2.0, 0.5], [0.5, 1.0]],
+                                        [[-2.0, 0.0], [0.0, -1.0]]],
+                             ids=["euclidean", "positive", "negative"])
+    def test_gamma_next_to_definite_metric_refused(self, tmp_path, capsys, metric):
+        config = write_config(tmp_path, {
+            "n": 2, "metric": metric, "gamma": [[2.0, 0.0], [0.0, 1.0]],
+            "field": [[0.0, 1.0], [-1.0, 0.0]]})
+        for command in ("decompose", "spectrum", "verify"):
+            assert main([command, "--config", config]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == FRAME_ERROR
+            assert captured.out == ""
+
+    def test_indefinite_metric_decomposes_against_gamma(self, tmp_path, capsys, rng):
+        n = 4
+        gamma = random_spd(rng, n)
+        gamma = (gamma + gamma.T) / 2.0
+        config = write_config(tmp_path, {
+            "n": n, "metric": "minkowski", "gamma": gamma.tolist(),
+            "field": random_antisymmetric(rng, n).tolist()})
+        assert main(["decompose", "--config", config]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["orthonormality_residual"] <= 1e-12
+        basis = np.array(doc["basis"])
+        np.testing.assert_allclose(basis.T @ gamma @ basis, np.eye(n), atol=1e-12)
+
+
+@pytest.mark.parametrize("path", SAMPLE_CONFIGS, ids=lambda path: path.stem)
+def test_every_sample_config_runs(path, tmp_path, capsys):
+    for command, *rest in (["decompose"], ["spectrum"], ["verify"],
+                           ["simulate", "--out", str(tmp_path / "trajectory")]):
+        assert main([command, "--config", str(path), *rest]) == 0, command
+    assert capsys.readouterr().err == ""
 
 
 class TestEntryPoint:

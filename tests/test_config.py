@@ -63,11 +63,23 @@ class TestParsing:
         np.testing.assert_array_equal(config.gauge_matrix().matrix, [[0, 1], [0, 0]])
 
     def test_gamma_matrix(self):
-        config = RunConfig.from_dict(with_overrides(gamma=[[2.0, 0.0], [0.0, 1.0]]))
+        config = RunConfig.from_dict(with_overrides(metric="minkowski",
+                                                    gamma=[[2.0, 0.0], [0.0, 1.0]]))
         assert config.gamma_tensor().matrix[0, 0] == 2.0
 
 
 class TestValidation:
+    def test_frame_is_the_definite_metric(self):
+        negative = RunConfig.from_dict(with_overrides(metric=[[-4.0, 0.0], [0.0, -1.0]]))
+        np.testing.assert_array_equal(negative.gamma_tensor().matrix, [[4.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(RunConfig.from_dict(BASE).gamma_tensor().matrix, np.eye(2))
+        assert RunConfig.from_dict(with_overrides(metric="minkowski")).gamma_tensor() is None
+
+    def test_gamma_next_to_definite_metric_refused(self):
+        with pytest.raises(ConfigError, match="^gamma: a definite metric is its own frame; "
+                                              "gamma applies only to an indefinite metric$"):
+            RunConfig.from_dict(with_overrides(gamma=[[2.0, 0.0], [0.0, 1.0]]))
+
     def test_missing_n(self):
         with pytest.raises(ConfigError, match="'n'"):
             RunConfig.from_dict({"field": [[0.0, 1.0], [-1.0, 0.0]]})
@@ -170,8 +182,9 @@ class TestRoundTrip:
 
     def test_shipped_configs_parse_and_round_trip(self):
         from pathlib import Path
-        for name in ("circle2d.json", "uniform3d.json", "minkowski4d.json"):
-            path = Path(__file__).resolve().parent.parent / "configs" / name
+        paths = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+        assert len(paths) >= 4
+        for path in paths:
             config = RunConfig.load(path)
             again = RunConfig.from_dict(json.loads(config.dumps()))
             assert config == again
