@@ -30,8 +30,8 @@ from .dynamics import (
     evolve_rk4,
     kinetic_energy,
     orbit_decomposition,
-    trajectory_table,
     write_trajectory_csv,
+    write_trajectory_structured,
 )
 from .operators import canonical_momentum, commutator, dual_momentum
 from .spectrum import classify_spectrum, cyclotron_frequencies, level_listing
@@ -157,14 +157,9 @@ def cmd_simulate(config: RunConfig, out_path: str | None, out_format: str | None
     fmt = out_format or output["format"]
     if not path:
         raise ConfigError("simulate needs an output path (config output.path or --out)")
+    write = write_trajectory_csv if fmt == "csv" else write_trajectory_structured
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if fmt == "csv":
-            write_trajectory_csv(trajectory, field, metric, constants, fh)
-        else:
-            table = trajectory_table(trajectory, field, metric, constants)
-            columns = {name: column.tolist() for name, column in table.items()}
-            rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
-            fh.write(json.dumps({"trajectory": rows}, indent=2, sort_keys=True) + "\n")
+        write(trajectory, field, metric, constants, fh)
 
     form = decompose(field, config.gamma_tensor())
 

@@ -84,8 +84,11 @@ def _check_matrix(value, ctx: str, n: int) -> None:
             raise ConfigError(f"{ctx}: row {i} is not an array")
         if len(row) != n:
             raise ConfigError(f"{ctx}: row {i} has {len(row)} entries, expected {n}")
-        for j, entry in enumerate(row):
-            _check_number(entry, f"{ctx}: row {i}, column {j}")
+        # A row of plain numbers (JSON's only kind) passes without a call per
+        # entry; any other row is checked entry by entry for the message.
+        if not set(map(type, row)) <= {int, float}:
+            for j, entry in enumerate(row):
+                _check_number(entry, f"{ctx}: row {i}, column {j}")
 
 
 def _check_vector(value, ctx: str, n: int) -> None:

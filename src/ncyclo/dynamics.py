@@ -1,10 +1,15 @@
 """Classical motion in a constant magnetic field.
 
 The momentum obeys a linear equation ``p' = K p`` with a constant matrix, so
-the flow has a closed form through the matrix exponential; a classical
-Runge-Kutta integrator is kept alongside as an independent cross-check.  Both
-sample the orbit into one :class:`Trajectory` of time, position and momentum
-arrays.  The dual momentum ``p - (q/c) H x`` is an integral of the motion for
+the flow has a closed form.  For a definite metric every sample is evaluated
+directly from the block decomposition of the field in the metric's own frame:
+a rotation per block and a uniform drift per free direction.  An indefinite
+metric has no such frame, so its one-step map (a matrix exponential) is built
+once and iterated.  A classical Runge-Kutta integrator is kept alongside as an
+independent cross-check.  All of them sample the orbit into one
+:class:`Trajectory` of time, position and momentum arrays, which
+:func:`write_trajectory_csv` and :func:`write_trajectory_structured` stream to
+a file.  The dual momentum ``p - (q/c) H x`` is an integral of the motion for
 every metric, and in the block basis it locates the centers of the cyclotron
 orbits.
 """
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .canonical import CanonicalForm, to_canonical
+from .canonical import CanonicalForm, GammaTensor, decompose, to_canonical
 from .tensors import FieldTensor, MetricTensor, PhysicalConstants, _frozen
 
 __all__ = [
@@ -32,10 +37,11 @@ __all__ = [
     "orbit_decomposition",
     "trajectory_table",
     "write_trajectory_csv",
+    "write_trajectory_structured",
 ]
 
-# CSV rows are formatted this many at a time, which bounds the memory held by
-# the Python floats of one batch.
+# Trajectory rows are formatted this many at a time, which bounds the memory
+# held by the Python floats of one batch.
 _CSV_BATCH = 1024
 
 
@@ -183,9 +189,8 @@ def evolve_exact(state: ParticleState, k: np.ndarray, metric: MetricTensor,
                  constants: PhysicalConstants, dt: float) -> ParticleState:
     """Advance a state by ``dt`` using the closed-form flow.
 
-    Exact up to matrix-exponential accuracy; there is no step-size error, and
-    ``dt`` may be negative.  This is the one-step case of
-    :func:`evolve_exact_trajectory`.
+    There is no step-size error, and ``dt`` may be negative.  This is the
+    one-step case of :func:`evolve_exact_trajectory`.
     """
     return evolve_exact_trajectory(state, k, metric, constants, dt, 1)[1]
 
@@ -195,17 +200,52 @@ def evolve_exact_trajectory(state: ParticleState, k: np.ndarray, metric: MetricT
                             steps: int) -> Trajectory:
     """Sample the closed-form flow at ``steps`` uniform increments of ``dt``.
 
-    The propagator is built once and iterated, so each sample costs one
-    matrix-vector product pair.  Returns ``steps + 1`` samples, the input first.
+    For a definite metric ``g`` of sign ``s``, ``(k g - (k g)^T) / 2``, that is
+    ``(q/mc) H``, is decomposed in the frame ``s g``.  With ``u = B^T p`` each
+    block pair of ``u`` turns at ``s`` times its strength and each free
+    component stays constant, so every sample is evaluated directly from its
+    time: ``p(t) = p0 + s g B (u(t) - u0)`` and ``x(t) = x0 + (s/m) B`` times
+    the integral of ``u`` over ``[0, t]``.  Strengths that :func:`decompose`
+    cuts to zero move as free directions.  An indefinite metric has no such
+    frame: its one-step map is built once and iterated, one matrix-vector
+    product pair per sample.  Returns ``steps + 1`` samples, the input first.
     """
     if not np.isfinite(dt):
         raise ValueError("dt must be finite")
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    prop, integral = _step_maps(k, dt)
-    ginv_over_m = metric.inverse / constants.mass
-    return _sample(state, dt, steps,
-                   lambda x, p: (x + ginv_over_m @ (integral @ p), prop @ p))
+    if not metric.is_definite:
+        prop, integral = _step_maps(k, dt)
+        ginv_over_m = metric.inverse / constants.mass
+        return _sample(state, dt, steps,
+                       lambda x, p: (x + ginv_over_m @ (integral @ p), prop @ p))
+
+    sign = 1.0 if metric.signature[0] else -1.0
+    g = metric.matrix
+    kg = k @ g
+    form = decompose(FieldTensor((kg - kg.T) / 2.0), GammaTensor(sign * g))
+    basis, nb = form.basis, form.num_blocks
+    first, second = slice(0, 2 * nb, 2), slice(1, 2 * nb, 2)  # of each block pair
+    u0 = state.momentum @ basis
+    a, b = u0[first], u0[second]
+    omega = sign * form.strengths
+    t = np.arange(steps + 1) * dt
+    # An orbit that overflows is reported once, by Trajectory, instead of
+    # through a floating-point warning per operation.
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = np.outer(t, omega)
+        # 1 - cos as 2 sin^2 of the half angle, without cancellation near t = 0.
+        sin, vers = np.sin(phase), 2.0 * np.sin(phase / 2.0) ** 2
+        du = np.zeros((t.size, state.n))  # u(t) - u0
+        du[:, first] = b * sin - a * vers
+        du[:, second] = -a * sin - b * vers
+        swept = np.outer(t, u0)  # integral of u over [0, t]
+        swept[:, first] = (a * sin + b * vers) / omega
+        swept[:, second] = (b * sin - a * vers) / omega
+        momentum = state.momentum + sign * (du @ (g @ basis).T)
+        position = state.position + (sign / constants.mass) * (swept @ basis.T)
+    position[0], momentum[0] = state.position, state.momentum
+    return Trajectory(state.time + t, position, momentum)
 
 
 def evolve_rk4(state: ParticleState, k: np.ndarray, metric: MetricTensor,
@@ -308,6 +348,20 @@ def trajectory_table(trajectory: Trajectory, field: FieldTensor, metric: MetricT
     }
 
 
+def _write_rows(stream, columns: list[np.ndarray], line: str, separator: str = "") -> None:
+    """Write ``line % row`` per sample, ``separator`` between rows, a batch at a time.
+
+    Each row holds the sample's values of ``columns`` in order, a 2-D column
+    contributing one value per entry.
+    """
+    rows = np.column_stack(columns)
+    for start in range(0, len(rows), _CSV_BATCH):
+        if start:
+            stream.write(separator)
+        stream.write(separator.join(line % tuple(row)
+                                    for row in rows[start:start + _CSV_BATCH].tolist()))
+
+
 def write_trajectory_csv(trajectory: Trajectory, field: FieldTensor,
                          metric: MetricTensor, constants: PhysicalConstants,
                          stream) -> None:
@@ -323,9 +377,30 @@ def write_trajectory_csv(trajectory: Trajectory, field: FieldTensor,
             header.append(name)
         else:
             header += [f"{name}{i + 1}" for i in range(column.shape[1])]
-    rows = np.column_stack(list(table.values()))
-    line = ",".join(["%.17g"] * len(header)) + "\n"
     stream.write(",".join(header) + "\n")
-    for start in range(0, len(rows), _CSV_BATCH):
-        stream.write("".join(line % tuple(row)
-                             for row in rows[start:start + _CSV_BATCH].tolist()))
+    _write_rows(stream, list(table.values()), ",".join(["%.17g"] * len(header)) + "\n")
+
+
+def write_trajectory_structured(trajectory: Trajectory, field: FieldTensor,
+                                metric: MetricTensor, constants: PhysicalConstants,
+                                stream) -> None:
+    """Write a trajectory as JSON: ``{"trajectory": [row, ...]}``, one object per sample.
+
+    Each row has the keys of :func:`trajectory_table`, with ``x``, ``p`` and
+    ``pT`` as lists.  The bytes are those of ``json.dumps(document, indent=2,
+    sort_keys=True)`` and a final newline: ``json`` renders a float with
+    ``float.__repr__``, which is ``%r``, and :class:`Trajectory` holds finite
+    samples only.
+    """
+    table = trajectory_table(trajectory, field, metric, constants)
+    names = sorted(table)
+    entries = []
+    for name in names:
+        column = table[name]
+        value = ("%r" if column.ndim == 1 else
+                 "[\n" + ",\n".join(["        %r"] * column.shape[1]) + "\n      ]")
+        entries.append(f'      "{name}": {value}')
+    stream.write('{\n  "trajectory": [\n')
+    _write_rows(stream, [table[name] for name in names],
+                "    {\n" + ",\n".join(entries) + "\n    }", ",\n")
+    stream.write("\n  ]\n}\n")

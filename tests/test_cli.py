@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +252,27 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "step 72 (t = 720)" in err
+        assert not out.exists()
+
+    def test_overflowing_free_drift_refused_by_name(self, tmp_path, capsys):
+        # Euclidean, so sampled in closed form: the free drift 1e307 per step
+        # leaves the floating-point range at step 18, the step where repeated
+        # addition of that drift overflows too.  No floating-point warning.
+        out = tmp_path / "drift.csv"
+        config = write_config(tmp_path, {
+            "n": 3,
+            "field": [0.0, 0.0, 1.0],
+            "initial": {"x": [0.0, 0.0, 0.0], "p": [1.0, 0.0, 1e300]},
+            "integration": {"dt": 1e7, "steps": 40, "method": "exact"},
+            "output": {"path": str(out), "format": "csv"},
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the orbit leaves the floating-point range "
+                                "at step 18 (t = 180000000)\n")
         assert not out.exists()
 
     def test_orbit_with_overflowing_squares_refused_by_name(self, tmp_path, capsys):

@@ -108,6 +108,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match="row 0, column 1"):
             RunConfig.from_dict({"n": 2, "field": [[0.0, "x"], [-1.0, 0.0]]})
 
+    @pytest.mark.parametrize("bad", [True, "1.0", None, [0.0], {"v": 0.0}])
+    def test_first_bad_entry_of_a_wide_matrix_named(self, bad):
+        # Rows of plain numbers pass in bulk; the first other entry is still
+        # named by row and column, with the per-entry message.
+        field = [[0.0] * 64 for _ in range(64)]
+        field[37][12] = bad
+        field[37][40] = "later"
+        field[50][3] = "later"
+        with pytest.raises(ConfigError) as exc:
+            RunConfig.from_dict({"n": 64, "field": field})
+        assert str(exc.value) == f"field: row 37, column 12: expected a number, got {bad!r}"
+
     def test_non_antisymmetric_field_rejected(self):
         with pytest.raises(ConfigError, match="antisymmetric"):
             RunConfig.from_dict({"n": 2, "field": [[0.0, 1.0], [-0.5, 0.0]]})

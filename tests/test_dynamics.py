@@ -1,8 +1,11 @@
 import io
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ncyclo import dynamics
 from ncyclo import (
     FieldTensor,
     GammaTensor,
@@ -20,9 +23,13 @@ from ncyclo import (
     kinetic_energy,
     orbit_decomposition,
     to_canonical,
+    trajectory_table,
     write_trajectory_csv,
+    write_trajectory_structured,
 )
+from ncyclo.config import RunConfig
 from conftest import random_antisymmetric, random_spd
+from oracle import van_loan_final
 
 EUCLID2 = MetricTensor.euclidean(2)
 UNIT = PhysicalConstants()
@@ -168,6 +175,88 @@ class TestEvolveExact:
         h, k, state = unit_circle_setup()
         with pytest.raises(ValueError, match="finite"):
             evolve_exact(state, k, EUCLID2, UNIT, np.inf)
+
+
+def oracle_error(trajectory, field, metric, constants, dt, steps):
+    """Final-sample deviation from the 40-digit oracle, and the orbit's scale."""
+    x, p = van_loan_final(field.matrix, metric.matrix, constants.mass, constants.charge,
+                          constants.light_speed, trajectory.position[0],
+                          trajectory.momentum[0], dt, steps)
+    deviation = max(np.abs(trajectory.position[-1] - x).max(),
+                    np.abs(trajectory.momentum[-1] - p).max())
+    return float(deviation), max(1.0, float(np.abs(x).max()), float(np.abs(p).max()))
+
+
+def definite_case(rng, sign):
+    """A random definite metric at n = 5 (two blocks, one free column), m, q, c != 1."""
+    n = 5
+    h = FieldTensor(random_antisymmetric(rng, n))
+    metric = MetricTensor(sign * random_spd(rng, n))
+    constants = PhysicalConstants(mass=1.7, charge=-0.8, light_speed=2.5)
+    state = ParticleState(rng.standard_normal(n), rng.standard_normal(n))
+    return h, metric, constants, state
+
+
+class TestClosedForm:
+    """Definite metrics: every sample from the closed form, checked on the oracle."""
+
+    def test_uniform3d_long_orbit_on_the_oracle(self):
+        config = RunConfig.load(Path(__file__).resolve().parents[1] / "configs" / "uniform3d.json")
+        h, metric, constants = config.field_tensor(), config.metric_tensor(), config.constants()
+        dt, steps = config.integration_settings()[0], 100_000
+        k = dynamics_matrix(h, metric, constants)
+        trajectory = evolve_exact_trajectory(config.initial_state(), k, metric, constants,
+                                             dt, steps)
+        deviation, _ = oracle_error(trajectory, h, metric, constants, dt, steps)
+        assert deviation <= 1e-12
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_random_definite_metric_on_the_oracle(self, rng, sign):
+        h, metric, constants, state = definite_case(rng, sign)
+        assert decompose(h).num_blocks == 2
+        k = dynamics_matrix(h, metric, constants)
+        trajectory = evolve_exact_trajectory(state, k, metric, constants, 0.05, 2000)
+        deviation, scale = oracle_error(trajectory, h, metric, constants, 0.05, 2000)
+        assert deviation <= 1e-12 * scale
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_negative_dt(self, rng, sign):
+        h, metric, constants, state = definite_case(rng, sign)
+        k = dynamics_matrix(h, metric, constants)
+        back = evolve_exact_trajectory(state, k, metric, constants, -0.05, 300)
+        deviation, scale = oracle_error(back, h, metric, constants, -0.05, 300)
+        assert deviation <= 1e-12 * scale
+        assert back[-1].time == pytest.approx(-15.0)
+        forth = evolve_exact(back[-1], k, metric, constants, 15.0)
+        np.testing.assert_allclose(forth.position, state.position, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(forth.momentum, state.momentum, rtol=0, atol=1e-12 * scale)
+
+    def test_single_step(self, rng):
+        h, metric, constants, state = definite_case(rng, 1.0)
+        k = dynamics_matrix(h, metric, constants)
+        trajectory = evolve_exact_trajectory(state, k, metric, constants, 0.3, 1)
+        assert len(trajectory) == 2
+        np.testing.assert_array_equal(trajectory.position[0], state.position)
+        np.testing.assert_array_equal(trajectory.momentum[0], state.momentum)
+        deviation, scale = oracle_error(trajectory, h, metric, constants, 0.3, 1)
+        assert deviation <= 1e-14 * scale
+        one = evolve_exact(state, k, metric, constants, 0.3)
+        np.testing.assert_array_equal(one.position, trajectory.position[1])
+        np.testing.assert_array_equal(one.momentum, trajectory.momentum[1])
+        assert one.time == trajectory.time[1]
+
+    def test_no_per_sample_iteration(self, rng, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a definite metric iterated a step map")
+
+        h, metric, constants, state = definite_case(rng, -1.0)
+        k = dynamics_matrix(h, metric, constants)
+        monkeypatch.setattr(dynamics, "_sample", refuse)
+        assert len(evolve_exact_trajectory(state, k, metric, constants, 0.1, 50)) == 51
+        minkowski = MetricTensor.minkowski(5)
+        with pytest.raises(AssertionError, match="iterated"):
+            evolve_exact_trajectory(state, dynamics_matrix(h, minkowski, constants),
+                                    minkowski, constants, 0.1, 50)
 
 
 class TestEvolveRk4:
@@ -421,3 +510,27 @@ class TestTrajectoryCsv:
         np.testing.assert_array_equal(parsed[:, 5:7], duals)
         energies = [kinetic_energy(s, EUCLID2, UNIT) for s in states]
         np.testing.assert_array_equal(parsed[:, 7], energies)
+
+
+class TestTrajectoryStructured:
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("rows", [1, 1024, 1025])
+    def test_bytes_are_those_of_json_dumps(self, rng, n, rows):
+        # The batch holds 1024 rows, so 1025 crosses its boundary.
+        specials = np.array([-0.0, 5e-324, 1.0 / 3.0, -2.5e150])
+        time = rng.choice(np.array([-0.0, 5e-324, 1e308, 1.0 / 3.0]), rows)
+        position = rng.choice(specials, (rows, n)) * rng.choice([1.0, 0.7], (rows, n))
+        momentum = np.where(rng.random((rows, n)) < 0.5, rng.choice(specials, (rows, n)),
+                            rng.standard_normal((rows, n)))
+        trajectory = Trajectory(time, position, momentum)
+        h = FieldTensor(random_antisymmetric(rng, n))
+        metric = MetricTensor.euclidean(n)
+        constants = PhysicalConstants(mass=0.7, charge=-1.3, light_speed=3.0)
+
+        table = trajectory_table(trajectory, h, metric, constants)
+        columns = {name: column.tolist() for name, column in table.items()}
+        dicts = [dict(zip(columns, values)) for values in zip(*columns.values())]
+        expected = json.dumps({"trajectory": dicts}, indent=2, sort_keys=True) + "\n"
+        buffer = io.StringIO()
+        write_trajectory_structured(trajectory, h, metric, constants, buffer)
+        assert buffer.getvalue() == expected
