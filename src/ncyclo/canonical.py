@@ -7,10 +7,11 @@ chosen positive-definite quadratic form, in which the tensor is a direct sum of
 padded by a zero block spanning the force-free directions.  Each nonzero block
 singles out a plane of circular motion; the zero block carries free motion.
 
-A definite dynamical metric ``g`` is its own frame (``g`` or ``-g``): then
-``B.T @ K @ inv(B.T) = +-(q/mc) Theta`` and the strengths give the true frequencies.
-An indefinite ``g`` has none, so a chosen form stands in and the basis may hold
-``g``-null vectors (see :func:`metric_singular_columns`).
+A definite dynamical metric ``g`` is its own frame (``g`` or ``-g``, see
+:meth:`GammaTensor.of_metric`): then ``B.T @ K @ inv(B.T) = +-(q/mc) Theta`` and
+the strengths give the true frequencies.  An indefinite ``g`` has none, so the
+identity stands in and the basis may hold ``g``-null vectors (see
+:func:`metric_singular_columns`).  :func:`decompose` itself takes any frame.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.linalg import schur
 
-from .tensors import (FieldTensor, PhysicalConstants, _as_square_matrix, _as_symmetric_matrix,
-                      _frozen)
+from .tensors import (FieldTensor, MetricTensor, PhysicalConstants, _as_square_matrix,
+                      _as_symmetric_matrix, _frozen)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dynamics import ParticleState, Trajectory
@@ -60,8 +61,11 @@ class GammaTensor:
         return self.matrix.shape[0]
 
     @classmethod
-    def identity(cls, n: int) -> "GammaTensor":
-        return cls(np.eye(n))
+    def of_metric(cls, metric: MetricTensor) -> "GammaTensor | None":
+        """The frame of a dynamical metric: ``g`` or ``-g`` if definite, else None (identity)."""
+        if not metric.is_definite:
+            return None
+        return cls(metric.matrix if metric.signature[0] else -metric.matrix)
 
 
 @dataclass(frozen=True, eq=False)

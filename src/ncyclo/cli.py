@@ -145,6 +145,12 @@ def cmd_simulate(config: RunConfig, out_path: str | None, out_format: str | None
     dt, steps, method = config.integration_settings()
     tol = _tolerance()
 
+    output = config.settings("output")
+    path = out_path or output["path"]
+    fmt = out_format or output["format"]
+    if not path:
+        raise ConfigError("simulate needs an output path (config output.path or --out)")
+
     kmat = dynamics_matrix(field, metric, constants)
     evolve = evolve_exact_trajectory if method == "exact" else evolve_rk4
     try:
@@ -152,11 +158,6 @@ def cmd_simulate(config: RunConfig, out_path: str | None, out_format: str | None
     except ValueError as exc:  # the configured orbit leaves the floating-point range
         raise ConfigError(str(exc)) from None
 
-    output = config.settings("output")
-    path = out_path or output["path"]
-    fmt = out_format or output["format"]
-    if not path:
-        raise ConfigError("simulate needs an output path (config output.path or --out)")
     write = write_trajectory_csv if fmt == "csv" else write_trajectory_structured
     with open(path, "w", encoding="utf-8", newline="") as fh:
         write(trajectory, field, metric, constants, fh)

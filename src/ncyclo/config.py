@@ -1,12 +1,13 @@
 """Run configuration for the command-line tools.
 
 A run is described by one JSON file with nested keys and row-major matrices.
-The top-level keys are the fields of :class:`RunConfig`; the keys, checks and
-defaults of its object sections live in one table, ``SECTIONS``, the one place
-that validation and every default read them from.  Parsing keeps the parsed
-JSON values as given, so a parsed configuration serializes back to the exact
-document it came from; the heavyweight objects (tensors, constants, initial
-state) are materialized on demand.
+The top-level keys are the fields of :class:`RunConfig`.  Each tensor key
+(``metric``, ``gauge``, ``field``) is checked by the accessor that builds it;
+the keys, checks and defaults of the object sections live in one table,
+``SECTIONS``, the one place that validation and every default read them from.
+Parsing keeps the parsed JSON values as given, so a parsed configuration
+serializes back to the exact document it came from; the heavyweight objects
+(tensors, constants, initial state) are materialized on demand.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .tensors import (
 
 __all__ = ["ConfigError", "RunConfig"]
 
-NAMED_METRICS = ("euclidean", "minkowski")
-NAMED_GAUGES = ("antisymmetric", "triangular")
+NAMED_METRICS = {"euclidean": MetricTensor.euclidean, "minkowski": MetricTensor.minkowski}
+NAMED_GAUGES = {"antisymmetric": gauge_antisymmetric, "triangular": gauge_triangular}
 INTEGRATION_METHODS = ("exact", "rk4")
 OUTPUT_FORMATS = ("csv", "structured")
 GAUGE_FIELD_CONSISTENCY_RTOL = 1e-12
@@ -72,6 +73,13 @@ def _one_of(choices: tuple):
         if value not in choices:
             raise ConfigError(f"{ctx} must be one of {', '.join(choices)}, got {value!r}")
     return check
+
+
+def _named(table: dict, name: str, ctx: str):
+    """The constructor a name stands for in ``table``."""
+    if name not in table:
+        raise ConfigError(f"{ctx}: unknown name '{name}' (expected one of {', '.join(table)})")
+    return table[name]
 
 
 def _check_matrix(value, ctx: str, n: int) -> None:
@@ -123,7 +131,6 @@ class RunConfig:
 
     n: int
     metric: object = "euclidean"
-    gamma: object = None
     gauge: object = None
     field: object = None
     particle: object = None
@@ -160,38 +167,15 @@ class RunConfig:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from None
         return cls.from_dict(data)
 
-    def _field_is_3_vector(self) -> bool:
-        """Whether ``field`` is an ordinary 3-D field vector rather than a matrix."""
-        return (self.n == 3 and isinstance(self.field, (list, tuple))
-                and not any(isinstance(e, (list, tuple)) for e in self.field))
-
     def _validate(self) -> None:
         n = self.n
         _check_count(n, "n")
-        if isinstance(self.metric, str):
-            if self.metric not in NAMED_METRICS:
-                raise ConfigError(f"metric: unknown name '{self.metric}' "
-                                  f"(expected one of {', '.join(NAMED_METRICS)})")
-        else:
-            _check_matrix(self.metric, "metric", n)
-        if self.gamma is not None:
-            _check_matrix(self.gamma, "gamma", n)
-
+        # Each accessor checks its key's raw value, then builds it, so
+        # value-level errors surface at parse time.
+        self.gamma_tensor()  # the metric first, then the frame
         if self.gauge is None and self.field is None:
             raise ConfigError("either 'field' or an explicit 'gauge' matrix is required")
-        if isinstance(self.gauge, str):
-            if self.gauge not in NAMED_GAUGES:
-                raise ConfigError(f"gauge: unknown name '{self.gauge}' "
-                                  f"(expected one of {', '.join(NAMED_GAUGES)})")
-            if self.field is None:
-                raise ConfigError(f"gauge '{self.gauge}' needs a 'field' to derive from")
-        elif self.gauge is not None:
-            _check_matrix(self.gauge, "gauge", n)
-        if self.field is not None:
-            if self._field_is_3_vector():
-                _check_vector(self.field, "field", 3)
-            else:
-                _check_matrix(self.field, "field", n)
+        gauge, field = self.gauge_matrix(), self.field_tensor()
 
         for name, keys in SECTIONS.items():
             section = getattr(self, name)
@@ -208,10 +192,7 @@ class RunConfig:
                 elif default is REQUIRED:
                     raise ConfigError(f"{name}: missing key '{key}'")
 
-        # Materialize everything once so value-level errors surface at parse time.
-        self.gamma_tensor()  # the metric first, then the frame
         self.constants()
-        field, gauge = self.field_tensor(), self.gauge_matrix()
         # Only an explicit gauge next to a field can disagree with it (halving
         # a subnormal field for the default gauge is not exact).  The cut is
         # relative to the field's largest entry, with no floor: a zero field
@@ -244,41 +225,38 @@ class RunConfig:
 
     def metric_tensor(self) -> MetricTensor:
         def build():
-            if self.metric == "euclidean":
-                return MetricTensor.euclidean(self.n)
-            if self.metric == "minkowski":
-                return MetricTensor.minkowski(self.n)
+            if isinstance(self.metric, str):
+                return _named(NAMED_METRICS, self.metric, "metric")(self.n)
+            _check_matrix(self.metric, "metric", self.n)
             return MetricTensor(self.metric)
         return self._cache("metric", build)
 
     def gamma_tensor(self) -> GammaTensor | None:
-        """The decomposition frame: ``g`` or ``-g`` for a definite metric, else ``gamma``."""
-        def build():
-            metric = self.metric_tensor()
-            if not metric.is_definite:
-                return None if self.gamma is None else GammaTensor(self.gamma)
-            if self.gamma is not None:
-                raise ValueError("a definite metric is its own frame; "
-                                 "gamma applies only to an indefinite metric")
-            return GammaTensor(metric.matrix if metric.signature[0] else -metric.matrix)
-        return self._cache("gamma", build)
+        """The decomposition frame, decided by the metric alone (:meth:`GammaTensor.of_metric`)."""
+        return self._cache("gamma", lambda: GammaTensor.of_metric(self.metric_tensor()))
 
     def field_tensor(self) -> FieldTensor:
         def build():
             if self.field is None:
-                return field_from_gauge(GaugeMatrix(self.gauge))
-            if self._field_is_3_vector():
+                return field_from_gauge(self.gauge_matrix())
+            if (self.n == 3 and isinstance(self.field, (list, tuple))
+                    and not any(isinstance(e, (list, tuple)) for e in self.field)):
+                _check_vector(self.field, "field", 3)
                 return field_from_3d_vector(self.field)
+            _check_matrix(self.field, "field", self.n)
             return FieldTensor(self.field)
         return self._cache("field", build)
 
     def gauge_matrix(self) -> GaugeMatrix:
         def build():
-            if self.gauge is None or self.gauge == "antisymmetric":
-                return gauge_antisymmetric(self.field_tensor())
-            if self.gauge == "triangular":
-                return gauge_triangular(self.field_tensor())
-            return GaugeMatrix(self.gauge)
+            if self.gauge is not None and not isinstance(self.gauge, str):
+                _check_matrix(self.gauge, "gauge", self.n)
+                return GaugeMatrix(self.gauge)
+            derive = (gauge_antisymmetric if self.gauge is None
+                      else _named(NAMED_GAUGES, self.gauge, "gauge"))
+            if self.field is None:
+                raise ConfigError(f"gauge '{self.gauge}' needs a 'field' to derive from")
+            return derive(self.field_tensor())
         return self._cache("gauge", build)
 
     def constants(self) -> PhysicalConstants:

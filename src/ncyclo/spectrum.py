@@ -74,7 +74,7 @@ def classify_spectrum(form: CanonicalForm, constants: PhysicalConstants | None =
     Discrete ladders come one per block; the remaining directions carry a
     continuum, so the spectrum is fully discrete exactly when there are no
     free directions.  ``form`` must come from the metric's frame (see
-    ``RunConfig.gamma_tensor``); with an indefinite metric the label is ``None``.
+    ``GammaTensor.of_metric``); with an indefinite metric the label is ``None``.
     """
     constants = constants or PhysicalConstants()
     omegas = cyclotron_frequencies(form, constants)

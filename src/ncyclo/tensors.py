@@ -30,9 +30,8 @@ __all__ = [
     "field_from_3d_vector",
 ]
 
-# External input is accepted as antisymmetric only up to this absolute slack;
-# everything built internally is antisymmetric to the last bit.
-ANTISYMMETRY_ATOL = 1e-14
+# External input is accepted as (anti)symmetric up to this fraction of its
+# largest entry; everything built internally is antisymmetric to the last bit.
 SYMMETRY_RTOL = 1e-12
 
 
@@ -133,7 +132,8 @@ class FieldTensor:
 
     Construction symmetrizes away representational dust, so the stored matrix
     satisfies ``H + H.T == 0`` exactly; input violating antisymmetry by more
-    than ``ANTISYMMETRY_ATOL`` is rejected with the offending entry named.
+    than ``SYMMETRY_RTOL`` times its largest entry is rejected with the
+    offending entry named.
     """
 
     matrix: np.ndarray
@@ -141,8 +141,8 @@ class FieldTensor:
     def __post_init__(self) -> None:
         h = _as_square_matrix(self.matrix, "field")
         dev = np.abs(h + h.T)
-        worst = float(dev.max()) if h.size else 0.0
-        if worst > ANTISYMMETRY_ATOL:
+        worst = float(dev.max(initial=0.0))
+        if worst > SYMMETRY_RTOL * float(np.abs(h).max(initial=0.0)):
             j, k = np.unravel_index(int(dev.argmax()), dev.shape)
             raise ValueError(
                 f"field tensor is not antisymmetric: H[{j},{k}] + H[{k},{j}] = {worst:.3e}"

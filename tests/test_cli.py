@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import random_antisymmetric, random_spd
+from ncyclo import cli
 from ncyclo.cli import cmd_verify, main
 from ncyclo.config import RunConfig
 
 SAMPLE_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 ANISOTROPIC = Path(__file__).resolve().parent.parent / "configs" / "anisotropic2d.json"
-FRAME_ERROR = ("error: gamma: a definite metric is its own frame; "
-               "gamma applies only to an indefinite metric\n")
+GAMMA_ERROR = "error: unknown configuration key 'gamma'\n"
 
 
 def write_config(tmp_path, data, name="run.json"):
@@ -302,6 +302,35 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", config]) == 2
         assert "output path" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["exact", "rk4"])
+    def test_missing_output_path_refused_before_propagating(self, tmp_path, capsys,
+                                                            monkeypatch, method):
+        def refuse(*args):
+            raise AssertionError("propagated an orbit with nowhere to write it")
+
+        monkeypatch.setattr(cli, "evolve_exact_trajectory", refuse)
+        monkeypatch.setattr(cli, "evolve_rk4", refuse)
+        config = write_config(tmp_path, {
+            "n": 2, "field": [[0.0, 1.0], [-1.0, 0.0]],
+            "initial": {"x": [0.0, 0.0], "p": [1.0, 0.0]},
+            "integration": {"dt": 0.01, "steps": 10, "method": method}})
+        assert main(["simulate", "--config", config]) == 2
+        assert capsys.readouterr().err == ("error: simulate needs an output path "
+                                           "(config output.path or --out)\n")
+
+    def test_missing_output_path_named_before_overflow(self, tmp_path, capsys):
+        # The boost of test_overflowing_orbit_refused_by_name, with no path:
+        # the output is resolved first, so the path is what gets named.
+        config = write_config(tmp_path, {
+            "n": 2,
+            "metric": "minkowski",
+            "field": [[0.0, 1.0], [-1.0, 0.0]],
+            "initial": {"x": [0.0, 0.0], "p": [1.0, 0.5]},
+            "integration": {"dt": 10.0, "steps": 100, "method": "exact"},
+        })
+        assert main(["simulate", "--config", config]) == 2
+        assert "output path" in capsys.readouterr().err
+
 
 class TestSpectrumCommand:
     def test_2d_discrete(self, tmp_path, capsys):
@@ -439,6 +468,8 @@ class TestVerifyCommand:
 
 
 class TestFrame:
+    # The metric alone decides the frame, so a run config has no gamma key;
+    # decomposing against a chosen gamma is a library call (test_canonical).
     @pytest.mark.parametrize("metric", ["euclidean", [[2.0, 0.5], [0.5, 1.0]],
                                         [[-2.0, 0.0], [0.0, -1.0]]],
                              ids=["euclidean", "positive", "negative"])
@@ -449,21 +480,32 @@ class TestFrame:
         for command in ("decompose", "spectrum", "verify"):
             assert main([command, "--config", config]) == 2
             captured = capsys.readouterr()
-            assert captured.err == FRAME_ERROR
+            assert captured.err == GAMMA_ERROR
             assert captured.out == ""
 
-    def test_indefinite_metric_decomposes_against_gamma(self, tmp_path, capsys, rng):
+    def test_gamma_next_to_indefinite_metric_refused(self, tmp_path, capsys, rng):
         n = 4
         gamma = random_spd(rng, n)
         gamma = (gamma + gamma.T) / 2.0
         config = write_config(tmp_path, {
             "n": n, "metric": "minkowski", "gamma": gamma.tolist(),
             "field": random_antisymmetric(rng, n).tolist()})
-        assert main(["decompose", "--config", config]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["orthonormality_residual"] <= 1e-12
-        basis = np.array(doc["basis"])
-        np.testing.assert_allclose(basis.T @ gamma @ basis, np.eye(n), atol=1e-12)
+        assert main(["decompose", "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == GAMMA_ERROR
+        assert captured.out == ""
+
+    def test_field_checked_before_sections(self, tmp_path, capsys):
+        # Each tensor key is checked where it is built, before the object
+        # sections: a field that is not antisymmetric is named ahead of a
+        # missing integration.dt.
+        config = write_config(tmp_path, {
+            "n": 2, "field": [[0.0, 1.0], [1.0, 0.0]],
+            "initial": {"x": [0.0, 0.0], "p": [1.0, 0.0]},
+            "integration": {"steps": 10}})
+        assert main(["decompose", "--config", config]) == 2
+        assert capsys.readouterr().err == (
+            "error: field: field tensor is not antisymmetric: H[0,1] + H[1,0] = 2.000e+00\n")
 
 
 @pytest.mark.parametrize("path", SAMPLE_CONFIGS, ids=lambda path: path.stem)

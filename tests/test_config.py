@@ -62,10 +62,11 @@ class TestParsing:
         config = RunConfig.from_dict(with_overrides(gauge="triangular"))
         np.testing.assert_array_equal(config.gauge_matrix().matrix, [[0, 1], [0, 0]])
 
-    def test_gamma_matrix(self):
-        config = RunConfig.from_dict(with_overrides(metric="minkowski",
-                                                    gamma=[[2.0, 0.0], [0.0, 1.0]]))
-        assert config.gamma_tensor().matrix[0, 0] == 2.0
+    def test_gamma_key_refused(self):
+        # The frame comes from the metric alone, even an indefinite one.
+        with pytest.raises(ConfigError, match="^unknown configuration key 'gamma'$"):
+            RunConfig.from_dict(with_overrides(metric="minkowski",
+                                               gamma=[[2.0, 0.0], [0.0, 1.0]]))
 
 
 class TestValidation:
@@ -76,9 +77,15 @@ class TestValidation:
         assert RunConfig.from_dict(with_overrides(metric="minkowski")).gamma_tensor() is None
 
     def test_gamma_next_to_definite_metric_refused(self):
-        with pytest.raises(ConfigError, match="^gamma: a definite metric is its own frame; "
-                                              "gamma applies only to an indefinite metric$"):
+        with pytest.raises(ConfigError, match="^unknown configuration key 'gamma'$"):
             RunConfig.from_dict(with_overrides(gamma=[[2.0, 0.0], [0.0, 1.0]]))
+
+    def test_accessor_checks_unvalidated_field(self):
+        # A config built without from_dict still has its field checked where
+        # it is built: a 2x2 field does not pass for an n = 3 run.
+        config = RunConfig(n=3, field=[[0.0, 1.0], [-1.0, 0.0]])
+        with pytest.raises(ConfigError, match="^field: expected 3 rows, got 2$"):
+            config.field_tensor()
 
     def test_missing_n(self):
         with pytest.raises(ConfigError, match="'n'"):

@@ -130,6 +130,17 @@ class TestDomainTypes:
         h = FieldTensor([[0.0, 1.0 + 5e-15], [-1.0, 0.0]])
         assert np.all(h.matrix + h.matrix.T == 0.0)
 
+    def test_field_antisymmetry_cut_is_relative(self):
+        # One ulp of asymmetry passes at any scale; a tiny field that is not
+        # antisymmetric at all is refused rather than antisymmetrized.
+        for h in ([[0.0, 1.0], [-1.0000000000000002, 0.0]],
+                  [[0.0, 1e6], [-1000000.0000000001, 0.0]]):
+            field = FieldTensor(h)
+            assert np.all(field.matrix + field.matrix.T == 0.0)
+        with pytest.raises(ValueError,
+                           match=r"not antisymmetric: H\[0,1\] \+ H\[1,0\] = 1\.000e-15"):
+            FieldTensor([[0.0, 1e-15], [0.0, 0.0]])
+
     def test_field_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             FieldTensor([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
