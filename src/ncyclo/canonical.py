@@ -7,11 +7,13 @@ chosen positive-definite quadratic form, in which the tensor is a direct sum of
 padded by a zero block spanning the force-free directions.  Each nonzero block
 singles out a plane of circular motion; the zero block carries free motion.
 
-A definite dynamical metric ``g`` is its own frame (``g`` or ``-g``, see
-:meth:`GammaTensor.of_metric`): then ``B.T @ K @ inv(B.T) = +-(q/mc) Theta`` and
-the strengths give the true frequencies.  An indefinite ``g`` has none, so the
-identity stands in and the basis may hold ``g``-null vectors (see
-:func:`metric_singular_columns`).  :func:`decompose` itself takes any frame.
+The frame is a definite dynamical metric ``g`` itself: ``g`` when it is
+positive definite, ``-g`` when it is negative definite.  Then
+``B.T @ K @ inv(B.T) = +-(q/mc) Theta`` and the strengths give the true
+frequencies.  An indefinite ``g`` has no frame, so callers pass no metric and
+the identity stands in; the basis may then hold ``g``-null vectors (see
+:func:`metric_singular_columns`).  Any positive-definite form ``G`` is a frame,
+passed as ``MetricTensor(G)``.
 """
 
 from __future__ import annotations
@@ -22,14 +24,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.linalg import schur
 
-from .tensors import (FieldTensor, MetricTensor, PhysicalConstants, _as_square_matrix,
-                      _as_symmetric_matrix, _frozen)
+from .tensors import FieldTensor, MetricTensor, PhysicalConstants, _as_square_matrix, _frozen
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dynamics import ParticleState, Trajectory
 
 __all__ = [
-    "GammaTensor",
     "CanonicalForm",
     "CanonicalCoords",
     "decompose",
@@ -42,30 +42,6 @@ __all__ = [
 
 # A block strength is treated as zero below this fraction of the tensor scale.
 ZERO_STRENGTH_RTOL = 1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class GammaTensor:
-    """Symmetric positive-definite form the decomposition basis is orthonormal against."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        g = _as_symmetric_matrix(self.matrix, "gamma")
-        if np.linalg.eigvalsh(g).min() <= 0.0:
-            raise ValueError("gamma must be positive definite")
-        object.__setattr__(self, "matrix", _frozen(g))
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    @classmethod
-    def of_metric(cls, metric: MetricTensor) -> "GammaTensor | None":
-        """The frame of a dynamical metric: ``g`` or ``-g`` if definite, else None (identity)."""
-        if not metric.is_definite:
-            return None
-        return cls(metric.matrix if metric.signature[0] else -metric.matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,26 +105,39 @@ def _inverse_sqrt(matrix: np.ndarray) -> np.ndarray:
     return eigvecs @ np.diag(1.0 / np.sqrt(eigvals)) @ eigvecs.T
 
 
-def decompose(field: FieldTensor, gamma: GammaTensor | None = None) -> CanonicalForm:
-    """Block-diagonalize a field tensor in a gamma-orthonormal basis.
+def _frame(metric: MetricTensor | None, n: int) -> np.ndarray:
+    """The positive-definite form of a metric's frame: the identity, ``g`` or ``-g``."""
+    if metric is None:
+        return np.eye(n)
+    if metric.n != n:
+        raise ValueError(f"metric is {metric.n}x{metric.n} but the field tensor is {n}x{n}")
+    if not metric.is_definite:
+        raise ValueError(f"metric is indefinite (signature {metric.signature}), so it has no "
+                         f"frame; pass metric=None to decompose in the identity")
+    return metric.matrix if metric.signature[0] else -metric.matrix
+
+
+def decompose(field: FieldTensor, metric: MetricTensor | None = None) -> CanonicalForm:
+    """Block-diagonalize a field tensor in a basis orthonormal against a metric's frame.
 
     Parameters
     ----------
     field:
         Antisymmetric tensor to decompose.
-    gamma:
-        Positive-definite form the basis columns are orthonormalized against;
-        identity when omitted.
+    metric:
+        Definite metric whose frame ``G`` (``g``, or ``-g`` when negative
+        definite) the basis columns are orthonormalized against; the identity
+        when omitted.  An indefinite metric raises ``ValueError``.
 
     Returns
     -------
     CanonicalForm
-        Basis ``B`` with ``B.T @ gamma @ B = I`` and
+        Basis ``B`` with ``B.T @ G @ B = I`` and
         ``B.T @ H @ B = canonical_tensor(form)``.
 
     Notes
     -----
-    The tensor is first whitened with the inverse square root of ``gamma``,
+    The tensor is first whitened with the inverse square root of ``G``,
     which keeps it antisymmetric.  An antisymmetric matrix is normal, so its
     real Schur form ``Z.T @ S @ Z = T`` is block diagonal: 2x2 blocks, found
     where the subdiagonal of ``T`` is nonzero, and 1x1 zeros.  Each block's
@@ -162,14 +151,12 @@ def decompose(field: FieldTensor, gamma: GammaTensor | None = None) -> Canonical
     the block count does not depend on the field's units.
     """
     n = field.n
-    if gamma is not None and gamma.n != n:
-        raise ValueError(f"gamma is {gamma.n}x{gamma.n} but the field tensor is {n}x{n}")
-
-    if gamma is None or np.array_equal(gamma.matrix, np.eye(n)):
+    frame = _frame(metric, n)
+    if np.array_equal(frame, np.eye(n)):
         white = None
         skew = field.matrix
     else:
-        white = _inverse_sqrt(gamma.matrix)
+        white = _inverse_sqrt(frame)
         skew = white @ field.matrix @ white
         skew = (skew - skew.T) / 2.0
 
@@ -222,11 +209,10 @@ def to_canonical(
     )
 
 
-def orthonormality_residual(form: CanonicalForm, gamma: GammaTensor | None = None) -> float:
-    """Frobenius norm of ``B.T @ gamma @ B - I``."""
-    g = np.eye(form.n) if gamma is None else gamma.matrix
+def orthonormality_residual(form: CanonicalForm, metric: MetricTensor | None = None) -> float:
+    """Frobenius norm of ``B.T @ G @ B - I`` for the frame ``G`` of ``metric``."""
     b = form.basis
-    return float(np.linalg.norm(b.T @ g @ b - np.eye(form.n)))
+    return float(np.linalg.norm(b.T @ _frame(metric, form.n) @ b - np.eye(form.n)))
 
 
 def reconstruction_residual(form: CanonicalForm, field: FieldTensor) -> float:
@@ -237,8 +223,7 @@ def reconstruction_residual(form: CanonicalForm, field: FieldTensor) -> float:
     return mismatch / scale if scale > 0 else mismatch
 
 
-def metric_singular_columns(form: CanonicalForm, metric_matrix: np.ndarray,
-                            rel_tol: float = ZERO_STRENGTH_RTOL) -> list[int]:
+def metric_singular_columns(form: CanonicalForm, metric_matrix: np.ndarray) -> list[int]:
     """Indices of basis columns that are null with respect to a dynamical metric.
 
     For an indefinite metric the frame's orthonormal basis can contain vectors of
@@ -247,5 +232,5 @@ def metric_singular_columns(form: CanonicalForm, metric_matrix: np.ndarray,
     """
     g = np.asarray(metric_matrix, dtype=float)
     norms = np.einsum("ja,jk,ka->a", form.basis, g, form.basis)
-    cut = rel_tol * float(np.abs(norms).max(initial=0.0))
+    cut = ZERO_STRENGTH_RTOL * float(np.abs(norms).max(initial=0.0))
     return [int(i) for i in np.nonzero(np.abs(norms) <= cut)[0]]

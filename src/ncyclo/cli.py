@@ -2,15 +2,13 @@
 
 Each command reads one JSON run configuration (see :mod:`ncyclo.config`),
 writes deterministic output, and signals success through its exit code, so the
-commands double as an acceptance harness.  The environment variable
-``NCYCLO_TOL`` overrides the default reporting tolerance of 1e-8.
+commands double as an acceptance harness.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -44,19 +42,6 @@ RADIATION_WARN_TOL = 1e-10
 VERIFY_TOL = 1e-12
 # Orbit statistics are evaluated on at most this many trajectory samples.
 _REPORT_SAMPLES = 512
-
-
-def _tolerance() -> float:
-    raw = os.environ.get("NCYCLO_TOL")
-    if raw is None:
-        return DEFAULT_TOLERANCE
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"NCYCLO_TOL is not a number: {raw!r}") from None
-    if not (np.isfinite(value) and value > 0):
-        raise ConfigError(f"NCYCLO_TOL must be positive, got {raw!r}")
-    return value
 
 
 def _emit(document: dict, out_path: str | None) -> None:
@@ -143,7 +128,6 @@ def cmd_simulate(config: RunConfig, out_path: str | None, out_format: str | None
     constants = config.constants()
     state = config.initial_state()
     dt, steps, method = config.integration_settings()
-    tol = _tolerance()
 
     output = config.settings("output")
     path = out_path or output["path"]
@@ -190,7 +174,7 @@ def cmd_simulate(config: RunConfig, out_path: str | None, out_format: str | None
         if mismatches:
             residuals["frequency_mismatch"] = float(max(mismatches))
 
-    failing = sorted(name for name, value in residuals.items() if not value <= tol)
+    failing = sorted(name for name, value in residuals.items() if not value <= DEFAULT_TOLERANCE)
     report = {
         "method": method,
         "dt": dt,
@@ -206,7 +190,7 @@ def cmd_simulate(config: RunConfig, out_path: str | None, out_format: str | None
         "block_energies": [float(e) for e in split.block_energies[0]],
         "free_energy": float(split.free_energy[0]),
         "residuals": residuals,
-        "tolerance": tol,
+        "tolerance": DEFAULT_TOLERANCE,
         "failed_invariants": failing,
         "passed": not failing,
     }

@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .canonical import GammaTensor
 from .dynamics import ParticleState
 from .tensors import (
     FieldTensor,
@@ -172,7 +171,7 @@ class RunConfig:
         _check_count(n, "n")
         # Each accessor checks its key's raw value, then builds it, so
         # value-level errors surface at parse time.
-        self.gamma_tensor()  # the metric first, then the frame
+        self.metric_tensor()
         if self.gauge is None and self.field is None:
             raise ConfigError("either 'field' or an explicit 'gauge' matrix is required")
         gauge, field = self.gauge_matrix(), self.field_tensor()
@@ -231,9 +230,14 @@ class RunConfig:
             return MetricTensor(self.metric)
         return self._cache("metric", build)
 
-    def gamma_tensor(self) -> GammaTensor | None:
-        """The decomposition frame, decided by the metric alone (:meth:`GammaTensor.of_metric`)."""
-        return self._cache("gamma", lambda: GammaTensor.of_metric(self.metric_tensor()))
+    def gamma_tensor(self) -> MetricTensor | None:
+        """The metric to decompose against: the metric itself when definite, else None.
+
+        :func:`~ncyclo.canonical.decompose` turns a definite metric into its
+        frame (``g`` or ``-g``); None stands for the identity.
+        """
+        metric = self.metric_tensor()
+        return metric if metric.is_definite else None
 
     def field_tensor(self) -> FieldTensor:
         def build():

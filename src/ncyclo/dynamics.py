@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .canonical import CanonicalForm, GammaTensor, decompose, to_canonical
+from .canonical import CanonicalForm, decompose, to_canonical
 from .tensors import FieldTensor, MetricTensor, PhysicalConstants, _frozen
 
 __all__ = [
@@ -223,7 +223,7 @@ def evolve_exact_trajectory(state: ParticleState, k: np.ndarray, metric: MetricT
     sign = 1.0 if metric.signature[0] else -1.0
     g = metric.matrix
     kg = k @ g
-    form = decompose(FieldTensor((kg - kg.T) / 2.0), GammaTensor.of_metric(metric))
+    form = decompose(FieldTensor((kg - kg.T) / 2.0), metric)
     basis, nb = form.basis, form.num_blocks
     first, second = slice(0, 2 * nb, 2), slice(1, 2 * nb, 2)  # of each block pair
     u0 = state.momentum @ basis

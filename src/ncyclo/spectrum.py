@@ -73,8 +73,9 @@ def classify_spectrum(form: CanonicalForm, constants: PhysicalConstants | None =
 
     Discrete ladders come one per block; the remaining directions carry a
     continuum, so the spectrum is fully discrete exactly when there are no
-    free directions.  ``form`` must come from the metric's frame (see
-    ``GammaTensor.of_metric``); with an indefinite metric the label is ``None``.
+    free directions.  ``form`` must come from ``decompose(field, metric)`` for a
+    definite metric, decomposed in its frame; with an indefinite metric the
+    label is ``None``.
     """
     constants = constants or PhysicalConstants()
     omegas = cyclotron_frequencies(form, constants)

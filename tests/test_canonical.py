@@ -4,7 +4,7 @@ import pytest
 from ncyclo import (
     CanonicalForm,
     FieldTensor,
-    GammaTensor,
+    MetricTensor,
     ParticleState,
     PhysicalConstants,
     canonical_tensor,
@@ -132,16 +132,26 @@ class TestDecompose:
                 assert reconstruction_residual(form, h) <= 1e-12
 
     def test_general_gamma(self, rng):
+        # The frame of a definite metric g is g, or -g when negative definite;
+        # either way the strengths are the eigenvalues of g^-1 H.
         for _ in range(10):
             n = 5
             m = random_antisymmetric(rng, n)
-            gamma = GammaTensor(random_spd(rng, n))
+            spd = random_spd(rng, n)
             h = FieldTensor(m)
-            form = decompose(h, gamma)
-            assert orthonormality_residual(form, gamma) <= 1e-10
-            assert reconstruction_residual(form, h) <= 1e-10
-            oracle = positive_imag_eigenvalues(np.linalg.inv(gamma.matrix) @ m)
-            np.testing.assert_allclose(form.strengths, oracle, atol=1e-8)
+            for metric in (MetricTensor(spd), MetricTensor(-spd)):
+                form = decompose(h, metric)
+                assert orthonormality_residual(form, metric) <= 1e-10
+                assert reconstruction_residual(form, h) <= 1e-10
+                oracle = positive_imag_eigenvalues(np.linalg.inv(metric.matrix) @ m)
+                np.testing.assert_allclose(form.strengths, oracle, atol=1e-8)
+
+    def test_negative_definite_metric_is_its_negation(self, rng):
+        h = FieldTensor(random_antisymmetric(rng, 5))
+        spd = random_spd(rng, 5)
+        positive, negative = decompose(h, MetricTensor(spd)), decompose(h, MetricTensor(-spd))
+        np.testing.assert_array_equal(negative.basis, positive.basis)
+        np.testing.assert_array_equal(negative.strengths, positive.strengths)
 
     def test_deterministic(self, rng):
         m = random_antisymmetric(rng, 6)
@@ -151,12 +161,17 @@ class TestDecompose:
         np.testing.assert_array_equal(f1.strengths, f2.strengths)
 
     def test_rejects_mismatched_gamma(self):
-        with pytest.raises(ValueError, match="gamma"):
-            decompose(FieldTensor(np.zeros((3, 3))), GammaTensor(np.eye(2)))
+        with pytest.raises(ValueError, match="^metric is 2x2 but the field tensor is 3x3$"):
+            decompose(FieldTensor(np.zeros((3, 3))), MetricTensor.euclidean(2))
 
-    def test_gamma_rejects_indefinite(self):
-        with pytest.raises(ValueError, match="positive definite"):
-            GammaTensor(np.diag([1.0, -1.0]))
+    def test_rejects_indefinite_metric(self):
+        # An indefinite metric has no frame; the identity is asked for with None.
+        h = FieldTensor([[0.0, 1.0], [-1.0, 0.0]])
+        minkowski = MetricTensor.minkowski(2)
+        with pytest.raises(ValueError, match="indefinite"):
+            decompose(h, minkowski)
+        with pytest.raises(ValueError, match="indefinite"):
+            orthonormality_residual(decompose(h), minkowski)
 
 
 class TestCanonicalTensor:
@@ -223,8 +238,7 @@ class TestToCanonical:
     def test_block_identity_general_gamma(self, rng):
         n = 4
         h = FieldTensor(random_antisymmetric(rng, n))
-        gamma = GammaTensor(random_spd(rng, n))
-        form = decompose(h, gamma)
+        form = decompose(h, MetricTensor(random_spd(rng, n)))
         theta = canonical_tensor(form)
         state = ParticleState(rng.standard_normal(n), rng.standard_normal(n))
         coords = to_canonical(form, state, h, PhysicalConstants())

@@ -71,9 +71,9 @@ class TestParsing:
 
 class TestValidation:
     def test_frame_is_the_definite_metric(self):
-        negative = RunConfig.from_dict(with_overrides(metric=[[-4.0, 0.0], [0.0, -1.0]]))
-        np.testing.assert_array_equal(negative.gamma_tensor().matrix, [[4.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_array_equal(RunConfig.from_dict(BASE).gamma_tensor().matrix, np.eye(2))
+        for metric in ("euclidean", [[4.0, 1.0], [1.0, 2.0]], [[-4.0, 0.0], [0.0, -1.0]]):
+            config = RunConfig.from_dict(with_overrides(metric=metric))
+            assert config.gamma_tensor() is config.metric_tensor()
         assert RunConfig.from_dict(with_overrides(metric="minkowski")).gamma_tensor() is None
 
     def test_gamma_next_to_definite_metric_refused(self):

@@ -8,7 +8,6 @@ import pytest
 from ncyclo import dynamics
 from ncyclo import (
     FieldTensor,
-    GammaTensor,
     MetricTensor,
     ParticleState,
     PhysicalConstants,
@@ -415,13 +414,13 @@ class TestOrbitDecomposition:
             np.testing.assert_allclose(split.centers, reference, atol=1e-10)
 
     def test_trajectory_rows_match_per_state_splits(self, rng):
-        # A general gamma makes the basis non-orthogonal, so to_canonical's
+        # A general metric makes the basis non-orthogonal, so to_canonical's
         # solve is exercised; one free dimension checks the free part.
         n = 5
         h = FieldTensor(random_antisymmetric(rng, n))
         metric = MetricTensor(random_spd(rng, n))
         constants = PhysicalConstants(mass=1.3, charge=-0.7, light_speed=2.0)
-        form = decompose(h, GammaTensor(metric.matrix))
+        form = decompose(h, metric)
         assert form.num_blocks == 2
         k = dynamics_matrix(h, metric, constants)
         state = ParticleState(rng.standard_normal(n), rng.standard_normal(n))

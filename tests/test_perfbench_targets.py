@@ -1,11 +1,16 @@
-"""The benchmark tracer (perfbench/tracing.py) wraps ncyclo names from outside.
+"""The benchmark (perfbench/) calls ncyclo names from outside.
 
-It finds each name with ``vars(owner)[attr]`` and reads some arguments by
-position, so renaming, unbinding or reordering any of them breaks traced runs.
+The tracer finds each name with ``vars(owner)[attr]`` and reads some arguments
+by position, so renaming, unbinding or reordering any of them breaks traced
+runs; the set-up probe of perfbench/run.py calls every ``RunConfig`` accessor.
 """
 
+import ast
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from ncyclo import (
@@ -19,7 +24,8 @@ from ncyclo import (
     write_trajectory_csv,
 )
 
-_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_PATH = _ROOT / "perfbench" / "tracing.py"
 _SPEC = importlib.util.spec_from_file_location("perfbench_tracing", _PATH)
 tracing = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(tracing)
@@ -50,3 +56,17 @@ def test_csv_hook_counts_rows_of_the_written_file(tmp_path):
         info = tracing._csv(args, {}, None)
     assert info == {"rows": 10, "bytes": path.stat().st_size}
     assert len(path.read_text().splitlines()) == 1 + info["rows"]
+
+
+def test_setup_probe_runs_on_the_samples():
+    # Read without importing: importing perfbench/run.py changes the environment.
+    tree = ast.parse((_ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    [code] = [node.value.value for node in tree.body if isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets] == ["SETUP_CODE"]]
+    samples = sorted(str(path) for path in (_ROOT / "configs").glob("*.json"))
+    assert len(samples) == 4
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(_ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code, *samples], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
