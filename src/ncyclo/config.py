@@ -13,6 +13,7 @@ serializes back to the exact document it came from; the heavyweight objects
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -48,7 +49,10 @@ class ConfigError(ValueError):
 def _check_number(value, ctx: str, *_) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{ctx}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal past the largest float
+        raise ConfigError(f"{ctx}: the number is outside the floating-point range") from None
 
 
 def _check_positive(value, ctx: str, *_) -> None:
@@ -91,9 +95,10 @@ def _check_matrix(value, ctx: str, n: int) -> None:
             raise ConfigError(f"{ctx}: row {i} is not an array")
         if len(row) != n:
             raise ConfigError(f"{ctx}: row {i} has {len(row)} entries, expected {n}")
-        # A row of plain numbers (JSON's only kind) passes without a call per
-        # entry; any other row is checked entry by entry for the message.
-        if not set(map(type, row)) <= {int, float}:
+        # A row of plain numbers that all fit a float passes without a call
+        # per entry; any other row is checked entry by entry for the message.
+        if not (set(map(type, row)) <= {int, float}
+                and max(map(abs, row)) <= sys.float_info.max):
             for j, entry in enumerate(row):
                 _check_number(entry, f"{ctx}: row {i}, column {j}")
 
@@ -159,10 +164,13 @@ class RunConfig:
 
     @classmethod
     def load(cls, path) -> "RunConfig":
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not valid UTF-8 ({exc})") from None
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed, or an integer of more than 4300 digits
             raise ConfigError(f"{path}: not valid JSON ({exc})") from None
         return cls.from_dict(data)
 

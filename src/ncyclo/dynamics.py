@@ -4,9 +4,11 @@ The momentum obeys a linear equation ``p' = K p`` with a constant matrix, so
 the flow has a closed form.  For a definite metric every sample is evaluated
 directly from the block decomposition of the field in the metric's own frame:
 a rotation per block and a uniform drift per free direction.  An indefinite
-metric has no such frame, so its one-step map (a matrix exponential) is built
-once and iterated.  A classical Runge-Kutta integrator is kept alongside as an
-independent cross-check.  All of them sample the orbit into one
+metric has no such frame, so its one-step map, the exponential of the Van Loan
+augmented matrix ``dt [[K, I], [0, 0]]``, is built once and iterated.  Classic
+fourth-order Runge-Kutta is the same iteration with the exponential's degree-4
+Taylor polynomial: on a linear flow that polynomial is exactly one RK4 step.
+Every method samples the orbit into one
 :class:`Trajectory` of time, position and momentum arrays, which
 :func:`write_trajectory_csv` and :func:`write_trajectory_structured` stream to
 a file.  The dual momentum ``p - (q/c) H x`` is an integral of the motion for
@@ -29,7 +31,6 @@ __all__ = [
     "Trajectory",
     "OrbitDecomposition",
     "dynamics_matrix",
-    "evolve_exact",
     "evolve_exact_trajectory",
     "evolve_rk4",
     "dual_momentum_value",
@@ -158,41 +159,44 @@ def dynamics_matrix(field: FieldTensor, metric: MetricTensor,
     return _frozen(factor * (field.matrix @ metric.inverse))
 
 
-def _step_maps(k: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    # Van Loan augmented exponential: the top-right block of
-    # expm(dt * [[K, I], [0, 0]]) is the integral of expm(s K) over [0, dt].
-    # No inverse of K appears, so singular K (free directions) needs no care.
-    n = k.shape[0]
+def _taylor4(a: np.ndarray) -> np.ndarray:
+    # I + a + a^2/2 + a^3/6 + a^4/24, by Horner's rule.
+    eye = np.eye(a.shape[0])
+    poly = eye
+    for j in (4.0, 3.0, 2.0, 1.0):
+        poly = eye + (a @ poly) / j
+    return poly
+
+
+def _sample(state: ParticleState, k: np.ndarray, metric: MetricTensor,
+            constants: PhysicalConstants, dt: float, steps: int, exact: bool) -> Trajectory:
+    """Iterate the step map ``F(dt [[K, I], [0, 0]])`` ``steps`` times into preallocated rows.
+
+    ``F`` is the matrix exponential when ``exact``, else its degree-4 Taylor
+    polynomial: one classic RK4 step of this linear flow.  The map's top-left
+    block ``P`` advances the momentum and its top-right block ``J``, the
+    integral of ``P`` over the step (Van Loan), the position:
+    ``(x, p) -> (x + g^{-1} J p / m, P p)``.  No inverse of ``K`` appears, so
+    free directions need no care.
+    """
+    n = state.n
     aug = np.zeros((2 * n, 2 * n))
     aug[:n, :n] = dt * k
     aug[:n, n:] = dt * np.eye(n)
-    full = expm(aug)
-    return full[:n, :n], full[:n, n:]
-
-
-def _sample(state: ParticleState, dt: float, steps: int, advance) -> Trajectory:
-    """Iterate ``(x, p) -> advance(x, p)`` ``steps`` times into preallocated rows."""
-    position = np.empty((steps + 1, state.n))
-    momentum = np.empty((steps + 1, state.n))
+    full = expm(aug) if exact else _taylor4(aug)
+    prop, integral = full[:n, :n], full[:n, n:]
+    ginv_over_m = metric.inverse / constants.mass
+    position = np.empty((steps + 1, n))
+    momentum = np.empty((steps + 1, n))
     x, p = state.position, state.momentum
     position[0], momentum[0] = x, p
     # An orbit that overflows is reported once, by Trajectory, instead of
     # through a floating-point warning per operation.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, steps + 1):
-            x, p = advance(x, p)
+            x, p = x + ginv_over_m @ (integral @ p), prop @ p
             position[i], momentum[i] = x, p
     return Trajectory(state.time + np.arange(steps + 1) * dt, position, momentum)
-
-
-def evolve_exact(state: ParticleState, k: np.ndarray, metric: MetricTensor,
-                 constants: PhysicalConstants, dt: float) -> ParticleState:
-    """Advance a state by ``dt`` using the closed-form flow.
-
-    There is no step-size error, and ``dt`` may be negative.  This is the
-    one-step case of :func:`evolve_exact_trajectory`.
-    """
-    return evolve_exact_trajectory(state, k, metric, constants, dt, 1)[1]
 
 
 def evolve_exact_trajectory(state: ParticleState, k: np.ndarray, metric: MetricTensor,
@@ -215,10 +219,7 @@ def evolve_exact_trajectory(state: ParticleState, k: np.ndarray, metric: MetricT
     if steps < 1:
         raise ValueError("steps must be at least 1")
     if not metric.is_definite:
-        prop, integral = _step_maps(k, dt)
-        ginv_over_m = metric.inverse / constants.mass
-        return _sample(state, dt, steps,
-                       lambda x, p: (x + ginv_over_m @ (integral @ p), prop @ p))
+        return _sample(state, k, metric, constants, dt, steps, True)
 
     sign = 1.0 if metric.signature[0] else -1.0
     g = metric.matrix
@@ -250,33 +251,19 @@ def evolve_exact_trajectory(state: ParticleState, k: np.ndarray, metric: MetricT
 
 def evolve_rk4(state: ParticleState, k: np.ndarray, metric: MetricTensor,
                constants: PhysicalConstants, dt: float, steps: int) -> Trajectory:
-    """Classic fourth-order Runge-Kutta reference trajectory.
+    """Classic fourth-order Runge-Kutta trajectory: ``steps + 1`` samples, the input first.
 
-    Returns ``steps + 1`` samples including the initial one.  Kept independent
-    of :func:`evolve_exact` so the two can cross-validate each other.
+    The flow is linear, so an RK4 step is a fixed matrix pair: the degree-4
+    Taylor polynomial of the step's exponential, iterated like the exact map
+    of an indefinite metric.  Its roundoff grows with the step count like that
+    map's; the independent check of both is the 40-digit oracle of the tests
+    (``tests/oracle.py``).
     """
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive")
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    ginv_over_m = metric.inverse / constants.mass
-
-    def advance(x, p):
-        k1p = k @ p
-        k1x = ginv_over_m @ p
-        p2 = p + 0.5 * dt * k1p
-        k2p = k @ p2
-        k2x = ginv_over_m @ p2
-        p3 = p + 0.5 * dt * k2p
-        k3p = k @ p3
-        k3x = ginv_over_m @ p3
-        p4 = p + dt * k3p
-        k4p = k @ p4
-        k4x = ginv_over_m @ p4
-        return (x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
-                p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p))
-
-    return _sample(state, dt, steps, advance)
+    return _sample(state, k, metric, constants, dt, steps, False)
 
 
 def _apply(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:

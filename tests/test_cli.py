@@ -109,6 +109,22 @@ class TestDecomposeCommand:
             assert message in captured.err
             assert captured.out == ""
 
+    @pytest.mark.parametrize("text, message", [
+        (b'{"n": 2, "field": [[0.0, 1.0], [-1.0, 0.0]], "note": "\xe9"}',
+         "{path}: not valid UTF-8 ("),
+        (b'{"n": ' + b"1" * 5000 + b"}", "{path}: not valid JSON ("),
+        (b'{"n": 2, "field": [[0.0, 1' + b"0" * 400 + b'], [-1.0, 0.0]]}',
+         "field: row 0, column 1: the number is outside the floating-point range"),
+    ], ids=["latin-1", "long-integer", "integer-past-float"])
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "run.json"
+        path.write_bytes(text)
+        assert main(["decompose", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message.format(path=path) in captured.err
+        assert captured.out == ""
+
 
 class TestSimulateCommand:
     def test_circular_orbit_closes(self, tmp_path, capsys):

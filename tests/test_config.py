@@ -17,6 +17,9 @@ BASE = {
     "output": {"path": "out.csv", "format": "csv"},
 }
 
+# An integer literal that no float holds: 1 followed by 400 zeros.
+BIG = 10 ** 400
+
 
 def with_overrides(**kwargs):
     data = json.loads(json.dumps(BASE))
@@ -126,6 +129,19 @@ class TestValidation:
         with pytest.raises(ConfigError) as exc:
             RunConfig.from_dict({"n": 64, "field": field})
         assert str(exc.value) == f"field: row 37, column 12: expected a number, got {bad!r}"
+
+    @pytest.mark.parametrize("overrides, ctx", [
+        ({"field": [[0.0, 1.0], [-1.0, BIG]]}, "field: row 1, column 1"),
+        ({"n": 3, "field": [0.0, BIG, 1.0], "initial": None}, "field: entry 1"),
+        ({"metric": [[1.0, 0.0], [0.0, BIG]]}, "metric: row 1, column 1"),
+        ({"particle": {"m": BIG}}, "particle.m"),
+        ({"initial": {"x": [0.0, BIG], "p": [1.0, 0.0]}}, "initial.x: entry 1"),
+        ({"integration": {"dt": BIG, "steps": 10}}, "integration.dt"),
+    ], ids=["field", "field-vector", "metric", "particle", "initial", "integration"])
+    def test_integer_past_the_float_range_named(self, overrides, ctx):
+        with pytest.raises(ConfigError) as exc:
+            RunConfig.from_dict(with_overrides(**overrides))
+        assert str(exc.value) == f"{ctx}: the number is outside the floating-point range"
 
     def test_non_antisymmetric_field_rejected(self):
         with pytest.raises(ConfigError, match="antisymmetric"):

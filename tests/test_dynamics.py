@@ -15,7 +15,6 @@ from ncyclo import (
     decompose,
     dual_momentum_value,
     dynamics_matrix,
-    evolve_exact,
     evolve_exact_trajectory,
     evolve_rk4,
     field_from_3d_vector,
@@ -123,7 +122,7 @@ class TestEvolveExact:
         metric = MetricTensor(np.diag([1.0, 4.0]))
         k = dynamics_matrix(FieldTensor(np.zeros((2, 2))), metric, UNIT)
         state = ParticleState([1.0, 2.0], [3.0, 4.0])
-        out = evolve_exact(state, k, metric, UNIT, 0.5)
+        out = evolve_exact_trajectory(state, k, metric, UNIT, 0.5, 1)[-1]
         np.testing.assert_allclose(out.position, state.position
                                    + 0.5 * metric.inverse @ state.momentum)
         np.testing.assert_array_equal(out.momentum, state.momentum)
@@ -131,14 +130,14 @@ class TestEvolveExact:
 
     def test_circular_orbit_closes_after_one_period(self):
         h, k, state = unit_circle_setup()
-        out = evolve_exact(state, k, EUCLID2, UNIT, 2.0 * np.pi)
+        out = evolve_exact_trajectory(state, k, EUCLID2, UNIT, 2.0 * np.pi, 1)[-1]
         np.testing.assert_allclose(out.position, state.position, atol=1e-12)
         np.testing.assert_allclose(out.momentum, state.momentum, atol=1e-12)
 
     def test_matches_rk4_reference(self):
         h, k, state = unit_circle_setup()
         period = 2.0 * np.pi
-        exact = evolve_exact(state, k, EUCLID2, UNIT, period)
+        exact = evolve_exact_trajectory(state, k, EUCLID2, UNIT, period, 1)[-1]
         reference = evolve_rk4(state, k, EUCLID2, UNIT, period / 8192, 8192)[-1]
         np.testing.assert_allclose(exact.position, reference.position, atol=1e-10)
         np.testing.assert_allclose(exact.momentum, reference.momentum, atol=1e-10)
@@ -150,7 +149,7 @@ class TestEvolveExact:
         state = ParticleState(rng.standard_normal(4), rng.standard_normal(4))
         before = dual_momentum_value(state, h, UNIT)
         for _ in range(50):
-            state = evolve_exact(state, k, metric, UNIT, 0.17)
+            state = evolve_exact_trajectory(state, k, metric, UNIT, 0.17, 1)[-1]
             np.testing.assert_allclose(dual_momentum_value(state, h, UNIT), before, atol=1e-12)
 
     def test_trajectory_matches_repeated_single_steps(self):
@@ -159,21 +158,21 @@ class TestEvolveExact:
         assert len(trajectory) == 6
         stepped = state
         for sample in trajectory[1:]:
-            stepped = evolve_exact(stepped, k, EUCLID2, UNIT, 0.3)
+            stepped = evolve_exact_trajectory(stepped, k, EUCLID2, UNIT, 0.3, 1)[-1]
             np.testing.assert_allclose(sample.position, stepped.position, atol=1e-13)
             np.testing.assert_allclose(sample.momentum, stepped.momentum, atol=1e-13)
 
     def test_negative_dt_reverses(self):
         h, k, state = unit_circle_setup()
-        forward = evolve_exact(state, k, EUCLID2, UNIT, 0.7)
-        back = evolve_exact(forward, k, EUCLID2, UNIT, -0.7)
+        forward = evolve_exact_trajectory(state, k, EUCLID2, UNIT, 0.7, 1)[-1]
+        back = evolve_exact_trajectory(forward, k, EUCLID2, UNIT, -0.7, 1)[-1]
         np.testing.assert_allclose(back.position, state.position, atol=1e-14)
         np.testing.assert_allclose(back.momentum, state.momentum, atol=1e-14)
 
     def test_rejects_non_finite_dt(self):
         h, k, state = unit_circle_setup()
         with pytest.raises(ValueError, match="finite"):
-            evolve_exact(state, k, EUCLID2, UNIT, np.inf)
+            evolve_exact_trajectory(state, k, EUCLID2, UNIT, np.inf, 1)[-1]
 
 
 def oracle_error(trajectory, field, metric, constants, dt, steps):
@@ -226,7 +225,7 @@ class TestClosedForm:
         deviation, scale = oracle_error(back, h, metric, constants, -0.05, 300)
         assert deviation <= 1e-12 * scale
         assert back[-1].time == pytest.approx(-15.0)
-        forth = evolve_exact(back[-1], k, metric, constants, 15.0)
+        forth = evolve_exact_trajectory(back[-1], k, metric, constants, 15.0, 1)[-1]
         np.testing.assert_allclose(forth.position, state.position, rtol=0, atol=1e-12 * scale)
         np.testing.assert_allclose(forth.momentum, state.momentum, rtol=0, atol=1e-12 * scale)
 
@@ -239,7 +238,7 @@ class TestClosedForm:
         np.testing.assert_array_equal(trajectory.momentum[0], state.momentum)
         deviation, scale = oracle_error(trajectory, h, metric, constants, 0.3, 1)
         assert deviation <= 1e-14 * scale
-        one = evolve_exact(state, k, metric, constants, 0.3)
+        one = evolve_exact_trajectory(state, k, metric, constants, 0.3, 1)[-1]
         np.testing.assert_array_equal(one.position, trajectory.position[1])
         np.testing.assert_array_equal(one.momentum, trajectory.momentum[1])
         assert one.time == trajectory.time[1]
@@ -258,6 +257,23 @@ class TestClosedForm:
                                     minkowski, constants, 0.1, 50)
 
 
+def stagewise_rk4(state, k, metric, constants, dt, steps):
+    """Final ``(x, p)`` of classic RK4 on ``p' = K p``, ``x' = g^{-1} p / m``, stage by stage."""
+    ginv_over_m = metric.inverse / constants.mass
+    x, p = state.position, state.momentum
+    for _ in range(steps):
+        k1p, k1x = k @ p, ginv_over_m @ p
+        p2 = p + 0.5 * dt * k1p
+        k2p, k2x = k @ p2, ginv_over_m @ p2
+        p3 = p + 0.5 * dt * k2p
+        k3p, k3x = k @ p3, ginv_over_m @ p3
+        p4 = p + dt * k3p
+        k4p, k4x = k @ p4, ginv_over_m @ p4
+        x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+    return x, p
+
+
 class TestEvolveRk4:
     def test_straight_line_for_zero_field(self):
         metric = MetricTensor.euclidean(2)
@@ -271,7 +287,7 @@ class TestEvolveRk4:
     def test_fourth_order_convergence(self):
         h, k, state = unit_circle_setup()
         period = 2.0 * np.pi
-        exact = evolve_exact(state, k, EUCLID2, UNIT, period)
+        exact = evolve_exact_trajectory(state, k, EUCLID2, UNIT, period, 1)[-1]
         errors = []
         for steps in (128, 256):
             end = evolve_rk4(state, k, EUCLID2, UNIT, period / steps, steps)[-1]
@@ -284,7 +300,7 @@ class TestEvolveRk4:
         period = 2.0 * np.pi
         steps = int(round(period / 1e-3))
         end = evolve_rk4(state, k, EUCLID2, UNIT, period / steps, steps)[-1]
-        exact = evolve_exact(state, k, EUCLID2, UNIT, period)
+        exact = evolve_exact_trajectory(state, k, EUCLID2, UNIT, period, 1)[-1]
         assert np.linalg.norm(end.position - exact.position) < 1e-9
 
     def test_energy_drift_over_one_period(self):
@@ -302,6 +318,21 @@ class TestEvolveRk4:
             evolve_rk4(state, k, EUCLID2, UNIT, 0.0, 5)
         with pytest.raises(ValueError, match="steps"):
             evolve_rk4(state, k, EUCLID2, UNIT, 0.1, 0)
+
+    @pytest.mark.parametrize("kind", ["spd", "-spd", "minkowski"])
+    @pytest.mark.parametrize("dt, steps, rtol", [(0.1, 1, 1e-15), (0.01, 2000, 1e-12)])
+    def test_matches_stagewise_rk4(self, rng, kind, dt, steps, rtol):
+        # evolve_rk4 iterates a step-map matrix; the stage-by-stage form is
+        # the same map in exact arithmetic, so they differ only by roundoff.
+        h, metric, constants, state = definite_case(rng, -1.0 if kind == "-spd" else 1.0)
+        if kind == "minkowski":
+            metric = MetricTensor.minkowski(5)
+        k = dynamics_matrix(h, metric, constants)
+        x, p = stagewise_rk4(state, k, metric, constants, dt, steps)
+        end = evolve_rk4(state, k, metric, constants, dt, steps)[-1]
+        scale = max(1.0, float(np.abs(x).max()), float(np.abs(p).max()))
+        np.testing.assert_allclose(end.position, x, rtol=0, atol=rtol * scale)
+        np.testing.assert_allclose(end.momentum, p, rtol=0, atol=rtol * scale)
 
 
 class TestDualMomentum:

@@ -3,15 +3,21 @@
 The tracer finds each name with ``vars(owner)[attr]`` and reads some arguments
 by position, so renaming, unbinding or reordering any of them breaks traced
 runs; the set-up probe of perfbench/run.py calls every ``RunConfig`` accessor.
+The benchmark's own orbit check (perfbench/checks.py) runs here on short
+orbits, so a change that breaks its tolerances fails the tests, not only a
+benchmark run.
 """
 
 import ast
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from ncyclo import (
     FieldTensor,
@@ -23,12 +29,29 @@ from ncyclo import (
     evolve_rk4,
     write_trajectory_csv,
 )
+from ncyclo.cli import main
 
 _ROOT = Path(__file__).resolve().parents[1]
-_PATH = _ROOT / "perfbench" / "tracing.py"
-_SPEC = importlib.util.spec_from_file_location("perfbench_tracing", _PATH)
-tracing = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(tracing)
+
+
+def _load(name: str):
+    """Import ``perfbench/<name>.py``, whose own imports resolve in perfbench/.
+
+    Registered in ``sys.modules`` first, as its dataclasses need.
+    """
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  _ROOT / "perfbench" / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(_ROOT / "perfbench"))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(_ROOT / "perfbench"))
+    return module
+
+
+tracing = _load("tracing")
+checks = _load("checks")
 
 
 def test_every_traced_name_is_bound():
@@ -70,3 +93,15 @@ def test_setup_probe_runs_on_the_samples():
     done = subprocess.run([sys.executable, "-c", code, *samples], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("method", ["exact", "rk4"])
+def test_benchmark_orbit_check_passes(method, tmp_path, capsys):
+    cfg = json.loads((_ROOT / "configs" / "uniform3d.json").read_text(encoding="utf-8"))
+    cfg.pop("output")
+    cfg["integration"].update(steps=5000, method=method)
+    config, out = tmp_path / "run.json", tmp_path / "trajectory.csv"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    outcome = checks.check_simulate(cfg, capsys.readouterr().out, out, "csv")
+    assert outcome.ok and outcome.samples == 5001
