@@ -1,11 +1,12 @@
 """Block decomposition of an antisymmetric field tensor in a positive-definite frame.
 
-A real antisymmetric matrix has purely imaginary eigenvalues that come in
-conjugate pairs.  Equivalently there is a basis, orthonormal with respect to a
-chosen positive-definite quadratic form, in which the tensor is a direct sum of
-2x2 rotation generators ``[[0, s], [-s, 0]]`` with positive strengths ``s``,
-padded by a zero block spanning the force-free directions.  Each nonzero block
-singles out a plane of circular motion; the zero block carries free motion.
+A real antisymmetric matrix ``S`` has purely imaginary eigenvalues in conjugate
+pairs, found by numpy's Hermitian eigensolver on ``iS``.  Equivalently there is
+a basis, orthonormal with respect to a chosen positive-definite form, in which
+the tensor is a direct sum of 2x2 rotation generators ``[[0, s], [-s, 0]]``
+with positive strengths ``s``, padded by a zero block spanning the force-free
+directions.  Each nonzero block singles out a plane of circular motion; the
+zero block carries free motion.
 
 The frame is a definite dynamical metric ``g`` itself: ``g`` when it is
 positive definite, ``-g`` when it is negative definite.  Then
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import schur
 
 from .tensors import FieldTensor, MetricTensor, PhysicalConstants, _as_square_matrix, _frozen
 
@@ -137,18 +137,19 @@ def decompose(field: FieldTensor, metric: MetricTensor | None = None) -> Canonic
 
     Notes
     -----
-    The tensor is first whitened with the inverse square root of ``G``,
-    which keeps it antisymmetric.  An antisymmetric matrix is normal, so its
-    real Schur form ``Z.T @ S @ Z = T`` is block diagonal: 2x2 blocks, found
-    where the subdiagonal of ``T`` is nonzero, and 1x1 zeros.  Each block's
-    strength is the mean of its two off-diagonal magnitudes; a block with
-    negative orientation gets its second column negated, so every strength is
-    positive.  Blocks are ordered by descending strength with a stable sort,
-    so equal strengths keep their Schur order and the output is deterministic.
-    Strengths at or below ``ZERO_STRENGTH_RTOL`` times the Frobenius norm of
-    the whitened tensor are treated as zero and their columns join the free
-    ones, which come last in Schur order; the cut has no absolute floor, so
-    the block count does not depend on the field's units.
+    The tensor is first whitened with the inverse square root of ``G`` into
+    ``S``, still antisymmetric, so ``iS`` is Hermitian.  An eigenvector
+    ``v`` of ``iS`` with eigenvalue ``s > 0`` gives a block of strength ``s``
+    and column pair ``(v.imag, v.real)``, as ``S v.imag = -s v.real`` and
+    ``S v.real = s v.imag``.  Each ``v`` is first turned so that its largest
+    entry is ``+i`` times its modulus, so a tensor already in block form keeps
+    ``B = I``.  Blocks come in descending strength; strengths at or below
+    ``ZERO_STRENGTH_RTOL`` times the Frobenius norm of the whitened tensor are
+    zero, a cut with no absolute floor, so the block count does not depend on
+    the field's units.  The free columns, each with its largest entry
+    positive, span the complement of the pairs (from an SVD).  A last QR
+    factorization with positive ``diag(R)`` orthonormalizes every column
+    again, removing the roundoff mixing of nearly equal or tiny strengths.
     """
     n = field.n
     frame = _frame(metric, n)
@@ -160,18 +161,17 @@ def decompose(field: FieldTensor, metric: MetricTensor | None = None) -> Canonic
         skew = white @ field.matrix @ white
         skew = (skew - skew.T) / 2.0
 
-    t, z = schur(skew, output="real")
-    lead = np.flatnonzero(np.diag(t, -1))
-    strengths = (t[lead, lead + 1] - t[lead + 1, lead]) / 2.0
-    z[:, lead[strengths < 0.0] + 1] *= -1.0
-    strengths = np.abs(strengths)
-    kept = strengths > ZERO_STRENGTH_RTOL * float(np.linalg.norm(skew))
-    order = np.argsort(-strengths[kept], kind="stable")
-    lead, strengths = lead[kept][order], strengths[kept][order]
-    paired = np.column_stack([lead, lead + 1]).reshape(-1)
-    vmat = z[:, np.r_[paired, np.setdiff1d(np.arange(n), paired)]]
-    basis = vmat if white is None else white @ vmat
-    return CanonicalForm(basis=basis, strengths=strengths)
+    w, v = np.linalg.eigh(1j * skew)
+    kept = np.flatnonzero(w > ZERO_STRENGTH_RTOL * float(np.linalg.norm(skew)))[::-1]
+    top = v[np.argmax(np.abs(v), axis=0), np.arange(n)][kept]
+    v = v[:, kept] * (1j * np.conj(top) / np.abs(top))
+    pairs = np.stack([v.imag, v.real], axis=2).reshape(n, 2 * kept.size)
+    free = np.linalg.svd(pairs.T)[2][2 * kept.size:].T if kept.size else np.eye(n)
+    free = free * np.sign(free[np.argmax(np.abs(free), axis=0), np.arange(n - 2 * kept.size)])
+    q, r = np.linalg.qr(np.hstack([pairs, free]))
+    vmat = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    basis = (vmat if white is None else white @ vmat) + 0.0  # + 0.0 turns -0.0 into 0.0
+    return CanonicalForm(basis=basis, strengths=w[kept])
 
 
 def canonical_tensor(form: CanonicalForm) -> np.ndarray:

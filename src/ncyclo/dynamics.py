@@ -5,11 +5,11 @@ the flow has a closed form.  For a definite metric every sample is evaluated
 directly from the block decomposition of the field in the metric's own frame:
 a rotation per block and a uniform drift per free direction.  An indefinite
 metric has no such frame, so its one-step map, the exponential of the Van Loan
-augmented matrix ``dt [[K, I], [0, 0]]``, is built once and iterated.  Classic
-fourth-order Runge-Kutta is the same iteration with the exponential's degree-4
-Taylor polynomial: on a linear flow that polynomial is exactly one RK4 step.
-Every method samples the orbit into one
-:class:`Trajectory` of time, position and momentum arrays, which
+augmented matrix ``dt [[K, I], [0, 0]]``, is built once and iterated; only
+this path imports ``scipy.linalg.expm``.  Classic fourth-order Runge-Kutta is
+the same iteration with the exponential's degree-4 Taylor polynomial: on a
+linear flow that polynomial is exactly one RK4 step.  Every method samples the
+orbit into one :class:`Trajectory` of time, position and momentum arrays, which
 :func:`write_trajectory_csv` and :func:`write_trajectory_structured` stream to
 a file.  The dual momentum ``p - (q/c) H x`` is an integral of the motion for
 every metric, and in the block basis it locates the centers of the cyclotron
@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .canonical import CanonicalForm, decompose, to_canonical
 from .tensors import FieldTensor, MetricTensor, PhysicalConstants, _frozen
@@ -183,6 +182,8 @@ def _sample(state: ParticleState, k: np.ndarray, metric: MetricTensor,
     aug = np.zeros((2 * n, 2 * n))
     aug[:n, :n] = dt * k
     aug[:n, n:] = dt * np.eye(n)
+    if exact:  # only an indefinite exact orbit loads scipy
+        from scipy.linalg import expm
     full = expm(aug) if exact else _taylor4(aug)
     prop, integral = full[:n, :n], full[:n, n:]
     ginv_over_m = metric.inverse / constants.mass
@@ -209,10 +210,12 @@ def evolve_exact_trajectory(state: ParticleState, k: np.ndarray, metric: MetricT
     block pair of ``u`` turns at ``s`` times its strength and each free
     component stays constant, so every sample is evaluated directly from its
     time: ``p(t) = p0 + s g B (u(t) - u0)`` and ``x(t) = x0 + (s/m) B`` times
-    the integral of ``u`` over ``[0, t]``.  Strengths that :func:`decompose`
-    cuts to zero move as free directions.  An indefinite metric has no such
-    frame: its one-step map is built once and iterated, one matrix-vector
-    product pair per sample.  Returns ``steps + 1`` samples, the input first.
+    the integral of ``u`` over ``[0, t]``.  Blocks that :func:`decompose` cuts
+    to zero still turn over a long orbit, so the free columns' remainder
+    ``B_f^T (q/mc) H B_f`` is split again at its own scale.  An indefinite
+    metric has no such frame: its one-step map is built once and iterated, one
+    matrix-vector product pair per sample.  Returns ``steps + 1`` samples, the
+    input first.
     """
     if not np.isfinite(dt):
         raise ValueError("dt must be finite")
@@ -224,12 +227,19 @@ def evolve_exact_trajectory(state: ParticleState, k: np.ndarray, metric: MetricT
     sign = 1.0 if metric.signature[0] else -1.0
     g = metric.matrix
     kg = k @ g
-    form = decompose(FieldTensor((kg - kg.T) / 2.0), metric)
-    basis, nb = form.basis, form.num_blocks
+    skew = (kg - kg.T) / 2.0
+    form = decompose(FieldTensor(skew), metric)
+    basis, strengths, nb = form.basis, form.strengths, form.num_blocks
+    rest = basis[:, 2 * nb:].T @ skew @ basis[:, 2 * nb:]
+    if np.any(rest - rest.T):
+        inner = decompose(FieldTensor((rest - rest.T) / 2.0))
+        basis = np.hstack([basis[:, :2 * nb], basis[:, 2 * nb:] @ inner.basis])
+        strengths = np.concatenate([strengths, inner.strengths])
+        nb = strengths.size
     first, second = slice(0, 2 * nb, 2), slice(1, 2 * nb, 2)  # of each block pair
     u0 = state.momentum @ basis
     a, b = u0[first], u0[second]
-    omega = sign * form.strengths
+    omega = sign * strengths
     t = np.arange(steps + 1) * dt
     # An orbit that overflows is reported once, by Trajectory, instead of
     # through a floating-point warning per operation.

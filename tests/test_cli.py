@@ -532,6 +532,42 @@ def test_every_sample_config_runs(path, tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+SCIPY_PROBE = """
+import json, sys
+from ncyclo.cli import main
+calls, minkowski = json.loads(sys.argv[1]), sys.argv[2:]
+codes = [main(args) for args in calls]
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+codes.append(main(minkowski))
+print(json.dumps({"codes": codes, "scipy_before_minkowski": loaded,
+                  "scipy_after": "scipy.linalg" in sys.modules}))
+"""
+
+
+def test_scipy_loaded_only_for_an_indefinite_exact_orbit(tmp_path):
+    # One fresh interpreter runs every command on uniform3d, exact and RK4,
+    # through main; only then does the indefinite exact orbit need expm.
+    import subprocess
+    import sys
+    uniform = next(path for path in SAMPLE_CONFIGS if path.stem == "uniform3d")
+    minkowski = next(path for path in SAMPLE_CONFIGS if path.stem == "minkowski4d")
+    data = json.loads(uniform.read_text())
+    data["integration"]["method"] = "rk4"
+    rk4 = write_config(tmp_path, data)
+    calls = [["decompose", "--config", str(uniform)], ["spectrum", "--config", str(uniform)],
+             ["verify", "--config", str(uniform)],
+             ["simulate", "--config", str(uniform), "--out", str(tmp_path / "exact.csv")],
+             ["simulate", "--config", rk4, "--out", str(tmp_path / "rk4.csv")]]
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, json.dumps(calls),
+         "simulate", "--config", str(minkowski), "--out", str(tmp_path / "minkowski.csv")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0] * 6, "scipy_before_minkowski": [], "scipy_after": True}
+    assert (tmp_path / "minkowski.csv").stat().st_size > 0
+
+
 class TestEntryPoint:
     def test_console_script_runs(self, tmp_path):
         import subprocess

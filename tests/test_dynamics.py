@@ -7,11 +7,13 @@ import pytest
 
 from ncyclo import dynamics
 from ncyclo import (
+    CanonicalForm,
     FieldTensor,
     MetricTensor,
     ParticleState,
     PhysicalConstants,
     Trajectory,
+    canonical_tensor,
     decompose,
     dual_momentum_value,
     dynamics_matrix,
@@ -26,7 +28,7 @@ from ncyclo import (
     write_trajectory_structured,
 )
 from ncyclo.config import RunConfig
-from conftest import random_antisymmetric, random_spd
+from conftest import random_antisymmetric, random_orthogonal, random_spd
 from oracle import van_loan_final
 
 EUCLID2 = MetricTensor.euclidean(2)
@@ -242,6 +244,22 @@ class TestClosedForm:
         np.testing.assert_array_equal(one.position, trajectory.position[1])
         np.testing.assert_array_equal(one.momentum, trajectory.momentum[1])
         assert one.time == trajectory.time[1]
+
+    @pytest.mark.parametrize("strengths", [[1.0, 1e-11], [1.0]], ids=["1e-11", "zero"])
+    def test_block_below_the_zero_cut_still_turns(self, strengths):
+        # decompose cuts the 1e-11 block to zero, yet over 1e5 steps it turns
+        # the orbit by 1.2e-8 rad: moved as a free direction, x ends 5.8e-6
+        # off the oracle.  The exact zero block is the control.
+        q = random_orthogonal(np.random.default_rng(0), 4)
+        m = q @ canonical_tensor(CanonicalForm(np.eye(4), strengths)) @ q.T
+        h, metric = FieldTensor((m - m.T) / 2.0), MetricTensor.euclidean(4)
+        assert decompose(h).num_blocks == 1
+        state = ParticleState([0.3, -0.2, 0.5, 0.1], [0.7, 0.4, -0.6, 0.9])
+        trajectory = evolve_exact_trajectory(state, dynamics_matrix(h, metric, UNIT), metric,
+                                             UNIT, 0.0123, 100_000)
+        deviation, scale = oracle_error(trajectory, h, metric, UNIT, 0.0123, 100_000)
+        assert scale > 1000.0
+        assert deviation <= 1e-10
 
     def test_no_per_sample_iteration(self, rng, monkeypatch):
         def refuse(*args):
