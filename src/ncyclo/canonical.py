@@ -14,27 +14,22 @@ positive definite, ``-g`` when it is negative definite.  Then
 frequencies.  An indefinite ``g`` has no frame, so callers pass no metric and
 the identity stands in; the basis may then hold ``g``-null vectors (see
 :func:`metric_singular_columns`).  Any positive-definite form ``G`` is a frame,
-passed as ``MetricTensor(G)``.
+passed as ``MetricTensor(G)``.  The form that :func:`decompose` returns keeps
+its frame as ``frame``, so nothing downstream works the frame out again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .tensors import FieldTensor, MetricTensor, PhysicalConstants, _as_square_matrix, _frozen
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .dynamics import ParticleState, Trajectory
+from .tensors import FieldTensor, MetricTensor, _as_square_matrix, _frozen
 
 __all__ = [
     "CanonicalForm",
-    "CanonicalCoords",
     "decompose",
     "canonical_tensor",
-    "to_canonical",
     "orthonormality_residual",
     "reconstruction_residual",
     "metric_singular_columns",
@@ -51,11 +46,14 @@ class CanonicalForm:
     ``basis`` holds the new basis vectors as columns, expressed in the original
     coordinates; block ``l`` lives in columns ``2l`` and ``2l + 1``.
     ``strengths`` are the positive block values in descending order; the
-    remaining ``free_dims`` columns span the kernel of the tensor.
+    remaining ``free_dims`` columns span the kernel of the tensor.  ``frame``
+    is the positive-definite form ``G`` the basis is orthonormal against,
+    ``B.T @ G @ B = I``; the identity when omitted.
     """
 
     basis: np.ndarray
     strengths: np.ndarray
+    frame: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         b = _as_square_matrix(self.basis, "basis")
@@ -64,8 +62,13 @@ class CanonicalForm:
             raise ValueError(f"{s.size} blocks cannot fit in {b.shape[0]} dimensions")
         if s.size and (not np.all(s > 0) or np.any(np.diff(s) > 0)):
             raise ValueError("strengths must be positive and sorted in descending order")
+        g = np.eye(b.shape[0]) if self.frame is None else _as_square_matrix(self.frame, "frame")
+        if g.shape != b.shape:
+            raise ValueError(f"frame is {g.shape[0]}x{g.shape[0]} but the basis is "
+                             f"{b.shape[0]}x{b.shape[0]}")
         object.__setattr__(self, "basis", _frozen(b))
         object.__setattr__(self, "strengths", _frozen(s))
+        object.__setattr__(self, "frame", _frozen(g))
 
     @property
     def n(self) -> int:
@@ -78,26 +81,6 @@ class CanonicalForm:
     @property
     def free_dims(self) -> int:
         return self.n - 2 * self.num_blocks
-
-
-@dataclass(frozen=True, eq=False)
-class CanonicalCoords:
-    """Position and momenta in a decomposition basis, of one state or of each sample.
-
-    Each field is one ``(n,)`` vector, or ``(N, n)`` with one row per sample.
-    Both momenta carry the light-speed-over-charge rescaling that makes the
-    block equations read ``Theta @ position = momentum - dual_momentum``.
-    """
-
-    position: np.ndarray
-    momentum: np.ndarray
-    dual_momentum: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("position", "momentum", "dual_momentum"):
-            object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype=float)))
-        if not (self.position.shape == self.momentum.shape == self.dual_momentum.shape):
-            raise ValueError("canonical coordinate arrays must share one shape")
 
 
 def _inverse_sqrt(matrix: np.ndarray) -> np.ndarray:
@@ -133,7 +116,7 @@ def decompose(field: FieldTensor, metric: MetricTensor | None = None) -> Canonic
     -------
     CanonicalForm
         Basis ``B`` with ``B.T @ G @ B = I`` and
-        ``B.T @ H @ B = canonical_tensor(form)``.
+        ``B.T @ H @ B = canonical_tensor(form)``, and ``G`` as its ``frame``.
 
     Notes
     -----
@@ -171,7 +154,7 @@ def decompose(field: FieldTensor, metric: MetricTensor | None = None) -> Canonic
     q, r = np.linalg.qr(np.hstack([pairs, free]))
     vmat = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
     basis = (vmat if white is None else white @ vmat) + 0.0  # + 0.0 turns -0.0 into 0.0
-    return CanonicalForm(basis=basis, strengths=w[kept])
+    return CanonicalForm(basis=basis, strengths=w[kept], frame=frame)
 
 
 def canonical_tensor(form: CanonicalForm) -> np.ndarray:
@@ -183,36 +166,10 @@ def canonical_tensor(form: CanonicalForm) -> np.ndarray:
     return theta
 
 
-def to_canonical(
-    form: CanonicalForm,
-    state: "ParticleState | Trajectory",
-    field: FieldTensor,
-    constants: PhysicalConstants,
-) -> CanonicalCoords:
-    """Express a state, or every sample of a trajectory, in the decomposition basis.
-
-    The returned momenta are rescaled by ``c / q`` so that, together with the
-    assembled block tensor, they satisfy
-    ``canonical_tensor(form) @ position = momentum - dual_momentum``; for a
-    trajectory each array has one row per sample.
-    """
-    x, p = state.position, state.momentum
-    if form.n != field.n or x.shape[-1] != form.n:
-        raise ValueError("form, field, and state dimensions do not agree")
+def orthonormality_residual(form: CanonicalForm) -> float:
+    """Frobenius norm of ``B.T @ G @ B - I`` for the form's own ``frame`` ``G``."""
     b = form.basis
-    scale = constants.light_speed / constants.charge
-    p_dual = p - constants.coupling * (x @ field.matrix.T)
-    return CanonicalCoords(
-        position=np.linalg.solve(b, x.T).T,
-        momentum=scale * (p @ b),
-        dual_momentum=scale * (p_dual @ b),
-    )
-
-
-def orthonormality_residual(form: CanonicalForm, metric: MetricTensor | None = None) -> float:
-    """Frobenius norm of ``B.T @ G @ B - I`` for the frame ``G`` of ``metric``."""
-    b = form.basis
-    return float(np.linalg.norm(b.T @ _frame(metric, form.n) @ b - np.eye(form.n)))
+    return float(np.linalg.norm(b.T @ form.frame @ b - np.eye(form.n)))
 
 
 def reconstruction_residual(form: CanonicalForm, field: FieldTensor) -> float:

@@ -71,7 +71,7 @@ def cmd_decompose(config: RunConfig, out_path: str | None) -> int:
         "strengths": [float(s) for s in form.strengths],
         "num_blocks": form.num_blocks,
         "free_dims": form.free_dims,
-        "orthonormality_residual": orthonormality_residual(form, config.gamma_tensor()),
+        "orthonormality_residual": orthonormality_residual(form),
         "reconstruction_residual": reconstruction_residual(form, config.field_tensor()),
         "metric_singular_columns": metric_singular_columns(form, config.metric_tensor().matrix),
     }

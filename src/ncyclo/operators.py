@@ -58,27 +58,6 @@ class AffineOperator:
         if self.hbar != other.hbar:
             raise ValueError("operators carry different values of hbar")
 
-    def __add__(self, other: "AffineOperator") -> "AffineOperator":
-        self._like(other)
-        return AffineOperator(self.scalar + other.scalar,
-                              self.position + other.position,
-                              self.momentum + other.momentum, self.hbar)
-
-    def __sub__(self, other: "AffineOperator") -> "AffineOperator":
-        self._like(other)
-        return AffineOperator(self.scalar - other.scalar,
-                              self.position - other.position,
-                              self.momentum - other.momentum, self.hbar)
-
-    def __neg__(self) -> "AffineOperator":
-        return AffineOperator(-self.scalar, -self.position, -self.momentum, self.hbar)
-
-    def __mul__(self, factor: complex) -> "AffineOperator":
-        return AffineOperator(factor * self.scalar, factor * self.position,
-                              factor * self.momentum, self.hbar)
-
-    __rmul__ = __mul__
-
 
 def _momentum(rows: np.ndarray, constants: PhysicalConstants, index) -> AffineOperator:
     # -i hbar d_j - (q/c) rows[j, k] x^k for one component j or an array of them.

@@ -143,7 +143,7 @@ class TestDecompose:
             h = FieldTensor(m)
             for metric in (MetricTensor(spd), MetricTensor(-spd)):
                 form = decompose(h, metric)
-                assert orthonormality_residual(form, metric) <= 1e-10
+                assert orthonormality_residual(form) <= 1e-10
                 assert reconstruction_residual(form, h) <= 1e-10
                 oracle = positive_imag_eigenvalues(np.linalg.inv(metric.matrix) @ m)
                 np.testing.assert_allclose(form.strengths, oracle, atol=1e-8)
@@ -169,11 +169,25 @@ class TestDecompose:
     def test_rejects_indefinite_metric(self):
         # An indefinite metric has no frame; the identity is asked for with None.
         h = FieldTensor([[0.0, 1.0], [-1.0, 0.0]])
-        minkowski = MetricTensor.minkowski(2)
         with pytest.raises(ValueError, match="indefinite"):
-            decompose(h, minkowski)
-        with pytest.raises(ValueError, match="indefinite"):
-            orthonormality_residual(decompose(h), minkowski)
+            decompose(h, MetricTensor.minkowski(2))
+
+    def test_form_carries_its_frame(self, rng):
+        n = 5
+        h = FieldTensor(random_antisymmetric(rng, n))
+        spd = MetricTensor(random_spd(rng, n))
+        positive, negative = decompose(h, spd), decompose(h, MetricTensor(-spd.matrix))
+        np.testing.assert_array_equal(positive.frame, spd.matrix)
+        # The frame of -g is -(-g), and negation is exact.
+        np.testing.assert_array_equal(negative.frame, spd.matrix)
+        np.testing.assert_array_equal(decompose(h).frame, np.eye(n))
+        with pytest.raises(ValueError, match="read-only"):
+            positive.frame[0, 0] = 1.0
+        with pytest.raises(ValueError, match="^frame is 2x2 but the basis is 3x3$"):
+            CanonicalForm(np.eye(3), [1.0], frame=np.eye(2))
+        b = positive.basis
+        assert orthonormality_residual(positive) == np.linalg.norm(b.T @ spd.matrix @ b
+                                                                   - np.eye(n))
 
 
 def planted_field(seed, n, clustered):
@@ -287,6 +301,28 @@ class TestToCanonical:
         coords = to_canonical(form, state, h, PhysicalConstants())
         gap = theta @ coords.position - (coords.momentum - coords.dual_momentum)
         assert np.abs(gap).max() <= 1e-10
+
+    def test_block_identity_ill_conditioned_frames(self):
+        # decompose's whitening leaves the basis G-orthonormal only to about
+        # cond(G) roundoffs, so the position is solved from B xi = x rather
+        # than read off as B^T G x: at condition 1e6 the shortcut misses the
+        # block equations by ~1e-10 of the dual gap, solve by ~1e-13.
+        rng = np.random.default_rng(6)
+        constants = PhysicalConstants(mass=1.3, charge=-0.7, light_speed=2.0)
+        n = 6
+        for cond in (1e4, 1e5, 1e6):
+            for _ in range(3):
+                spectrum = np.logspace(0.0, np.log10(cond), n)
+                q = random_orthogonal(rng, n)
+                h = FieldTensor(random_antisymmetric(rng, n))
+                form = decompose(h, MetricTensor(q @ np.diag(spectrum) @ q.T))
+                theta = canonical_tensor(form)
+                for _ in range(10):
+                    state = ParticleState(rng.standard_normal(n), rng.standard_normal(n))
+                    coords = to_canonical(form, state, h, constants)
+                    gap = coords.momentum - coords.dual_momentum
+                    miss = np.abs(theta @ coords.position - gap).max()
+                    assert miss <= 1e-12 * np.abs(gap).max()
 
     def test_dimension_mismatch(self):
         h = FieldTensor([[0.0, 1.0], [-1.0, 0.0]])
