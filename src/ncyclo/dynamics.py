@@ -4,12 +4,15 @@ The momentum obeys a linear equation ``p' = K p`` with a constant matrix, so
 the flow has a closed form.  For a definite metric every sample is evaluated
 directly from the block decomposition of the field in the metric's own frame:
 a rotation per block and a uniform drift per free direction.  An indefinite
-metric has no such frame, so its one-step map, the exponential of the Van Loan
-augmented matrix ``dt [[K, I], [0, 0]]``, is built once and iterated; only
-this path imports ``scipy.linalg.expm``.  Classic fourth-order Runge-Kutta is
-the same iteration with the exponential's degree-4 Taylor polynomial: on a
-linear flow that polynomial is exactly one RK4 step.  Every method samples the
-orbit into one :class:`Trajectory` of time, position and momentum arrays, which
+metric has no such frame, so its orbit is propagated in blocks of about
+``sqrt(N)`` samples from the one-step map, the exponential of the Van Loan
+augmented matrix ``dt [[K, I], [0, 0]]``, and a leap map over one block: about
+``2 sqrt(N)`` array operations for ``N`` steps, with roundoff growing like
+``2 sqrt(N)`` roundoffs; only this path imports ``scipy.linalg.expm``.
+Classic fourth-order Runge-Kutta is the same block propagation with the
+exponential's degree-4 Taylor polynomial: on a linear flow that polynomial is
+exactly one RK4 step.  Every method samples the orbit into one
+:class:`Trajectory` of time, position and momentum arrays, which
 :func:`write_trajectory_csv` and :func:`write_trajectory_structured` stream to
 a file.  The dual momentum ``p - (q/c) H x`` is an integral of the motion for
 every metric, and in the block basis it locates the centers of the cyclotron
@@ -191,35 +194,53 @@ def _taylor4(a: np.ndarray) -> np.ndarray:
 
 def _sample(state: ParticleState, k: np.ndarray, metric: MetricTensor,
             constants: PhysicalConstants, dt: float, steps: int, exact: bool) -> Trajectory:
-    """Iterate the step map ``F(dt [[K, I], [0, 0]])`` ``steps`` times into preallocated rows.
+    """Propagate ``z = (p, x)`` by the step map ``E = [[P, 0], [g^{-1} J / m, I]]`` in blocks.
 
-    ``F`` is the matrix exponential when ``exact``, else its degree-4 Taylor
-    polynomial: one classic RK4 step of this linear flow.  The map's top-left
-    block ``P`` advances the momentum and its top-right block ``J``, the
-    integral of ``P`` over the step (Van Loan), the position:
-    ``(x, p) -> (x + g^{-1} J p / m, P p)``.  No inverse of ``K`` appears, so
-    free directions need no care.
+    ``F(dt [[K, I], [0, 0]]) = [[P, J], [0, I]]`` is the matrix exponential
+    when ``exact``, else its degree-4 Taylor polynomial: one classic RK4 step
+    of this linear flow.  ``P`` advances the momentum and ``J``, the integral
+    of ``P`` over the step (Van Loan), the position.  No inverse of ``K``
+    appears, so free directions need no care.
+
+    With ``b = round(sqrt(steps + 1))`` the first ``b`` samples come from
+    iterating ``E``, and every later block of ``b`` samples is the block before
+    it times the leap ``E^b``: about ``2 sqrt(steps)`` array operations instead
+    of one matrix-vector product pair per sample, and roundoff that grows like
+    ``2 sqrt(steps)`` roundoffs instead of ``steps``.  The exact leap is a
+    fresh exponential over ``b dt``, since the error of a ``b``-fold product
+    would compound over the leaps; the RK4 leap is the ``b``-th power of its
+    step map.  Only samples grow, never a power of ``E``, so an orbit that
+    overflows is refused at the sample that leaves the float range.
     """
     n = state.n
-    aug = np.zeros((2 * n, 2 * n))
-    aug[:n, :n] = dt * k
-    aug[:n, n:] = dt * np.eye(n)
+    ginv_over_m = metric.inverse / constants.mass
     if exact:  # only an indefinite exact orbit loads scipy
         from scipy.linalg import expm
-    full = expm(aug) if exact else _taylor4(aug)
-    prop, integral = full[:n, :n], full[:n, n:]
-    ginv_over_m = metric.inverse / constants.mass
-    position = np.empty((steps + 1, n))
-    momentum = np.empty((steps + 1, n))
-    x, p = state.position, state.momentum
-    position[0], momentum[0] = x, p
+
+    def step_map(h: float) -> np.ndarray:
+        aug = np.zeros((2 * n, 2 * n))
+        aug[:n, :n] = h * k
+        aug[:n, n:] = h * np.eye(n)
+        full = expm(aug) if exact else _taylor4(aug)
+        e = np.eye(2 * n)
+        e[:n, :n] = full[:n, :n]
+        e[n:, :n] = ginv_over_m @ full[:n, n:]
+        return e
+
+    b = round(np.sqrt(steps + 1))
+    step = step_map(dt)
+    leap = step_map(b * dt) if exact else np.linalg.matrix_power(step, b)
+    rows = np.empty((steps + 1, 2 * n))
+    rows[0, :n], rows[0, n:] = state.momentum, state.position
     # An orbit that overflows is reported once, by Trajectory, instead of
     # through a floating-point warning per operation.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, steps + 1):
-            x, p = x + ginv_over_m @ (integral @ p), prop @ p
-            position[i], momentum[i] = x, p
-    return Trajectory(state.time + np.arange(steps + 1) * dt, position, momentum)
+        for i in range(1, b):
+            rows[i] = step @ rows[i - 1]
+        for j in range(b, steps + 1, b):
+            end = min(j + b, steps + 1)
+            rows[j:end] = rows[j - b:end - b] @ leap.T
+    return Trajectory(state.time + np.arange(steps + 1) * dt, rows[:, n:], rows[:, :n])
 
 
 def evolve_exact_trajectory(state: ParticleState, k: np.ndarray, metric: MetricTensor,
@@ -235,8 +256,10 @@ def evolve_exact_trajectory(state: ParticleState, k: np.ndarray, metric: MetricT
     and ``x(t) = x0 + (s/m) B`` times the integral of ``u`` over ``[0, t]``.
     Blocks that :func:`decompose` cuts to zero still turn over a long orbit,
     so the free columns' remainder ``B_f^T (q/mc) H B_f`` is split again at
-    its own scale.  An indefinite metric has no such frame: its one-step map
-    is built once and iterated, one matrix-vector product pair per sample.
+    its own scale.  An indefinite metric has no such frame: its orbit is
+    propagated in ``sqrt(steps)``-sample blocks of the one-step map, about
+    ``2 sqrt(steps)`` array operations with roundoff growing like
+    ``2 sqrt(steps)`` roundoffs.
     Returns ``steps + 1`` samples, the input first.
     """
     if not np.isfinite(dt):
@@ -285,10 +308,10 @@ def evolve_rk4(state: ParticleState, k: np.ndarray, metric: MetricTensor,
     """Classic fourth-order Runge-Kutta trajectory: ``steps + 1`` samples, the input first.
 
     The flow is linear, so an RK4 step is a fixed matrix pair: the degree-4
-    Taylor polynomial of the step's exponential, iterated like the exact map
-    of an indefinite metric.  Its roundoff grows with the step count like that
-    map's; the independent check of both is the 40-digit oracle of the tests
-    (``tests/oracle.py``).
+    Taylor polynomial of the step's exponential, propagated in
+    ``sqrt(steps)``-sample blocks like the exact map of an indefinite metric,
+    with the same ``2 sqrt(steps)`` growth of roundoff; the independent check
+    of both is the 40-digit oracle of the tests (``tests/oracle.py``).
     """
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive")

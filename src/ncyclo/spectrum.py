@@ -9,6 +9,7 @@ every dimension, which cannot happen in odd dimension.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,11 @@ __all__ = [
     "classify_spectrum",
     "level_listing",
 ]
+
+# Frequencies agreeing to 2**-LADDER_BITS (1.1e-13) of the larger one form one
+# degenerate ladder, and level_listing rounds each ladder's frequency to this
+# many bits, so that equal ladder energies tie exactly.
+LADDER_BITS = 43
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,22 +99,41 @@ def level_listing(form: CanonicalForm, constants: PhysicalConstants,
                   count: int) -> list[dict]:
     """The ``count`` lowest ladder energies with their quantum numbers.
 
-    Best-first search over multi-indices; ties resolve lexicographically so the
-    listing is deterministic.  Empty when there are no blocks.
+    Best-first search over multi-indices.  Frequencies within
+    ``2**-LADDER_BITS`` of the largest of their run form one degenerate
+    ladder, and each ladder's frequency is rounded to ``LADDER_BITS`` bits, an
+    integer multiple of one power of two.  A level's energy is then an exact
+    integer sum over its quanta that depends on the multi-index alone, not on
+    the search path, so equal energies tie exactly, also between ladders whose
+    frequencies are integer multiples of each other, and the tie resolves
+    lexicographically: the last bits of the strengths do not reorder the
+    listing.  Each energy is within ``2**(1 - LADDER_BITS)`` of its
+    :func:`landau_level`, relatively.  Empty when there are no blocks.
     """
     if form.num_blocks == 0 or count <= 0:
         return []
-    omegas = cyclotron_frequencies(form, constants)
+    rounded = []  # (mantissa, exponent) of each block's rounded frequency
+    leader = math.inf
+    for omega in cyclotron_frequencies(form, constants).tolist():
+        if omega < leader * (1.0 - 2.0 ** -LADDER_BITS):
+            leader = omega
+            mantissa, exponent = math.frexp(omega)
+            ladder = (round(math.ldexp(mantissa, LADDER_BITS)), exponent - LADDER_BITS)
+        rounded.append(ladder)
+    unit = min(exponent for _, exponent in rounded)
+    quanta = [mantissa << (exponent - unit) for mantissa, exponent in rounded]
+    # Twice the energy in units of hbar * 2**unit: sum of quanta * (2 n + 1).
     start = (0,) * form.num_blocks
-    heap = [(landau_level(form, constants, start), start)]
+    heap = [(sum(quanta), start)]
     seen = {start}
     out: list[dict] = []
     while heap and len(out) < count:
-        energy, numbers = heapq.heappop(heap)
-        out.append({"energy": energy, "quantum_numbers": list(numbers)})
+        key, numbers = heapq.heappop(heap)
+        out.append({"energy": constants.hbar * math.ldexp(key, unit - 1),
+                    "quantum_numbers": list(numbers)})
         for l in range(form.num_blocks):
             succ = numbers[:l] + (numbers[l] + 1,) + numbers[l + 1:]
             if succ not in seen:
                 seen.add(succ)
-                heapq.heappush(heap, (energy + float(constants.hbar * omegas[l]), succ))
+                heapq.heappush(heap, (key + 2 * quanta[l], succ))
     return out

@@ -291,6 +291,29 @@ class TestSimulateCommand:
                                 "at step 18 (t = 180000000)\n")
         assert not out.exists()
 
+    def test_long_boost_refused_at_the_sample_that_overflows(self, tmp_path, capsys):
+        # The boost block of minkowski4d grows like exp(t / 2); propagated in
+        # blocks, its first non-finite sample is the one that stepping one step
+        # at a time reaches too.
+        sample = json.loads((SAMPLE_CONFIGS[0].parent / "minkowski4d.json").read_text())
+        field = np.zeros((4, 4))
+        field[2:, 2:] = np.array(sample["field"])[2:, 2:]
+        out = tmp_path / "boost.csv"
+        config = write_config(tmp_path, {
+            "n": 4,
+            "metric": "minkowski",
+            "field": field.tolist(),
+            "initial": sample["initial"],
+            "integration": {"dt": 0.02, "steps": 100_000, "method": "exact"},
+            "output": {"path": str(out), "format": "csv"},
+        })
+        assert main(["simulate", "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the orbit leaves the floating-point range "
+                                "at step 71168 (t = 1423.36)\n")
+        assert not out.exists()
+
     def test_orbit_with_overflowing_squares_refused_by_name(self, tmp_path, capsys):
         # RK4 at dt = 10 multiplies the boost mode by about 644 per step: the
         # samples stay finite to the end, but their squares overflow at step 55.

@@ -292,6 +292,72 @@ def stagewise_rk4(state, k, metric, constants, dt, steps):
     return x, p
 
 
+def rotated_minkowski_case(rng):
+    """A bounded orbit under ``diag(1, 1, 1, -1)``: one unit block in randomly rotated space axes."""
+    rotation = np.eye(4)
+    rotation[:3, :3] = random_orthogonal(rng, 3)
+    theta = np.zeros((4, 4))
+    theta[0, 1], theta[1, 0] = 1.0, -1.0
+    h = FieldTensor(rotation @ theta @ rotation.T)
+    state = ParticleState(rng.uniform(-1.0, 1.0, 4), rotation @ [1.0, 0.0, 0.25, 0.1])
+    return h, MetricTensor.minkowski(4), state
+
+
+def stepwise(state, k, metric, constants, dt, steps, exact):
+    """Every sample ``(x, p)`` from applying the one-step map once per step.
+
+    The map is ``expm(dt [[K, I], [0, 0]])`` when ``exact``, else the sum of
+    its first five Taylor terms: one classic RK4 step of the linear flow.
+    """
+    from scipy.linalg import expm
+
+    n = state.n
+    aug = np.zeros((2 * n, 2 * n))
+    aug[:n, :n], aug[:n, n:] = dt * k, dt * np.eye(n)
+    if exact:
+        full = expm(aug)
+    else:
+        full, term = np.eye(2 * n), np.eye(2 * n)
+        for j in range(1, 5):
+            term = term @ aug / j
+            full = full + term
+    prop, integral = full[:n, :n], full[:n, n:]
+    x, p = [state.position], [state.momentum]
+    for _ in range(steps):
+        x.append(x[-1] + metric.inverse @ (integral @ p[-1]) / constants.mass)
+        p.append(prop @ p[-1])
+    return np.array(x), np.array(p)
+
+
+class TestBlockPropagation:
+    def test_rotated_minkowski_frames_on_the_oracle(self):
+        # After 1e5 steps the blocks land 2e-14 to 1.1e-13 of the orbit's scale
+        # off the oracle on these frames; the step map applied once per step
+        # lands 1.5e-12 to 2.1e-12 off.
+        for seed in (1, 2, 3):
+            h, metric, state = rotated_minkowski_case(np.random.default_rng(seed))
+            k = dynamics_matrix(h, metric, UNIT)
+            trajectory = evolve_exact_trajectory(state, k, metric, UNIT, 0.02, 100_000)
+            deviation, scale = oracle_error(trajectory, h, metric, UNIT, 0.02, 100_000)
+            assert deviation <= 5e-13 * scale, (seed, deviation, scale)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("steps", [1, 2, 3, 99, 101])
+    def test_blocks_match_the_step_map_applied_per_step(self, rng, steps, exact):
+        # 1 and 2 make blocks of one and of two samples, 3 and 99 fill whole
+        # blocks (4 and 100 samples), and 101 is prime, so its last block is short.
+        h, metric, state = rotated_minkowski_case(rng)
+        constants = PhysicalConstants(mass=1.7, charge=-0.8, light_speed=2.5)
+        k = dynamics_matrix(h, metric, constants)
+        evolve = evolve_exact_trajectory if exact else evolve_rk4
+        trajectory = evolve(state, k, metric, constants, 0.1, steps)
+        x, p = stepwise(state, k, metric, constants, 0.1, steps, exact)
+        scale = max(1.0, float(np.abs(x).max()), float(np.abs(p).max()))
+        assert len(trajectory) == steps + 1
+        np.testing.assert_allclose(trajectory.position, x, rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(trajectory.momentum, p, rtol=0, atol=1e-13 * scale)
+
+
 class TestEvolveRk4:
     def test_straight_line_for_zero_field(self):
         metric = MetricTensor.euclidean(2)

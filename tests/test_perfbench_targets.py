@@ -52,6 +52,7 @@ def _load(name: str):
 
 tracing = _load("tracing")
 checks = _load("checks")
+workloads = _load("workloads")
 
 
 def test_every_traced_name_is_bound():
@@ -105,3 +106,25 @@ def test_benchmark_orbit_check_passes(method, tmp_path, capsys):
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
     outcome = checks.check_simulate(cfg, capsys.readouterr().out, out, "csv")
     assert outcome.ok and outcome.samples == 5001
+
+
+@pytest.mark.parametrize("name, steps", [("spatial4-1e5", 20_000), ("boost4-1e5", None)])
+def test_benchmark_indefinite_orbits_pass_its_check(name, steps, tmp_path, capsys):
+    # The bounded orbit is cut short for test time; the boost runs its full
+    # length, since its refusal comes only after 71168 steps.
+    configs, calls = workloads.build("orbit_indefinite", 1, _ROOT / "configs")
+    [call] = [c for c in calls if c.command == "simulate" and c.config == name]
+    cfg = configs[name]
+    if steps is not None:
+        cfg["integration"]["steps"] = steps
+    config, out = tmp_path / "run.json", tmp_path / "trajectory.csv"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    status = main(["simulate", "--config", str(config), "--out", str(out),
+                   "--format", call.fmt])
+    captured = capsys.readouterr()
+    stdout, stderr = tmp_path / "stdout", tmp_path / "stderr"
+    stdout.write_text(captured.out, encoding="utf-8")
+    stderr.write_text(captured.err, encoding="utf-8")
+    outcome = checks.check(call, cfg, status, stdout, stderr, out)
+    assert outcome.ok, outcome.reason
+    assert call.refuse == (steps is None)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ncyclo import (
+    CanonicalForm,
     FieldTensor,
     MetricTensor,
     ParticleState,
@@ -19,6 +20,7 @@ from ncyclo import (
     level_listing,
     orbit_decomposition,
 )
+from ncyclo.canonical import canonical_tensor
 from conftest import random_antisymmetric
 
 UNIT = PhysicalConstants()
@@ -169,3 +171,28 @@ class TestLevelListing:
         for entry in level_listing(form, constants, 12):
             assert entry["energy"] == pytest.approx(
                 landau_level(form, constants, entry["quantum_numbers"]))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_listing_independent_of_the_last_bits_of_the_strengths(self, seed):
+        # Strengths 16, 32 and 48, each about three times, in a dense frame: a
+        # signed, row-permuted 16x16 Sylvester-Hadamard matrix W (W W^T = 16 I).
+        # Its levels come in degenerate shells, also across ladders (2 * 16 =
+        # 32), which a nudge of 2 ulps must not reorder.
+        rng = np.random.default_rng(seed)
+        w = np.ones((1, 1))
+        while w.shape[0] < 16:
+            w = np.block([[w, w], [w, -w]])
+        w = w[rng.permutation(16)] * rng.choice([-1.0, 1.0], 16)[:, None]
+        values = np.sort(rng.integers(1, 4, 8))[::-1].astype(float)
+        form = decompose(FieldTensor(w @ canonical_tensor(CanonicalForm(np.eye(16), values)) @ w.T))
+        listing = level_listing(form, UNIT, 200)
+        for direction in ([1.0] * 8, [-1.0] * 8, [1.0, -1.0] * 4, [-1.0, 1.0] * 4):
+            nudged = form.strengths
+            for _ in range(2):
+                nudged = np.nextafter(nudged, np.multiply(direction, np.inf))
+            other = level_listing(CanonicalForm(form.basis, np.sort(nudged)[::-1], form.frame),
+                                  UNIT, 200)
+            assert ([entry["quantum_numbers"] for entry in other]
+                    == [entry["quantum_numbers"] for entry in listing])
+            np.testing.assert_allclose([entry["energy"] for entry in other],
+                                       [entry["energy"] for entry in listing], rtol=1e-13)

@@ -12,7 +12,7 @@ from ncyclo import (
     gauge_antisymmetric,
     gauge_triangular,
 )
-from conftest import random_antisymmetric, random_gauge
+from conftest import random_antisymmetric, random_gauge, random_orthogonal
 
 
 class TestFieldFromGauge:
@@ -171,6 +171,24 @@ class TestDomainTypes:
         np.testing.assert_allclose(tiny.inverse, 1e13 * np.eye(2))
         with pytest.raises(ValueError, match="singular"):
             MetricTensor(np.diag([1.0, 1e-13]))
+
+    @pytest.mark.parametrize("condition, accepted", [(1e6, True), (1e7, True), (1e13, False)])
+    def test_metric_verdict_is_frame_invariant(self, rng, condition, accepted):
+        # An inversion residual |g g^-1 - I| depends on the frame: at condition
+        # 1e7 it refused most rotations of an accepted diagonal metric.
+        diagonal = np.diag(np.logspace(0.0, np.log10(condition), 6))
+        metrics = [diagonal] + [q @ diagonal @ q.T
+                                for q in (random_orthogonal(rng, 6) for _ in range(200))]
+        verdicts = []
+        for g in metrics:
+            try:
+                MetricTensor(g)
+            except ValueError as exc:
+                assert "singular or too ill-conditioned" in str(exc) and "1e+12" in str(exc)
+                verdicts.append(False)
+            else:
+                verdicts.append(True)
+        assert verdicts == [accepted] * len(metrics)
 
     def test_constants_validation(self):
         with pytest.raises(ValueError, match="mass"):
