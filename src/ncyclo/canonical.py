@@ -129,10 +129,10 @@ def decompose(field: FieldTensor, metric: MetricTensor | None = None) -> Canonic
     ``B = I``.  Blocks come in descending strength; strengths at or below
     ``ZERO_STRENGTH_RTOL`` times the Frobenius norm of the whitened tensor are
     zero, a cut with no absolute floor, so the block count does not depend on
-    the field's units.  The free columns, each with its largest entry
-    positive, span the complement of the pairs (from an SVD).  A last QR
-    factorization with positive ``diag(R)`` orthonormalizes every column
-    again, removing the roundoff mixing of nearly equal or tiny strengths.
+    the field's units.  One complete QR factorization of the pairs gives the
+    basis: its leading columns, with ``diag(R)`` made positive, undo the
+    roundoff mixing of nearly equal or tiny strengths, and its trailing
+    columns, each with its largest entry positive, span the kernel.
     """
     n = field.n
     frame = _frame(metric, n)
@@ -149,10 +149,10 @@ def decompose(field: FieldTensor, metric: MetricTensor | None = None) -> Canonic
     top = v[np.argmax(np.abs(v), axis=0), np.arange(n)][kept]
     v = v[:, kept] * (1j * np.conj(top) / np.abs(top))
     pairs = np.stack([v.imag, v.real], axis=2).reshape(n, 2 * kept.size)
-    free = np.linalg.svd(pairs.T)[2][2 * kept.size:].T if kept.size else np.eye(n)
-    free = free * np.sign(free[np.argmax(np.abs(free), axis=0), np.arange(n - 2 * kept.size)])
-    q, r = np.linalg.qr(np.hstack([pairs, free]))
-    vmat = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    q, r = np.linalg.qr(pairs, mode="complete")
+    free = q[:, 2 * kept.size:]
+    top = free[np.argmax(np.abs(free), axis=0), np.arange(n - 2 * kept.size)]
+    vmat = q * np.where(np.concatenate([np.diag(r), top]) < 0.0, -1.0, 1.0)
     basis = (vmat if white is None else white @ vmat) + 0.0  # + 0.0 turns -0.0 into 0.0
     return CanonicalForm(basis=basis, strengths=w[kept], frame=frame)
 

@@ -67,7 +67,7 @@ def landau_level(form: CanonicalForm, constants: PhysicalConstants,
     numbers = list(quantum_numbers)
     if len(numbers) != form.num_blocks:
         raise ValueError(f"expected {form.num_blocks} quantum numbers, got {len(numbers)}")
-    if any(int(n) != n or n < 0 for n in numbers):
+    if any(not (n >= 0 and math.isfinite(n) and int(n) == n) for n in numbers):
         raise ValueError("quantum numbers must be non-negative integers")
     omegas = cyclotron_frequencies(form, constants)
     return float(constants.hbar * np.sum(omegas * (np.asarray(numbers, dtype=float) + 0.5)))
@@ -99,16 +99,19 @@ def level_listing(form: CanonicalForm, constants: PhysicalConstants,
                   count: int) -> list[dict]:
     """The ``count`` lowest ladder energies with their quantum numbers.
 
-    Best-first search over multi-indices.  Frequencies within
-    ``2**-LADDER_BITS`` of the largest of their run form one degenerate
-    ladder, and each ladder's frequency is rounded to ``LADDER_BITS`` bits, an
-    integer multiple of one power of two.  A level's energy is then an exact
-    integer sum over its quanta that depends on the multi-index alone, not on
-    the search path, so equal energies tie exactly, also between ladders whose
-    frequencies are integer multiples of each other, and the tie resolves
-    lexicographically: the last bits of the strengths do not reorder the
-    listing.  Each energy is within ``2**(1 - LADDER_BITS)`` of its
-    :func:`landau_level`, relatively.  Empty when there are no blocks.
+    Best-first search over multi-indices, each pushed once, by its canonical
+    parent: the level with one quantum fewer in its last excited block.  A
+    parent precedes its child in ``(energy, multi-index)`` order, so the pops,
+    ties included, come in that order.  Frequencies within ``2**-LADDER_BITS``
+    of the largest of their run form one degenerate ladder, and each ladder's
+    frequency is rounded to ``LADDER_BITS`` bits, an integer multiple of one
+    power of two.  A level's energy is then an exact integer sum over its
+    quanta that depends on the multi-index alone, not on the search path, so
+    equal energies tie exactly, also between ladders whose frequencies are
+    integer multiples of each other, and the tie resolves lexicographically:
+    the last bits of the strengths do not reorder the listing.  Each energy is
+    within ``2**(1 - LADDER_BITS)`` of its :func:`landau_level`, relatively.
+    Empty when there are no blocks.
     """
     if form.num_blocks == 0 or count <= 0:
         return []
@@ -123,17 +126,13 @@ def level_listing(form: CanonicalForm, constants: PhysicalConstants,
     unit = min(exponent for _, exponent in rounded)
     quanta = [mantissa << (exponent - unit) for mantissa, exponent in rounded]
     # Twice the energy in units of hbar * 2**unit: sum of quanta * (2 n + 1).
-    start = (0,) * form.num_blocks
-    heap = [(sum(quanta), start)]
-    seen = {start}
+    heap = [(sum(quanta), (0,) * form.num_blocks, 0)]
     out: list[dict] = []
     while heap and len(out) < count:
-        key, numbers = heapq.heappop(heap)
+        key, numbers, last = heapq.heappop(heap)
         out.append({"energy": constants.hbar * math.ldexp(key, unit - 1),
                     "quantum_numbers": list(numbers)})
-        for l in range(form.num_blocks):
-            succ = numbers[:l] + (numbers[l] + 1,) + numbers[l + 1:]
-            if succ not in seen:
-                seen.add(succ)
-                heapq.heappush(heap, (key + 2 * quanta[l], succ))
+        for l in range(last, form.num_blocks):
+            heapq.heappush(heap, (key + 2 * quanta[l],
+                                  numbers[:l] + (numbers[l] + 1,) + numbers[l + 1:], l))
     return out

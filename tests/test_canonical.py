@@ -33,13 +33,38 @@ class TestDecompose:
         assert form.num_blocks == 1
         assert form.free_dims == 0
         np.testing.assert_allclose(form.strengths, [1.0])
-        np.testing.assert_allclose(form.basis, np.eye(2), atol=1e-14)
+        np.testing.assert_array_equal(form.basis, np.eye(2))
 
     def test_3d_axis_field(self):
         form = decompose(field_from_3d_vector([0.0, 0.0, 2.0]))
         assert form.num_blocks == 1
         assert form.free_dims == 1
         np.testing.assert_allclose(form.strengths, [2.0])
+
+    def test_block_form_keeps_the_identity_basis(self):
+        five = np.zeros((5, 5))
+        five[0, 1], five[1, 0] = 1.5, -1.5
+        for h in (field_from_3d_vector([0.0, 0.0, 2.0]), FieldTensor(five),
+                  FieldTensor(np.zeros((4, 4)))):
+            np.testing.assert_array_equal(decompose(h).basis, np.eye(h.n))
+
+    def test_free_columns_are_an_orthonormal_kernel_basis(self, rng):
+        # One block in a rotated frame leaves a four-dimensional kernel, whose
+        # basis the block form alone does not fix.
+        n = 6
+        q = random_orthogonal(rng, n)
+        m = q @ canonical_tensor(CanonicalForm(np.eye(n), [1.5])) @ q.T
+        h = FieldTensor((m - m.T) / 2.0)
+        for metric in (None, MetricTensor(random_spd(rng, n))):
+            form = decompose(h, metric)
+            assert form.free_dims == 4
+            g, pairs, free = form.frame, form.basis[:, :2], form.basis[:, 2:]
+            np.testing.assert_allclose(free.T @ g @ free, np.eye(4), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(pairs.T @ g @ free, 0.0, rtol=0, atol=1e-14)
+            # The sign rule holds in the whitened coordinates G^(1/2) B.
+            w, v = np.linalg.eigh(g)
+            white = (v * np.sqrt(w)) @ v.T @ free
+            assert np.all(white[np.argmax(np.abs(white), axis=0), np.arange(4)] > 0)
 
     def test_random_5x5_matches_eigen_oracle(self, rng):
         m = random_antisymmetric(rng, 5)

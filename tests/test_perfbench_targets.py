@@ -3,9 +3,9 @@
 The tracer finds each name with ``vars(owner)[attr]`` and reads some arguments
 by position, so renaming, unbinding or reordering any of them breaks traced
 runs; the set-up probe of perfbench/run.py calls every ``RunConfig`` accessor.
-The benchmark's own orbit check (perfbench/checks.py) runs here on short
-orbits, so a change that breaks its tolerances fails the tests, not only a
-benchmark run.
+The benchmark's own checks (perfbench/checks.py) run here on short orbits
+and on its widest fields, so a change that breaks their tolerances fails the
+tests, not only a benchmark run.
 """
 
 import ast
@@ -108,6 +108,19 @@ def test_benchmark_orbit_check_passes(method, tmp_path, capsys):
     assert outcome.ok and outcome.samples == 5001
 
 
+def _check_call(call, cfg, argv, tmp_path, capsys):
+    """Run ``call`` with the extra ``argv`` on ``cfg`` through ``main`` and
+    judge it with the benchmark's own check."""
+    config, out = tmp_path / "run.json", tmp_path / "out"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    status = main([call.command, "--config", str(config), "--out", str(out), *argv])
+    captured = capsys.readouterr()
+    stdout, stderr = tmp_path / "stdout", tmp_path / "stderr"
+    stdout.write_text(captured.out, encoding="utf-8")
+    stderr.write_text(captured.err, encoding="utf-8")
+    return checks.check(call, cfg, status, stdout, stderr, out)
+
+
 @pytest.mark.parametrize("name, steps", [("spatial4-1e5", 20_000), ("boost4-1e5", None)])
 def test_benchmark_indefinite_orbits_pass_its_check(name, steps, tmp_path, capsys):
     # The bounded orbit is cut short for test time; the boost runs its full
@@ -117,14 +130,17 @@ def test_benchmark_indefinite_orbits_pass_its_check(name, steps, tmp_path, capsy
     cfg = configs[name]
     if steps is not None:
         cfg["integration"]["steps"] = steps
-    config, out = tmp_path / "run.json", tmp_path / "trajectory.csv"
-    config.write_text(json.dumps(cfg), encoding="utf-8")
-    status = main(["simulate", "--config", str(config), "--out", str(out),
-                   "--format", call.fmt])
-    captured = capsys.readouterr()
-    stdout, stderr = tmp_path / "stdout", tmp_path / "stderr"
-    stdout.write_text(captured.out, encoding="utf-8")
-    stderr.write_text(captured.err, encoding="utf-8")
-    outcome = checks.check(call, cfg, status, stdout, stderr, out)
+    outcome = _check_call(call, cfg, ["--format", call.fmt], tmp_path, capsys)
     assert outcome.ok, outcome.reason
     assert call.refuse == (steps is None)
+
+
+@pytest.mark.parametrize("command, name", [("spectrum", "generic256"), ("spectrum", "integer256"),
+                                           ("decompose", "integer256")])
+def test_benchmark_widest_fields_pass_its_check(command, name, tmp_path, capsys):
+    # The widest fields of the benchmark, with as many levels as it lists.
+    configs, calls = workloads.build("wide_field", 1, _ROOT / "configs")
+    [call] = [c for c in calls if c.command == command and c.config == name]
+    argv = ["--levels", str(workloads.LEVELS)] if command == "spectrum" else []
+    outcome = _check_call(call, configs[name], argv, tmp_path, capsys)
+    assert outcome.ok, outcome.reason

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -100,8 +102,9 @@ class TestLandauLevel:
         form = decompose(two_block_field())
         with pytest.raises(ValueError, match="expected 2"):
             landau_level(form, UNIT, [1])
-        with pytest.raises(ValueError, match="non-negative"):
-            landau_level(form, UNIT, [0, -1])
+        for bad in (-1, np.inf, np.nan):
+            with pytest.raises(ValueError, match="non-negative"):
+                landau_level(form, UNIT, [0, bad])
 
 
 class TestClassifySpectrum:
@@ -171,6 +174,24 @@ class TestLevelListing:
         for entry in level_listing(form, constants, 12):
             assert entry["energy"] == pytest.approx(
                 landau_level(form, constants, entry["quantum_numbers"]))
+
+    @pytest.mark.parametrize("count", [1, 57, 300])
+    def test_order_matches_a_sorted_enumeration(self, count):
+        # Degenerate ladders (2, 2 and 1, 1) and ladders at integer multiples
+        # of each other, so most energies are shared: the listing must be the
+        # box enumeration sorted by (energy, multi-index), ties included.
+        omegas = [3, 2, 2, 1, 1]
+        form = CanonicalForm(np.eye(10), omegas)
+        top = 16  # every multi-index with sum(omega * n) <= top lies in the box
+        box = itertools.product(*(range(top // w + 1) for w in omegas))
+        brute = sorted((sum(w * (k + 0.5) for w, k in zip(omegas, numbers)), list(numbers))
+                       for numbers in box if sum(w * k for w, k in zip(omegas, numbers)) <= top)
+        assert len(brute) >= count
+        listing = level_listing(form, UNIT, count)
+        assert [entry["quantum_numbers"] for entry in listing] == [n for _, n in brute[:count]]
+        for entry in listing:
+            exact = landau_level(form, UNIT, entry["quantum_numbers"])
+            assert abs(entry["energy"] - exact) <= 2.0 ** -42 * exact
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_listing_independent_of_the_last_bits_of_the_strengths(self, seed):
