@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import FieldTensor, MetricTensor, _as_square_matrix, _frozen
+from .tensors import FieldTensor, MetricTensor, _as_square_matrix, _frozen, frobenius_norm
 
 __all__ = [
     "CanonicalForm",
@@ -145,7 +145,7 @@ def decompose(field: FieldTensor, metric: MetricTensor | None = None) -> Canonic
         skew = (skew - skew.T) / 2.0
 
     w, v = np.linalg.eigh(1j * skew)
-    kept = np.flatnonzero(w > ZERO_STRENGTH_RTOL * float(np.linalg.norm(skew)))[::-1]
+    kept = np.flatnonzero(w > ZERO_STRENGTH_RTOL * frobenius_norm(skew))[::-1]
     top = v[np.argmax(np.abs(v), axis=0), np.arange(n)][kept]
     v = v[:, kept] * (1j * np.conj(top) / np.abs(top))
     pairs = np.stack([v.imag, v.real], axis=2).reshape(n, 2 * kept.size)
@@ -174,8 +174,7 @@ def orthonormality_residual(form: CanonicalForm) -> float:
 
 def reconstruction_residual(form: CanonicalForm, field: FieldTensor) -> float:
     """Relative Frobenius residual between the transformed tensor and its blocks."""
-    mismatch = float(np.linalg.norm(form.basis.T @ field.matrix @ form.basis
-                                    - canonical_tensor(form)))
+    mismatch = frobenius_norm(form.basis.T @ field.matrix @ form.basis - canonical_tensor(form))
     scale = field.norm
     return mismatch / scale if scale > 0 else mismatch
 

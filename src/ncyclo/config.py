@@ -36,7 +36,6 @@ __all__ = ["ConfigError", "RunConfig"]
 NAMED_METRICS = {"euclidean": MetricTensor.euclidean, "minkowski": MetricTensor.minkowski}
 NAMED_GAUGES = {"antisymmetric": gauge_antisymmetric, "triangular": gauge_triangular}
 INTEGRATION_METHODS = ("exact", "rk4")
-OUTPUT_FORMATS = ("csv", "structured")
 GAUGE_FIELD_CONSISTENCY_RTOL = 1e-12
 
 
@@ -64,11 +63,6 @@ def _check_positive(value, ctx: str, *_) -> None:
 def _check_count(value, ctx: str, *_) -> None:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ConfigError(f"{ctx} must be a positive integer, got {value!r}")
-
-
-def _check_string(value, ctx: str, *_) -> None:
-    if not isinstance(value, str):
-        raise ConfigError(f"{ctx} must be a string")
 
 
 def _one_of(choices: tuple):
@@ -121,8 +115,6 @@ SECTIONS = {
     "initial": {key: (_check_vector, REQUIRED) for key in ("x", "p")},
     "integration": {"dt": (_check_positive, REQUIRED), "steps": (_check_count, REQUIRED),
                     "method": (_one_of(INTEGRATION_METHODS), "exact")},
-    "output": {"path": (_check_string, None),
-               "format": (_one_of(OUTPUT_FORMATS), "csv")},
 }
 
 
@@ -140,7 +132,6 @@ class RunConfig:
     particle: object = None
     initial: object = None
     integration: object = None
-    output: object = None
 
     def __post_init__(self) -> None:
         # Materialized objects; not a field, so not a key, compared or shown.

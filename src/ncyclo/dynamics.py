@@ -228,13 +228,13 @@ def _sample(state: ParticleState, k: np.ndarray, metric: MetricTensor,
         return e
 
     b = round(np.sqrt(steps + 1))
-    step = step_map(dt)
-    leap = step_map(b * dt) if exact else np.linalg.matrix_power(step, b)
     rows = np.empty((steps + 1, 2 * n))
     rows[0, :n], rows[0, n:] = state.momentum, state.position
-    # An orbit that overflows is reported once, by Trajectory, instead of
-    # through a floating-point warning per operation.
+    # An orbit that overflows, or a step map that does, is reported once, by
+    # Trajectory, instead of through a floating-point warning per operation.
     with np.errstate(over="ignore", invalid="ignore"):
+        step = step_map(dt)
+        leap = step_map(b * dt) if exact else np.linalg.matrix_power(step, b)
         for i in range(1, b):
             rows[i] = step @ rows[i - 1]
         for j in range(b, steps + 1, b):

@@ -14,6 +14,7 @@ light, and the quantum of action default to 1 and can be overridden through
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as _field
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "gauge_triangular",
     "check_radiation_gauge",
     "field_from_3d_vector",
+    "frobenius_norm",
 ]
 
 # External input is accepted as (anti)symmetric up to this fraction of its
@@ -47,6 +49,22 @@ def _as_square_matrix(value, name: str) -> np.ndarray:
         j, k = np.argwhere(~np.isfinite(arr))[0]
         raise ValueError(f"{name} has a non-finite entry at row {j}, column {k}")
     return arr
+
+
+def frobenius_norm(matrix: np.ndarray) -> float:
+    """Frobenius norm of a real array, with no overflow or underflow of the squares.
+
+    The entries are scaled by the power of two of the largest one, which is
+    exact, so the result is bit for bit ``np.linalg.norm`` wherever that stays
+    in range, and still right for entries near 1e300 or 1e-300.  It is
+    ``inf`` only when the norm itself is past the largest float.
+    """
+    top = float(np.abs(matrix).max(initial=0.0))
+    if top == 0.0 or not math.isfinite(top):
+        return top
+    exponent = math.frexp(top)[1]
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(np.ldexp(matrix, -exponent)), exponent))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -133,21 +151,27 @@ class FieldTensor:
     Construction symmetrizes away representational dust, so the stored matrix
     satisfies ``H + H.T == 0`` exactly; input violating antisymmetry by more
     than ``SYMMETRY_RTOL`` times its largest entry is rejected with the
-    offending entry named.
+    offending entry named, and so is a tensor whose symmetrization or
+    Frobenius norm overflows.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
         h = _as_square_matrix(self.matrix, "field")
-        dev = np.abs(h + h.T)
+        with np.errstate(over="ignore"):
+            dev = np.abs(h + h.T)
+            anti = (h - h.T) / 2.0
         worst = float(dev.max(initial=0.0))
         if worst > SYMMETRY_RTOL * float(np.abs(h).max(initial=0.0)):
             j, k = np.unravel_index(int(dev.argmax()), dev.shape)
             raise ValueError(
                 f"field tensor is not antisymmetric: H[{j},{k}] + H[{k},{j}] = {worst:.3e}"
             )
-        object.__setattr__(self, "matrix", _frozen((h - h.T) / 2.0))
+        if frobenius_norm(anti) == math.inf:
+            raise ValueError("field tensor leaves the floating-point range: "
+                             "its Frobenius norm overflows")
+        object.__setattr__(self, "matrix", _frozen(anti))
 
     @property
     def n(self) -> int:
@@ -155,7 +179,7 @@ class FieldTensor:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
+        return frobenius_norm(self.matrix)
 
     @property
     def associated(self) -> "FieldTensor":
@@ -181,6 +205,10 @@ class PhysicalConstants:
             raise ValueError("light_speed must be positive and finite")
         if not (np.isfinite(self.hbar) and self.hbar > 0):
             raise ValueError("hbar must be positive and finite")
+        # Every formula takes q/c or q/(m c), so both must be finite floats.
+        q, m, c = float(self.charge), float(self.mass), float(self.light_speed)
+        if not (m * c > 0 and math.isfinite(q / c) and math.isfinite(q / (m * c))):
+            raise ValueError(f"q/c and q/(m c) must be finite, got q = {q}, m = {m}, c = {c}")
 
     @property
     def coupling(self) -> float:
@@ -195,7 +223,8 @@ def field_from_gauge(gauge: GaugeMatrix) -> FieldTensor:
     result unchanged.
     """
     a = gauge.matrix
-    return FieldTensor(a - a.T)
+    with np.errstate(over="ignore"):  # an overflow is named by FieldTensor
+        return FieldTensor(a - a.T)
 
 
 def gauge_antisymmetric(field: FieldTensor) -> GaugeMatrix:

@@ -148,7 +148,7 @@ class TestDecompose:
         for m, blocks, share in cases:
             reference = decompose(FieldTensor(m))
             assert reference.num_blocks == blocks
-            for scale in (1.0, 1e-12, 1e6):
+            for scale in (1.0, 1e-12, 1e6, 1e-300, 1e200):
                 h = FieldTensor(scale * m)
                 form = decompose(h)
                 assert form.num_blocks == reference.num_blocks

@@ -21,6 +21,31 @@ def write_config(tmp_path, data, name="run.json"):
     return str(path)
 
 
+def argparse_refusal(argv, capsys):
+    """The usage error of ``argv``, which argparse refuses with exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    return captured.err
+
+
+def strict_json(text):
+    """Parse a document that must be strict JSON: no NaN or Infinity."""
+    def refuse(constant):
+        raise AssertionError(f"{constant} in a JSON document")
+    return json.loads(text, parse_constant=refuse)
+
+
+def run_without_warnings(argv, capsys):
+    """Exit code and captured streams of ``main``, failing on any warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, capsys.readouterr()
+
+
 def circle2d(tmp_path, **overrides):
     data = {
         "n": 2,
@@ -29,7 +54,6 @@ def circle2d(tmp_path, **overrides):
         "field": [[0.0, 1.0], [-1.0, 0.0]],
         "initial": {"x": [0.0, 0.0], "p": [1.0, 0.0]},
         "integration": {"dt": 2.0 * np.pi / 512, "steps": 512, "method": "exact"},
-        "output": {"path": str(tmp_path / "traj.csv"), "format": "csv"},
     }
     data.update(overrides)
     return write_config(tmp_path, data)
@@ -101,13 +125,42 @@ class TestDecomposeCommand:
              "error: initial: particle state entries must be finite\n"),
             ({"n": 2, "field": field, "gauge": [[0.0, nan], [0.0, 0.0]]},
              "error: gauge: gauge has a non-finite entry at row 0, column 1\n"),
+            # Entries past half the largest float overflow H - H^T.
+            ({"n": 2, "field": [[0.0, 1e308], [-1e308, 0.0]]},
+             "error: field: field tensor leaves the floating-point range: "
+             "its Frobenius norm overflows\n"),
+            ({"n": 2, "gauge": [[0.0, 1e308], [-1e308, 0.0]]},
+             "error: field: field has a non-finite entry at row 0, column 1\n"),
         ]
         for data, message in cases:
             config = write_config(tmp_path, data)
-            assert main(["decompose", "--config", config]) == 2
-            captured = capsys.readouterr()
+            code, captured = run_without_warnings(["decompose", "--config", config], capsys)
+            assert code == 2
             assert message in captured.err
             assert captured.out == ""
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e200])
+    def test_fields_far_from_unit_scale_keep_their_blocks(self, tmp_path, capsys, scale):
+        # The zero cut and the residual scale are Frobenius norms taken at the
+        # power of two of the largest entry, so neither overflows at 1e200 nor
+        # underflows at 1e-300 (where these seeds let roundoff through a zero cut).
+        for n, seed in ((2, 0), (5, 1), (7, 0)):
+            a = np.random.default_rng(seed).standard_normal((n, n))
+            config = write_config(tmp_path, {"n": n, "field": (scale * (a - a.T)).tolist()})
+            code, captured = run_without_warnings(["decompose", "--config", config], capsys)
+            assert (code, captured.err) == (0, "")
+            doc = strict_json(captured.out)
+            assert doc["num_blocks"] == n // 2
+            assert doc["reconstruction_residual"] <= 1e-12
+            assert doc["orthonormality_residual"] <= 1e-12
+
+    def test_huge_field_vector_has_its_frequency(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"n": 3, "field": [0.0, 0.0, 1e200]})
+        code, captured = run_without_warnings(["spectrum", "--config", config], capsys)
+        assert (code, captured.err) == (0, "")
+        doc = strict_json(captured.out)
+        assert doc["frequencies"] == [1e200]
+        assert (doc["num_blocks"], doc["free_count"], doc["fully_discrete"]) == (1, 1, False)
 
     @pytest.mark.parametrize("text, message", [
         (b'{"n": 2, "field": [[0.0, 1.0], [-1.0, 0.0]], "note": "\xe9"}',
@@ -129,7 +182,7 @@ class TestDecomposeCommand:
 class TestSimulateCommand:
     def test_circular_orbit_closes(self, tmp_path, capsys):
         config = circle2d(tmp_path)
-        assert main(["simulate", "--config", config]) == 0
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "traj.csv")]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is True
         assert report["geometric_interpretation_valid"] is True
@@ -142,7 +195,7 @@ class TestSimulateCommand:
 
     def test_report_contents(self, tmp_path, capsys):
         config = circle2d(tmp_path)
-        main(["simulate", "--config", config])
+        main(["simulate", "--config", config, "--out", str(tmp_path / "traj.csv")])
         report = json.loads(capsys.readouterr().out)
         assert report["num_blocks"] == 1
         block = report["blocks"][0]
@@ -157,9 +210,8 @@ class TestSimulateCommand:
             "field": [[0.0, 0.0], [0.0, 0.0]],
             "initial": {"x": [0.0, 0.0], "p": [1.0, 2.0]},
             "integration": {"dt": 0.1, "steps": 50, "method": "exact"},
-            "output": {"path": str(tmp_path / "line.csv"), "format": "csv"},
         })
-        assert main(["simulate", "--config", config]) == 0
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "line.csv")]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["blocks"] == []
         assert report["num_blocks"] == 0
@@ -170,7 +222,7 @@ class TestSimulateCommand:
     def test_rk4_method(self, tmp_path, capsys):
         config = circle2d(tmp_path, integration={
             "dt": 2.0 * np.pi / 2048, "steps": 2048, "method": "rk4"})
-        assert main(["simulate", "--config", config]) == 0
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "traj.csv")]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["method"] == "rk4"
         assert report["passed"] is True
@@ -183,9 +235,8 @@ class TestSimulateCommand:
                       [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]],
             "initial": {"x": [0.0] * 4, "p": [1.0, 0.0, 0.5, 0.25]},
             "integration": {"dt": 0.05, "steps": 100, "method": "exact"},
-            "output": {"path": str(tmp_path / "mink.csv"), "format": "csv"},
         })
-        assert main(["simulate", "--config", config]) == 0
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "mink.csv")]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["geometric_interpretation_valid"] is False
         assert "radius_drift" not in report["residuals"]
@@ -223,9 +274,8 @@ class TestSimulateCommand:
             "initial": {"x": rng.standard_normal(n).tolist(),
                         "p": rng.standard_normal(n).tolist()},
             "integration": {"dt": 0.05, "steps": 400, "method": "exact"},
-            "output": {"path": str(out), "format": "csv"},
         })
-        assert main(["simulate", "--config", config]) == 0
+        assert main(["simulate", "--config", config, "--out", str(out)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["geometric_interpretation_valid"] is True
         assert {"radius_drift", "frequency_mismatch"} <= set(report["residuals"])
@@ -246,7 +296,7 @@ class TestSimulateCommand:
         # 64 RK4 steps per turn drift the energy by ~4e-7, above the 1e-8 tolerance.
         config = circle2d(tmp_path, integration={
             "dt": 2.0 * np.pi / 64, "steps": 64, "method": "rk4"})
-        assert main(["simulate", "--config", config]) == 1
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "traj.csv")]) == 1
         captured = capsys.readouterr()
         report = json.loads(captured.out)
         assert report["passed"] is False
@@ -262,9 +312,8 @@ class TestSimulateCommand:
             "field": [[0.0, 1.0], [-1.0, 0.0]],
             "initial": {"x": [0.0, 0.0], "p": [1.0, 0.5]},
             "integration": {"dt": 10.0, "steps": 100, "method": "exact"},
-            "output": {"path": str(out), "format": "csv"},
         })
-        assert main(["simulate", "--config", config]) == 2
+        assert main(["simulate", "--config", config, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "step 72 (t = 720)" in err
@@ -280,11 +329,10 @@ class TestSimulateCommand:
             "field": [0.0, 0.0, 1.0],
             "initial": {"x": [0.0, 0.0, 0.0], "p": [1.0, 0.0, 1e300]},
             "integration": {"dt": 1e7, "steps": 40, "method": "exact"},
-            "output": {"path": str(out), "format": "csv"},
         })
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["simulate", "--config", config]) == 2
+            assert main(["simulate", "--config", config, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("error: the orbit leaves the floating-point range "
@@ -305,9 +353,8 @@ class TestSimulateCommand:
             "field": field.tolist(),
             "initial": sample["initial"],
             "integration": {"dt": 0.02, "steps": 100_000, "method": "exact"},
-            "output": {"path": str(out), "format": "csv"},
         })
-        assert main(["simulate", "--config", config]) == 2
+        assert main(["simulate", "--config", config, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("error: the orbit leaves the floating-point range "
@@ -324,9 +371,8 @@ class TestSimulateCommand:
             "field": [[0.0, 1.0], [-1.0, 0.0]],
             "initial": {"x": [0.0, 0.0], "p": [1.0, 0.5]},
             "integration": {"dt": 10.0, "steps": 100, "method": "rk4"},
-            "output": {"path": str(out), "format": "csv"},
         })
-        assert main(["simulate", "--config", config]) == 2
+        assert main(["simulate", "--config", config, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
@@ -334,32 +380,28 @@ class TestSimulateCommand:
         assert not out.exists()
 
     def test_missing_output_path(self, tmp_path, capsys):
-        config = circle2d(tmp_path, output=None)
-        data = json.loads((tmp_path / "run.json").read_text())
-        del data["output"]
-        config = write_config(tmp_path, data, name="no_output.json")
-        assert main(["simulate", "--config", config]) == 2
-        assert "output path" in capsys.readouterr().err
+        config = circle2d(tmp_path)
+        assert "the following arguments are required: --out" in argparse_refusal(
+            ["simulate", "--config", config], capsys)
 
     @pytest.mark.parametrize("method", ["exact", "rk4"])
     def test_missing_output_path_refused_before_propagating(self, tmp_path, capsys,
                                                             monkeypatch, method):
         def refuse(*args):
-            raise AssertionError("propagated an orbit with nowhere to write it")
+            raise AssertionError("read a config or propagated an orbit with nowhere to write it")
 
+        monkeypatch.setattr(cli.RunConfig, "load", refuse)
         monkeypatch.setattr(cli, "evolve_exact_trajectory", refuse)
         monkeypatch.setattr(cli, "evolve_rk4", refuse)
         config = write_config(tmp_path, {
             "n": 2, "field": [[0.0, 1.0], [-1.0, 0.0]],
             "initial": {"x": [0.0, 0.0], "p": [1.0, 0.0]},
             "integration": {"dt": 0.01, "steps": 10, "method": method}})
-        assert main(["simulate", "--config", config]) == 2
-        assert capsys.readouterr().err == ("error: simulate needs an output path "
-                                           "(config output.path or --out)\n")
+        assert "--out" in argparse_refusal(["simulate", "--config", config], capsys)
 
     def test_missing_output_path_named_before_overflow(self, tmp_path, capsys):
         # The boost of test_overflowing_orbit_refused_by_name, with no path:
-        # the output is resolved first, so the path is what gets named.
+        # the command line is checked first, so the path is what gets named.
         config = write_config(tmp_path, {
             "n": 2,
             "metric": "minkowski",
@@ -367,8 +409,37 @@ class TestSimulateCommand:
             "initial": {"x": [0.0, 0.0], "p": [1.0, 0.5]},
             "integration": {"dt": 10.0, "steps": 100, "method": "exact"},
         })
-        assert main(["simulate", "--config", config]) == 2
-        assert "output path" in capsys.readouterr().err
+        err = argparse_refusal(["simulate", "--config", config], capsys)
+        assert "--out" in err and "floating-point" not in err
+
+    def test_rk4_step_map_overflow_refused_without_warnings(self, tmp_path, capsys):
+        # At dt = 1e300 the RK4 step map itself overflows; the first sample
+        # is named, as for any orbit that leaves the float range.
+        out = tmp_path / "traj.csv"
+        config = circle2d(tmp_path, integration={"dt": 1e300, "steps": 10, "method": "rk4"})
+        code, captured = run_without_warnings(
+            ["simulate", "--config", config, "--out", str(out)], capsys)
+        assert (code, captured.out) == (2, "")
+        assert captured.err == ("error: the orbit leaves the floating-point range "
+                                "at step 1 (t = 1e+300)\n")
+        assert not out.exists()
+
+    def test_bad_output_format(self, tmp_path, capsys):
+        config = circle2d(tmp_path)
+        out = tmp_path / "traj.xml"
+        assert "argument --format: invalid choice: 'xml'" in argparse_refusal(
+            ["simulate", "--config", config, "--out", str(out), "--format", "xml"], capsys)
+        assert not out.exists()
+
+    def test_output_section_refused(self, tmp_path, capsys):
+        # The destination comes from the command line alone.
+        config = circle2d(tmp_path, output={"path": str(tmp_path / "o.csv"), "format": "csv"})
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--config", config, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown configuration key 'output'\n"
+        assert captured.out == ""
+        assert not out.exists() and not (tmp_path / "o.csv").exists()
 
 
 class TestSpectrumCommand:
@@ -435,12 +506,8 @@ class TestSpectrumCommand:
 
     def test_negative_levels_refused(self, tmp_path, capsys):
         config = write_config(tmp_path, {"n": 2, "field": [[0.0, 1.0], [-1.0, 0.0]]})
-        with pytest.raises(SystemExit) as exc:
-            main(["spectrum", "--config", config, "--levels", "-3"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert "argument --levels" in captured.err
-        assert captured.out == ""
+        assert "argument --levels" in argparse_refusal(
+            ["spectrum", "--config", config, "--levels", "-3"], capsys)
 
     def test_zero_levels_listed_empty(self, tmp_path, capsys):
         config = write_config(tmp_path, {"n": 2, "field": [[0.0, 1.0], [-1.0, 0.0]]})
@@ -494,6 +561,16 @@ class TestVerifyCommand:
         assert main(["verify", "--config", config]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_non_finite_deviation_fails_by_name(self, tmp_path, capsys):
+        # hbar (q/c) H overflows, so the [p, p] table is NaN: a failure that
+        # names the table, not a pass behind a sentinel maximum.
+        config = write_config(tmp_path, {"n": 2, "field": [[0.0, 1.0], [-1.0, 0.0]],
+                                         "particle": {"q": 1e10, "hbar": 1e300}})
+        code, captured = run_without_warnings(["verify", "--config", config], capsys)
+        assert code == 1
+        assert captured.out.endswith("maximum deviation: nan\n")
+        assert captured.err == "verify: relation violated: [p, p] vs i*hbar*(q/c)*H\n"
+
     def test_violation_measured_against_field_scale(self, tmp_path, capsys):
         # The gauge generates a field 5e-7 off in relative terms: the config's
         # relative consistency check refuses it at parse time, and verify's own
@@ -504,6 +581,20 @@ class TestVerifyCommand:
         assert "inconsistent" in capsys.readouterr().err
         assert cmd_verify(RunConfig(n=2, field=field, gauge=gauge)) == 1
         assert "relation violated: [p, p]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("particle", [{"q": 1e300, "c": 1e-300}, {"m": 1e-320}],
+                         ids=["q-over-c", "q-over-mc"])
+@pytest.mark.parametrize("command", ["spectrum", "verify", "simulate"])
+def test_overflowing_particle_ratios_refused(tmp_path, capsys, particle, command):
+    config = circle2d(tmp_path, particle=particle)
+    out = tmp_path / "traj.csv"
+    extra = ["--out", str(out)] if command == "simulate" else []
+    code, captured = run_without_warnings([command, "--config", config, *extra], capsys)
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: particle: q/c and q/(m c) must be finite, got ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 class TestFrame:

@@ -14,7 +14,6 @@ BASE = {
     "particle": {"m": 1.0, "q": 1.0, "c": 1.0, "hbar": 1.0},
     "initial": {"x": [0.0, 0.0], "p": [1.0, 0.0]},
     "integration": {"dt": 0.01, "steps": 10, "method": "exact"},
-    "output": {"path": "out.csv", "format": "csv"},
 }
 
 # An integer literal that no float holds: 1 followed by 400 zeros.
@@ -45,8 +44,7 @@ class TestParsing:
     def test_named_metrics(self):
         config = RunConfig.from_dict(with_overrides(metric="minkowski",
                                                     n=2, field=[[0.0, 1.0], [-1.0, 0.0]],
-                                                    initial=None, integration=None,
-                                                    output=None))
+                                                    initial=None, integration=None))
         assert config.metric_tensor().signature == (1, 1)
 
     def test_explicit_metric_matrix(self):
@@ -192,10 +190,6 @@ class TestValidation:
     def test_bad_initial_length(self):
         with pytest.raises(ConfigError, match="initial.x"):
             RunConfig.from_dict(with_overrides(initial={"x": [0.0], "p": [1.0, 0.0]}))
-
-    def test_bad_output_format(self):
-        with pytest.raises(ConfigError, match="format"):
-            RunConfig.from_dict(with_overrides(output={"path": "o.csv", "format": "xml"}))
 
     def test_bad_particle_key(self):
         with pytest.raises(ConfigError, match="particle"):

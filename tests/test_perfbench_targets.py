@@ -99,7 +99,6 @@ def test_setup_probe_runs_on_the_samples():
 @pytest.mark.parametrize("method", ["exact", "rk4"])
 def test_benchmark_orbit_check_passes(method, tmp_path, capsys):
     cfg = json.loads((_ROOT / "configs" / "uniform3d.json").read_text(encoding="utf-8"))
-    cfg.pop("output")
     cfg["integration"].update(steps=5000, method=method)
     config, out = tmp_path / "run.json", tmp_path / "trajectory.csv"
     config.write_text(json.dumps(cfg), encoding="utf-8")

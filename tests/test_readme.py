@@ -4,11 +4,14 @@ import contextlib
 import io
 import json
 import re
+import shlex
 from pathlib import Path
 
+from ncyclo.cli import main
 from ncyclo.config import RunConfig
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def fenced_block(heading: str, language: str) -> str:
@@ -30,3 +33,19 @@ def test_config_schema_example_loads():
     data = json.loads(text)
     config = RunConfig.from_dict(data)
     assert config.to_dict() == {key: value for key, value in data.items() if value is not None}
+
+
+def test_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    # Every documented command runs from a fresh directory: its config path
+    # is read from the repo root, and a relative --out lands in that directory.
+    monkeypatch.chdir(tmp_path)
+    lines = [line for line in fenced_block("## Command line", "sh").splitlines()
+             if line.startswith("ncyclo ")]
+    assert len(lines) == 4
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        at = argv.index("--config") + 1
+        argv[at] = str(ROOT / argv[at])
+        assert main(argv) == 0, line
+        assert capsys.readouterr().err == "", line
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["trajectory.csv"]

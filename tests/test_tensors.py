@@ -9,6 +9,7 @@ from ncyclo import (
     check_radiation_gauge,
     field_from_3d_vector,
     field_from_gauge,
+    frobenius_norm,
     gauge_antisymmetric,
     gauge_triangular,
 )
@@ -120,6 +121,23 @@ class TestFieldFrom3dVector:
             field_from_3d_vector([1.0, 2.0])
 
 
+class TestFrobeniusNorm:
+    @pytest.mark.parametrize("scale", [1e-150, 1e-12, 1.0, 1e6, 1e150])
+    def test_equals_numpy_in_range(self, rng, scale):
+        for n in (2, 5, 16):
+            m = scale * random_gauge(rng, n)
+            assert frobenius_norm(m) == np.linalg.norm(m)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e200])
+    def test_no_overflow_or_underflow_far_from_unit_scale(self, rng, scale):
+        m = random_gauge(rng, 5)
+        assert frobenius_norm(scale * m) == pytest.approx(scale * np.linalg.norm(m),
+                                                          rel=1e-15)
+
+    def test_zero(self):
+        assert frobenius_norm(np.zeros((3, 3))) == 0.0
+
+
 class TestDomainTypes:
     def test_field_rejects_non_antisymmetric(self):
         with pytest.raises(ValueError, match=r"H\[0,1\]"):
@@ -198,6 +216,23 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="hbar"):
             PhysicalConstants(hbar=-1.0)
         assert PhysicalConstants(charge=-2.0, light_speed=4.0).coupling == -0.5
+
+    @pytest.mark.parametrize("constants", [
+        {"charge": 1e300, "light_speed": 1e-300},   # q/c overflows
+        {"mass": 1e-320},                           # q/(m c) overflows
+        {"mass": 1e-200, "light_speed": 1e-200},    # m c underflows to zero
+    ])
+    def test_constants_with_overflowing_ratios_refused(self, constants):
+        with pytest.raises(ValueError, match=r"^q/c and q/\(m c\) must be finite"):
+            PhysicalConstants(**constants)
+
+    def test_field_past_the_float_range_refused(self):
+        # 1e308 - (-1e308) overflows on symmetrization, and three pairs of
+        # entries at 1e308 overflow the Frobenius norm.
+        with pytest.raises(ValueError, match="leaves the floating-point range"):
+            FieldTensor([[0.0, 1e308], [-1e308, 0.0]])
+        with pytest.raises(ValueError, match="leaves the floating-point range"):
+            field_from_3d_vector([8e307, 8e307, 8e307])
 
     def test_associated_field_is_negation(self, rng):
         h = FieldTensor(random_antisymmetric(rng, 4))
