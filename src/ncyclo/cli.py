@@ -82,8 +82,12 @@ def cmd_decompose(config: RunConfig, out_path: str | None) -> int:
 
 def cmd_spectrum(config: RunConfig, out_path: str | None, levels: int) -> int:
     form = decompose(config.field_tensor(), config.gamma_tensor())
-    constants = config.constants()
-    report = classify_spectrum(form, constants, config.metric_tensor())
+    constants, metric = config.constants(), config.metric_tensor()
+    try:
+        report = classify_spectrum(form, constants, metric)
+        listing = level_listing(form, constants, levels)
+    except ValueError as exc:  # a frequency or an energy leaves the floating-point range
+        raise ConfigError(str(exc)) from None
     document = {
         "frequencies": [float(w) for w in report.frequencies],
         "num_blocks": report.num_blocks,
@@ -91,7 +95,7 @@ def cmd_spectrum(config: RunConfig, out_path: str | None, levels: int) -> int:
         "fully_discrete": report.fully_discrete,
         "metric_definite": report.metric_definite,
         "ground_energy": report.ground_energy,
-        "levels": level_listing(form, constants, levels),
+        "levels": listing,
     }
     _emit(document, out_path)
     return 0
@@ -130,11 +134,11 @@ def cmd_simulate(config: RunConfig, path: str, fmt: str) -> int:
     state = config.initial_state()
     dt, steps, method = config.integration_settings()
 
-    kmat = dynamics_matrix(field, metric, constants)
     evolve = evolve_exact_trajectory if method == "exact" else evolve_rk4
     try:
+        kmat = dynamics_matrix(field, metric, constants)
         trajectory = evolve(state, kmat, metric, constants, dt, steps)
-    except ValueError as exc:  # the configured orbit leaves the floating-point range
+    except ValueError as exc:  # the configured motion leaves the floating-point range
         raise ConfigError(str(exc)) from None
 
     write = write_trajectory_csv if fmt == "csv" else write_trajectory_structured
@@ -212,10 +216,10 @@ def cmd_verify(config: RunConfig) -> int:
         }
 
     peaks = {name: float(table.max()) for name, table in tables.items()}
+    line = "  " + "  ".join(["%.3e"] * gauge.n)
     for name, table in tables.items():
         print(f"{name}  (max deviation {peaks[name]:.3e})")
-        for row in table:
-            print("  " + "  ".join(f"{value:.3e}" for value in row))
+        print("\n".join(line % tuple(row) for row in table.tolist()))
     # The first largest peak, a NaN one above all.
     worst_name = max(peaks, key=lambda name: np.nan_to_num(peaks[name], nan=np.inf))
     worst = peaks[worst_name]

@@ -2,9 +2,11 @@
 
 The momentum obeys a linear equation ``p' = K p`` with a constant matrix, so
 the flow has a closed form.  For a definite metric every sample is evaluated
-directly from the block decomposition of the field in the metric's own frame:
-a rotation per block and a uniform drift per free direction.  An indefinite
-metric has no such frame, so its orbit is propagated in blocks of about
+directly from its time in the modal form of the flow: whitened by the metric's
+own frame the generator is real antisymmetric, so one Hermitian eigensolve
+gives its eigenpairs, ``+-lambda`` pairs for the cyclotron motions and zeros
+for the free drift, with no strength cut.  An indefinite metric has no such
+frame, so its orbit is propagated in blocks of about
 ``sqrt(N)`` samples from the one-step map, the exponential of the Van Loan
 augmented matrix ``dt [[K, I], [0, 0]]``, and a leap map over one block: about
 ``2 sqrt(N)`` array operations for ``N`` steps, with roundoff growing like
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import CanonicalForm, decompose
+from .canonical import CanonicalForm
 from .tensors import FieldTensor, MetricTensor, PhysicalConstants, _frozen
 
 __all__ = [
@@ -45,9 +47,9 @@ __all__ = [
     "write_trajectory_structured",
 ]
 
-# Trajectory rows are formatted this many at a time, which bounds the memory
-# held by the Python floats of one batch.
-_CSV_BATCH = 1024
+# Trajectory rows are evaluated and formatted this many at a time, which
+# bounds the memory held by the temporaries of one batch.
+_BATCH = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,11 +178,19 @@ class OrbitDecomposition:
 
 def dynamics_matrix(field: FieldTensor, metric: MetricTensor,
                     constants: PhysicalConstants) -> np.ndarray:
-    """Read-only ``K = (q / m c) H g^{-1}``, so that ``p' = K p``, ``x' = g^{-1} p / m``."""
+    """Read-only ``K = (q / m c) H g^{-1}``, so that ``p' = K p``, ``x' = g^{-1} p / m``.
+
+    Raises ``ValueError`` when an entry of ``K`` leaves the floating-point range.
+    """
     if field.n != metric.n:
         raise ValueError(f"field is {field.n}x{field.n} but the metric is {metric.n}x{metric.n}")
     factor = constants.charge / (constants.mass * constants.light_speed)
-    return _frozen(factor * (field.matrix @ metric.inverse))
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = factor * (field.matrix @ metric.inverse)
+    if not np.isfinite(k).all():
+        raise ValueError(f"the field times the particle's q/(m c) = {factor:.3e} leaves the "
+                         f"floating-point range: K = (q/(m c)) H g^-1 overflows")
+    return _frozen(k)
 
 
 def _taylor4(a: np.ndarray) -> np.ndarray:
@@ -248,15 +258,17 @@ def evolve_exact_trajectory(state: ParticleState, k: np.ndarray, metric: MetricT
                             steps: int) -> Trajectory:
     """Sample the closed-form flow at ``steps`` uniform increments of ``dt``.
 
-    For a definite metric ``g`` of sign ``s``, ``(k g - (k g)^T) / 2``, that is
-    ``(q/mc) H``, is decomposed in the frame ``s g``.  With ``u = B^T p`` each
-    block pair of ``u`` turns at ``s`` times its strength and each free
-    component stays constant, so every sample is evaluated directly from its
-    time: ``p(t) = p0 + G B (u(t) - u0)``, with ``G = s g`` the form's frame,
-    and ``x(t) = x0 + (s/m) B`` times the integral of ``u`` over ``[0, t]``.
-    Blocks that :func:`decompose` cuts to zero still turn over a long orbit,
-    so the free columns' remainder ``B_f^T (q/mc) H B_f`` is split again at
-    its own scale.  An indefinite metric has no such frame: its orbit is
+    For a definite metric ``g`` of sign ``s``, with the frame ``G = s g`` and
+    ``y = G^{-1/2} p``, the generator ``A = G^{-1/2} K G^{1/2}`` of ``y`` is
+    real antisymmetric.  One Hermitian eigensolve ``i A = U diag(lam) U^H``
+    gives ``exp(tA) = U exp(-i lam t) U^H``, so with ``c = U^H y0`` every
+    sample is evaluated directly from its time, a batch of rows at a time:
+    ``p(t) = p0 + G^{1/2} Re U [(exp(-i lam t) - 1) c]`` and
+    ``x(t) = x0 + (s/m) G^{-1/2} Re U [phi c]``, with ``phi`` the integral
+    of ``exp(-i lam t)`` over ``[0, t]``, exactly ``t`` at ``lam = 0``.
+    Both roots of ``G`` come from one eigensolve of ``G``.  No strength is
+    cut to zero, so a weak block turns however long the orbit.  An
+    indefinite metric has no such frame: its orbit is
     propagated in ``sqrt(steps)``-sample blocks of the one-step map, about
     ``2 sqrt(steps)`` array operations with roundoff growing like
     ``2 sqrt(steps)`` roundoffs.
@@ -270,35 +282,26 @@ def evolve_exact_trajectory(state: ParticleState, k: np.ndarray, metric: MetricT
         return _sample(state, k, metric, constants, dt, steps, True)
 
     sign = 1.0 if metric.signature[0] else -1.0
-    kg = k @ metric.matrix
-    skew = (kg - kg.T) / 2.0
-    form = decompose(FieldTensor(skew), metric)
-    basis, strengths, nb = form.basis, form.strengths, form.num_blocks
-    rest = basis[:, 2 * nb:].T @ skew @ basis[:, 2 * nb:]
-    if np.any(rest - rest.T):
-        inner = decompose(FieldTensor((rest - rest.T) / 2.0))
-        basis = np.hstack([basis[:, :2 * nb], basis[:, 2 * nb:] @ inner.basis])
-        strengths = np.concatenate([strengths, inner.strengths])
-        nb = strengths.size
-    first, second = slice(0, 2 * nb, 2), slice(1, 2 * nb, 2)  # of each block pair
-    u0 = state.momentum @ basis
-    a, b = u0[first], u0[second]
-    omega = sign * strengths
+    e, v = np.linalg.eigh(sign * metric.matrix)
+    root, inverse_root = (v * np.sqrt(e)) @ v.T, (v / np.sqrt(e)) @ v.T
     t = np.arange(steps + 1) * dt
+    position, momentum = np.empty((t.size, state.n)), np.empty((t.size, state.n))
     # An orbit that overflows is reported once, by Trajectory, instead of
     # through a floating-point warning per operation.
     with np.errstate(over="ignore", invalid="ignore"):
-        phase = np.outer(t, omega)
-        # 1 - cos as 2 sin^2 of the half angle, without cancellation near t = 0.
-        sin, vers = np.sin(phase), 2.0 * np.sin(phase / 2.0) ** 2
-        du = np.zeros((t.size, state.n))  # u(t) - u0
-        du[:, first] = b * sin - a * vers
-        du[:, second] = -a * sin - b * vers
-        swept = np.outer(t, u0)  # integral of u over [0, t]
-        swept[:, first] = (a * sin + b * vers) / omega
-        swept[:, second] = (b * sin - a * vers) / omega
-        momentum = state.momentum + du @ (form.frame @ basis).T
-        position = state.position + (sign / constants.mass) * (swept @ basis.T)
+        a = inverse_root @ k @ root
+        lam, u = np.linalg.eigh(1j * (a / 2.0 - a.T / 2.0))  # exp(tA) = U e^{-i lam t} U^H
+        c = u.conj().T @ (inverse_root @ state.momentum)
+        to_momentum, to_position = root @ u, (sign / constants.mass) * (inverse_root @ u)
+        for start in range(0, t.size, _BATCH):
+            rows = slice(start, start + _BATCH)
+            half = np.outer(t[rows], lam) / 2.0
+            turn = np.exp(-1j * half) * c
+            # e^{-i lam t} - 1 and its integral over [0, t], without
+            # cancellation near lam t = 0.
+            momentum[rows] = state.momentum + ((-2j * np.sin(half) * turn) @ to_momentum.T).real
+            swept = t[rows, None] * np.sinc(half / np.pi) * turn
+            position[rows] = state.position + (swept @ to_position.T).real
     position[0], momentum[0] = state.position, state.momentum
     return Trajectory(state.time + t, position, momentum)
 
@@ -378,8 +381,9 @@ def orbit_decomposition(state: ParticleState | Trajectory, form: CanonicalForm,
     own frame, ``g`` or ``-g``.  The formulas are evaluated verbatim for any
     other frame too, so callers decide how to label the result.
     """
-    coords = to_canonical(form, state, field, constants)
     raw = state.momentum @ form.basis  # physical momenta, no c/q rescaling
+    dual = dual_momentum_value(state, field, constants) @ form.basis
+    scale = constants.light_speed / constants.charge
     nb, mass = form.num_blocks, constants.mass
 
     def turned(v: np.ndarray) -> np.ndarray:
@@ -390,8 +394,8 @@ def orbit_decomposition(state: ParticleState | Trajectory, form: CanonicalForm,
     strengths = form.strengths[:, None]
     tail = raw[..., 2 * nb:]
     return OrbitDecomposition(
-        centers=turned(coords.dual_momentum) / strengths,
-        relatives=-turned(coords.momentum) / strengths,
+        centers=turned(scale * dual) / strengths,
+        relatives=-turned(scale * raw) / strengths,
         free_velocity=tail / mass,
         block_energies=np.square(turned(raw)).sum(axis=-1) / (2.0 * mass),
         free_energy=np.einsum("...j,...j->...", tail, tail) / (2.0 * mass),
@@ -421,11 +425,11 @@ def _write_rows(stream, columns: list[np.ndarray], line: str, separator: str = "
     contributing one value per entry.
     """
     rows = np.column_stack(columns)
-    for start in range(0, len(rows), _CSV_BATCH):
+    for start in range(0, len(rows), _BATCH):
         if start:
             stream.write(separator)
         stream.write(separator.join(line % tuple(row)
-                                    for row in rows[start:start + _CSV_BATCH].tolist()))
+                                    for row in rows[start:start + _BATCH].tolist()))
 
 
 def write_trajectory_csv(trajectory: Trajectory, field: FieldTensor,

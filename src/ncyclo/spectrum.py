@@ -57,8 +57,18 @@ class SpectrumReport:
 
 def cyclotron_frequencies(form: CanonicalForm,
                           constants: PhysicalConstants) -> np.ndarray:
-    """Angular frequency ``|q| s / (m c)`` of each block, descending."""
-    return (abs(constants.charge) / (constants.mass * constants.light_speed)) * form.strengths
+    """Angular frequency ``|q| s / (m c)`` of each block, descending.
+
+    Raises ``ValueError`` when one leaves the floating-point range.
+    """
+    ratio = abs(constants.charge) / (constants.mass * constants.light_speed)
+    with np.errstate(over="ignore"):
+        omegas = ratio * form.strengths
+    if not np.isfinite(omegas).all():
+        raise ValueError(f"the field's strength {form.strengths[0]:.3e} times the particle's "
+                         f"|q|/(m c) = {ratio:.3e} leaves the floating-point range: the "
+                         f"cyclotron frequency overflows")
+    return omegas
 
 
 def landau_level(form: CanonicalForm, constants: PhysicalConstants,
@@ -73,6 +83,11 @@ def landau_level(form: CanonicalForm, constants: PhysicalConstants,
     return float(constants.hbar * np.sum(omegas * (np.asarray(numbers, dtype=float) + 0.5)))
 
 
+def _energy_overflow(constants: PhysicalConstants, which: str) -> ValueError:
+    return ValueError(f"the particle's hbar = {constants.hbar:.3e} times the field's cyclotron "
+                      f"frequencies leaves the floating-point range: {which} overflows")
+
+
 def classify_spectrum(form: CanonicalForm, constants: PhysicalConstants | None = None,
                       metric: MetricTensor | None = None) -> SpectrumReport:
     """Classify the energy spectrum of one decomposed configuration.
@@ -85,12 +100,16 @@ def classify_spectrum(form: CanonicalForm, constants: PhysicalConstants | None =
     """
     constants = constants or PhysicalConstants()
     omegas = cyclotron_frequencies(form, constants)
+    with np.errstate(over="ignore"):
+        ground = float(constants.hbar * omegas.sum() / 2.0)
+    if not math.isfinite(ground):
+        raise _energy_overflow(constants, "the ground energy")
     definite = metric is None or metric.is_definite
     return SpectrumReport(
         frequencies=omegas,
         free_count=form.free_dims,
         fully_discrete=(form.free_dims == 0) if definite else None,
-        ground_energy=float(constants.hbar * omegas.sum() / 2.0),
+        ground_energy=ground,
         metric_definite=definite,
     )
 
@@ -130,8 +149,13 @@ def level_listing(form: CanonicalForm, constants: PhysicalConstants,
     out: list[dict] = []
     while heap and len(out) < count:
         key, numbers, last = heapq.heappop(heap)
-        out.append({"energy": constants.hbar * math.ldexp(key, unit - 1),
-                    "quantum_numbers": list(numbers)})
+        try:
+            energy = constants.hbar * math.ldexp(key, unit - 1)
+        except OverflowError:
+            energy = math.inf
+        if not math.isfinite(energy):
+            raise _energy_overflow(constants, "a level energy")
+        out.append({"energy": energy, "quantum_numbers": list(numbers)})
         for l in range(last, form.num_blocks):
             heapq.heappush(heap, (key + 2 * quanta[l],
                                   numbers[:l] + (numbers[l] + 1,) + numbers[l + 1:], l))

@@ -9,6 +9,7 @@ from conftest import random_antisymmetric, random_spd
 from ncyclo import cli
 from ncyclo.cli import cmd_verify, main
 from ncyclo.config import RunConfig
+from ncyclo.operators import canonical_momentum, commutator, dual_momentum
 
 SAMPLE_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 ANISOTROPIC = Path(__file__).resolve().parent.parent / "configs" / "anisotropic2d.json"
@@ -424,6 +425,18 @@ class TestSimulateCommand:
                                 "at step 1 (t = 1e+300)\n")
         assert not out.exists()
 
+    def test_overflowing_dynamics_matrix_refused_by_name(self, tmp_path, capsys):
+        # The field is finite; (q/(m c)) H is not, and is named as such.
+        out = tmp_path / "traj.csv"
+        config = circle2d(tmp_path, field=[[0.0, 1e300], [-1e300, 0.0]], particle={"q": 1e10})
+        code, captured = run_without_warnings(
+            ["simulate", "--config", config, "--out", str(out)], capsys)
+        assert (code, captured.out) == (2, "")
+        assert captured.err == ("error: the field times the particle's q/(m c) = 1.000e+10 "
+                                "leaves the floating-point range: K = (q/(m c)) H g^-1 "
+                                "overflows\n")
+        assert not out.exists()
+
     def test_bad_output_format(self, tmp_path, capsys):
         config = circle2d(tmp_path)
         out = tmp_path / "traj.xml"
@@ -525,6 +538,31 @@ class TestSpectrumCommand:
         assert doc["metric_definite"] is False
 
 
+    @pytest.mark.parametrize("field, particle, levels, overflow", [
+        # |q|/(m c) = 1e10 and the strength 1e300 are finite, their product is not.
+        (1e300, {"q": 1e10}, "10", "the field's strength 1.000e+300 times the particle's "
+         "|q|/(m c) = 1.000e+10 leaves the floating-point range: the cyclotron frequency"),
+        (1.0, {"q": 1e10, "hbar": 1e300}, "10", "the particle's hbar = 1.000e+300 times the "
+         "field's cyclotron frequencies leaves the floating-point range: the ground energy"),
+        # omega = 1e308: the ground and first excited levels fit, the third does not.
+        (1e298, {"q": 1e10}, "3", "the particle's hbar = 1.000e+00 times the field's "
+         "cyclotron frequencies leaves the floating-point range: a level energy"),
+    ], ids=["frequency", "ground", "level"])
+    def test_overflow_refused_by_name(self, tmp_path, capsys, field, particle, levels, overflow):
+        config = write_config(tmp_path, {"n": 2, "field": [[0.0, field], [-field, 0.0]],
+                                         "particle": particle})
+        code, captured = run_without_warnings(
+            ["spectrum", "--config", config, "--levels", levels], capsys)
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {overflow} overflows\n"
+        if levels == "3":  # the levels that fit are listed
+            code, captured = run_without_warnings(
+                ["spectrum", "--config", config, "--levels", "2"], capsys)
+            assert code == 0
+            levels = [v["energy"] for v in strict_json(captured.out)["levels"]]
+            assert levels == pytest.approx([5e307, 1.5e308], rel=1e-12)
+
+
 class TestVerifyCommand:
     def test_unit_field_all_relations_exact(self, tmp_path, capsys):
         config = write_config(tmp_path, {"n": 2, "field": [[0.0, 1.0], [-1.0, 0.0]]})
@@ -570,6 +608,36 @@ class TestVerifyCommand:
         assert code == 1
         assert captured.out.endswith("maximum deviation: nan\n")
         assert captured.err == "verify: relation violated: [p, p] vs i*hbar*(q/c)*H\n"
+
+    @pytest.mark.parametrize("kind", ["seeded8", "non-finite"])
+    def test_rows_render_entry_by_entry(self, tmp_path, capsys, rng, kind):
+        # Each row is printed through one template; the bytes are those of
+        # f"{v:.3e}" per entry, nan included.
+        if kind == "seeded8":
+            data = {"n": 8, "field": random_antisymmetric(rng, 8).tolist(),
+                    "particle": {"q": -1.3, "c": 2.0, "hbar": 0.7}}
+        else:
+            data = {"n": 2, "field": [[0.0, 1.0], [-1.0, 0.0]],
+                    "particle": {"q": 1e10, "hbar": 1e300}}
+        config = RunConfig.load(write_config(tmp_path, data))
+        gauge, constants = config.gauge_matrix(), config.constants()
+        kin = canonical_momentum(gauge, constants, np.arange(gauge.n))
+        dual = dual_momentum(gauge, constants, np.arange(gauge.n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = 1j * constants.hbar * constants.coupling * config.field_tensor().matrix
+            tables = [("[p, p] vs i*hbar*(q/c)*H", np.abs(commutator(kin, kin) - expected)),
+                      ("[pT, pT] vs -i*hbar*(q/c)*H", np.abs(commutator(dual, dual) + expected)),
+                      ("[p, pT] vs 0", np.abs(commutator(kin, dual)))]
+        lines = []
+        for name, table in tables:
+            lines.append(f"{name}  (max deviation {float(table.max()):.3e})")
+            lines += ["  " + "  ".join(f"{value:.3e}" for value in row) for row in table]
+        code, captured = run_without_warnings(
+            ["verify", "--config", write_config(tmp_path, data)], capsys)
+        assert code == (0 if kind == "seeded8" else 1)
+        assert captured.out.startswith("\n".join(lines) + "\nmaximum deviation: ")
+        assert captured.out.count("\n") == len(lines) + 1
+        assert ("  nan  nan\n" in captured.out) == (kind == "non-finite")
 
     def test_violation_measured_against_field_scale(self, tmp_path, capsys):
         # The gauge generates a field 5e-7 off in relative terms: the config's

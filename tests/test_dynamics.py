@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +262,52 @@ class TestClosedForm:
         assert scale > 1000.0
         assert deviation <= 1e-10
 
+    @pytest.mark.parametrize("cond, gate", [(1e4, 5e-12), (1e6, 5e-10), (1e8, 5e-8)])
+    def test_ill_conditioned_frames_on_the_oracle(self, rng, cond, gate):
+        # K = (q/mc) H g^-1 is itself rounded to about cond(g) roundoffs, and
+        # the phase carries that over the orbit, so the gate grows with the
+        # condition: 5e-16 cond(g) times the orbit's scale.
+        n, constants = 6, PhysicalConstants(mass=1.7, charge=-0.8, light_speed=2.5)
+        for sign in (1.0, -1.0):
+            q = random_orthogonal(rng, n)
+            metric = MetricTensor(sign * q @ np.diag(np.logspace(0.0, np.log10(cond), n)) @ q.T)
+            h = FieldTensor(random_antisymmetric(rng, n))
+            state = ParticleState(rng.standard_normal(n), rng.standard_normal(n))
+            k = dynamics_matrix(h, metric, constants)
+            trajectory = evolve_exact_trajectory(state, k, metric, constants, 0.05, 4000)
+            deviation, scale = oracle_error(trajectory, h, metric, constants, 0.05, 4000)
+            assert deviation <= gate * scale
+
+    def test_batches_join(self, rng):
+        # Samples are evaluated 1024 rows at a time; each row depends on its
+        # time alone, so samples on both sides of a batch boundary match a
+        # single step to that time.
+        h, metric, constants, state = definite_case(rng, -1.0)
+        k = dynamics_matrix(h, metric, constants)
+        trajectory = evolve_exact_trajectory(state, k, metric, constants, 0.05, 2100)
+        for i in (1023, 1024, 1025, 2047, 2048, 2100):
+            one = evolve_exact_trajectory(state, k, metric, constants, i * 0.05, 1)[-1]
+            assert trajectory.time[i] == one.time
+            np.testing.assert_allclose(trajectory.position[i], one.position, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(trajectory.momentum[i], one.momentum, rtol=0, atol=1e-14)
+
+    def test_one_hermitian_eigensolve(self, rng, monkeypatch):
+        # The frame's own eigh, then one of the whitened generator: no
+        # decomposition, so no strength cut and no remainder to split again.
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(matrix):
+            calls.append(np.iscomplexobj(matrix))
+            return eigh(matrix)
+
+        h, metric, constants, state = definite_case(rng, 1.0)
+        k = dynamics_matrix(h, metric, constants)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        evolve_exact_trajectory(state, k, metric, constants, 0.1, 50)
+        assert calls == [False, True]
+        assert not hasattr(dynamics, "decompose")
+
     def test_no_per_sample_iteration(self, rng, monkeypatch):
         def refuse(*args):
             raise AssertionError("a definite metric iterated a step map")
@@ -273,6 +320,31 @@ class TestClosedForm:
         with pytest.raises(AssertionError, match="iterated"):
             evolve_exact_trajectory(state, dynamics_matrix(h, minkowski, constants),
                                     minkowski, constants, 0.1, 50)
+
+
+@pytest.mark.parametrize("metric, evolve", [
+    (MetricTensor.euclidean(4), evolve_exact_trajectory),
+    (MetricTensor.minkowski(4), evolve_exact_trajectory),
+    (MetricTensor.euclidean(4), evolve_rk4),
+], ids=["definite-exact", "indefinite-exact", "rk4"])
+def test_peak_memory_is_the_orbit_itself(metric, evolve):
+    # A 1e5-step orbit holds 7.2 MB of samples; every path evaluates them
+    # in place, with temporaries of one batch or one sqrt(N) block.
+    import scipy.linalg  # noqa: F401  (loaded before tracing: not the orbit's memory)
+
+    h = FieldTensor([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.5, 0.0],
+                     [0.0, -0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])  # spatial, so bounded
+    state = ParticleState([0.1, 0.2, 0.3, 0.4], [1.0, 0.0, 0.0, 0.5])
+    k = dynamics_matrix(h, metric, UNIT)
+    evolve(state, k, metric, UNIT, 0.0123, 2)
+    tracemalloc.start()
+    try:
+        trajectory = evolve(state, k, metric, UNIT, 0.0123, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = trajectory.time.nbytes + trajectory.position.nbytes + trajectory.momentum.nbytes
+    assert peak <= 1.5 * size
 
 
 def stagewise_rk4(state, k, metric, constants, dt, steps):
