@@ -8,14 +8,15 @@ with positive strengths ``s``, padded by a zero block spanning the force-free
 directions.  Each nonzero block singles out a plane of circular motion; the
 zero block carries free motion.
 
-The frame is a definite dynamical metric ``g`` itself: ``g`` when it is
-positive definite, ``-g`` when it is negative definite.  Then
+The frame is a definite dynamical metric ``g`` itself, ``G = s g`` with ``s``
+the sign of its eigenvalues (:attr:`MetricTensor.frame`).  Then
 ``B.T @ K @ inv(B.T) = +-(q/mc) Theta`` and the strengths give the true
 frequencies.  An indefinite ``g`` has no frame, so callers pass no metric and
-the identity stands in; the basis may then hold ``g``-null vectors (see
-:func:`metric_singular_columns`).  Any positive-definite form ``G`` is a frame,
-passed as ``MetricTensor(G)``.  The form that :func:`decompose` returns keeps
-its frame as ``frame``, so nothing downstream works the frame out again.
+the Euclidean one, whose frame is the identity, stands in; the basis may then
+hold ``g``-null vectors (see :func:`metric_singular_columns`).  Any
+positive-definite form ``G`` is a frame, passed as ``MetricTensor(G)``.  The
+form that :func:`decompose` returns keeps its frame as ``frame``, so nothing
+downstream works the frame out again.
 """
 
 from __future__ import annotations
@@ -83,23 +84,6 @@ class CanonicalForm:
         return self.n - 2 * self.num_blocks
 
 
-def _inverse_sqrt(matrix: np.ndarray) -> np.ndarray:
-    eigvals, eigvecs = np.linalg.eigh(matrix)
-    return eigvecs @ np.diag(1.0 / np.sqrt(eigvals)) @ eigvecs.T
-
-
-def _frame(metric: MetricTensor | None, n: int) -> np.ndarray:
-    """The positive-definite form of a metric's frame: the identity, ``g`` or ``-g``."""
-    if metric is None:
-        return np.eye(n)
-    if metric.n != n:
-        raise ValueError(f"metric is {metric.n}x{metric.n} but the field tensor is {n}x{n}")
-    if not metric.is_definite:
-        raise ValueError(f"metric is indefinite (signature {metric.signature}), so it has no "
-                         f"frame; pass metric=None to decompose in the identity")
-    return metric.matrix if metric.signature[0] else -metric.matrix
-
-
 def decompose(field: FieldTensor, metric: MetricTensor | None = None) -> CanonicalForm:
     """Block-diagonalize a field tensor in a basis orthonormal against a metric's frame.
 
@@ -108,9 +92,10 @@ def decompose(field: FieldTensor, metric: MetricTensor | None = None) -> Canonic
     field:
         Antisymmetric tensor to decompose.
     metric:
-        Definite metric whose frame ``G`` (``g``, or ``-g`` when negative
-        definite) the basis columns are orthonormalized against; the identity
-        when omitted.  An indefinite metric raises ``ValueError``.
+        Definite metric whose frame ``G = s g`` (``g``, or ``-g`` when
+        negative definite) the basis columns are orthonormalized against; the
+        Euclidean metric, whose frame is the identity, when omitted.  An
+        indefinite metric or one of another size raises ``ValueError``.
 
     Returns
     -------
@@ -120,8 +105,10 @@ def decompose(field: FieldTensor, metric: MetricTensor | None = None) -> Canonic
 
     Notes
     -----
-    The tensor is first whitened with the inverse square root of ``G`` into
-    ``S``, still antisymmetric, so ``iS`` is Hermitian.  An eigenvector
+    The tensor is first whitened with ``G^{-1/2}`` of ``metric.frame``; a
+    result past the float range raises ``ValueError``.  Its strict upper
+    triangle, mirrored, is ``S``: exactly antisymmetric with no rounding, so
+    ``iS`` is Hermitian.  An eigenvector
     ``v`` of ``iS`` with eigenvalue ``s > 0`` gives a block of strength ``s``
     and column pair ``(v.imag, v.real)``, as ``S v.imag = -s v.real`` and
     ``S v.real = s v.imag``.  Each ``v`` is first turned so that its largest
@@ -135,17 +122,21 @@ def decompose(field: FieldTensor, metric: MetricTensor | None = None) -> Canonic
     columns, each with its largest entry positive, span the kernel.
     """
     n = field.n
-    frame = _frame(metric, n)
-    if np.array_equal(frame, np.eye(n)):
-        white = None
-        skew = field.matrix
-    else:
-        white = _inverse_sqrt(frame)
-        skew = white @ field.matrix @ white
-        skew = (skew - skew.T) / 2.0
+    metric = MetricTensor.euclidean(n) if metric is None else metric
+    if metric.n != n:
+        raise ValueError(f"metric is {metric.n}x{metric.n} but the field tensor is {n}x{n}")
+    sign, _, white = metric.frame
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        whitened = white @ field.matrix @ white
+    scale = frobenius_norm(whitened)
+    if not np.isfinite(scale):
+        raise ValueError("the field whitened by the metric's frame leaves the floating-point "
+                         "range: G^-1/2 H G^-1/2 overflows")
+    upper = np.triu(whitened, 1)
+    skew = upper - upper.T
 
     w, v = np.linalg.eigh(1j * skew)
-    kept = np.flatnonzero(w > ZERO_STRENGTH_RTOL * frobenius_norm(skew))[::-1]
+    kept = np.flatnonzero(w > ZERO_STRENGTH_RTOL * scale)[::-1]
     top = v[np.argmax(np.abs(v), axis=0), np.arange(n)][kept]
     v = v[:, kept] * (1j * np.conj(top) / np.abs(top))
     pairs = np.stack([v.imag, v.real], axis=2).reshape(n, 2 * kept.size)
@@ -153,8 +144,8 @@ def decompose(field: FieldTensor, metric: MetricTensor | None = None) -> Canonic
     free = q[:, 2 * kept.size:]
     top = free[np.argmax(np.abs(free), axis=0), np.arange(n - 2 * kept.size)]
     vmat = q * np.where(np.concatenate([np.diag(r), top]) < 0.0, -1.0, 1.0)
-    basis = (vmat if white is None else white @ vmat) + 0.0  # + 0.0 turns -0.0 into 0.0
-    return CanonicalForm(basis=basis, strengths=w[kept], frame=frame)
+    basis = white @ vmat + 0.0  # + 0.0 turns -0.0 into 0.0
+    return CanonicalForm(basis=basis, strengths=w[kept], frame=sign * metric.matrix)
 
 
 def canonical_tensor(form: CanonicalForm) -> np.ndarray:

@@ -65,7 +65,10 @@ def _warn_radiation(config: RunConfig) -> None:
 
 
 def cmd_decompose(config: RunConfig, out_path: str | None) -> int:
-    form = decompose(config.field_tensor(), config.gamma_tensor())
+    try:
+        form = decompose(config.field_tensor(), config.gamma_tensor())
+    except ValueError as exc:  # the whitened field leaves the floating-point range
+        raise ConfigError(str(exc)) from None
     document = {
         "n": form.n,
         "basis": [[float(v) for v in row] for row in form.basis],
@@ -81,12 +84,12 @@ def cmd_decompose(config: RunConfig, out_path: str | None) -> int:
 
 
 def cmd_spectrum(config: RunConfig, out_path: str | None, levels: int) -> int:
-    form = decompose(config.field_tensor(), config.gamma_tensor())
     constants, metric = config.constants(), config.metric_tensor()
     try:
+        form = decompose(config.field_tensor(), config.gamma_tensor())
         report = classify_spectrum(form, constants, metric)
         listing = level_listing(form, constants, levels)
-    except ValueError as exc:  # a frequency or an energy leaves the floating-point range
+    except ValueError as exc:  # a field, frequency or energy leaves the floating-point range
         raise ConfigError(str(exc)) from None
     document = {
         "frequencies": [float(w) for w in report.frequencies],
@@ -138,14 +141,16 @@ def cmd_simulate(config: RunConfig, path: str, fmt: str) -> int:
     try:
         kmat = dynamics_matrix(field, metric, constants)
         trajectory = evolve(state, kmat, metric, constants, dt, steps)
-    except ValueError as exc:  # the configured motion leaves the floating-point range
+        form = decompose(field, config.gamma_tensor())
+    except ValueError as exc:  # the motion or the whitened field leaves the float range
         raise ConfigError(str(exc)) from None
+    except MemoryError:  # only the orbit's steps + 1 rows can outgrow the memory
+        raise ConfigError(f"integration.steps: {steps} steps make an orbit of {steps + 1} "
+                          f"samples, too many to allocate") from None
 
     write = write_trajectory_csv if fmt == "csv" else write_trajectory_structured
     with open(path, "w", encoding="utf-8", newline="") as fh:
         write(trajectory, field, metric, constants, fh)
-
-    form = decompose(field, config.gamma_tensor())
 
     # Every stride-th sample, and the last one.
     count = len(trajectory)
@@ -204,10 +209,10 @@ def cmd_verify(config: RunConfig) -> int:
     gauge = config.gauge_matrix()
     constants = config.constants()
     components = np.arange(gauge.n)
-    kin = canonical_momentum(gauge, constants, components)
-    dual = dual_momentum(gauge, constants, components)
     # A deviation that leaves the float range fails the gate below, by name.
     with np.errstate(over="ignore", invalid="ignore"):
+        kin = canonical_momentum(gauge, constants, components)
+        dual = dual_momentum(gauge, constants, components)
         expected = 1j * constants.hbar * constants.coupling * config.field_tensor().matrix
         tables = {
             "[p, p] vs i*hbar*(q/c)*H": np.abs(commutator(kin, kin) - expected),

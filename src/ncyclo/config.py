@@ -232,8 +232,8 @@ class RunConfig:
     def gamma_tensor(self) -> MetricTensor | None:
         """The metric to decompose against: the metric itself when definite, else None.
 
-        :func:`~ncyclo.canonical.decompose` turns a definite metric into its
-        frame (``g`` or ``-g``); None stands for the identity.
+        :func:`~ncyclo.canonical.decompose` reads a definite metric's frame
+        (``g`` or ``-g``); None stands for the Euclidean metric, framed by ``I``.
         """
         metric = self.metric_tensor()
         return metric if metric.is_definite else None

@@ -266,11 +266,11 @@ def evolve_exact_trajectory(state: ParticleState, k: np.ndarray, metric: MetricT
     ``p(t) = p0 + G^{1/2} Re U [(exp(-i lam t) - 1) c]`` and
     ``x(t) = x0 + (s/m) G^{-1/2} Re U [phi c]``, with ``phi`` the integral
     of ``exp(-i lam t)`` over ``[0, t]``, exactly ``t`` at ``lam = 0``.
-    Both roots of ``G`` come from one eigensolve of ``G``.  No strength is
-    cut to zero, so a weak block turns however long the orbit.  An
-    indefinite metric has no such frame: its orbit is
-    propagated in ``sqrt(steps)``-sample blocks of the one-step map, about
-    ``2 sqrt(steps)`` array operations with roundoff growing like
+    ``s`` and both roots of ``G`` are the metric's :attr:`~MetricTensor.frame`,
+    worked out once per metric.  No strength is cut to zero, so a weak block
+    turns however long the orbit.  An indefinite metric has no such frame:
+    its orbit is propagated in ``sqrt(steps)``-sample blocks of the one-step
+    map, about ``2 sqrt(steps)`` array operations with roundoff growing like
     ``2 sqrt(steps)`` roundoffs.
     Returns ``steps + 1`` samples, the input first.
     """
@@ -281,9 +281,7 @@ def evolve_exact_trajectory(state: ParticleState, k: np.ndarray, metric: MetricT
     if not metric.is_definite:
         return _sample(state, k, metric, constants, dt, steps, True)
 
-    sign = 1.0 if metric.signature[0] else -1.0
-    e, v = np.linalg.eigh(sign * metric.matrix)
-    root, inverse_root = (v * np.sqrt(e)) @ v.T, (v / np.sqrt(e)) @ v.T
+    sign, root, inverse_root = metric.frame
     t = np.arange(steps + 1) * dt
     position, momentum = np.empty((t.size, state.n)), np.empty((t.size, state.n))
     # An orbit that overflows is reported once, by Trajectory, instead of

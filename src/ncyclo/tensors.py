@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as _field
+from functools import cached_property
 
 import numpy as np
 
@@ -74,7 +75,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MetricTensor:
-    """Invertible symmetric metric together with its inverse and signature.
+    """Invertible symmetric metric together with its inverse, signature and frame.
 
     The inverse is what enters the equations of motion; the signature
     ``(n_plus, n_minus)`` records how many eigenvalues are positive and
@@ -115,6 +116,20 @@ class MetricTensor:
     def is_definite(self) -> bool:
         """True when all eigenvalues share one sign (no mixed signature)."""
         return min(self.signature) == 0
+
+    @cached_property
+    def frame(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """``(s, G^{1/2}, G^{-1/2})`` of the positive-definite frame ``G = s g``.
+
+        Both read-only roots come from one ``eigh`` of ``G`` on first use; the
+        identity's are exactly the identity.  An indefinite metric raises ``ValueError``.
+        """
+        if not self.is_definite:
+            raise ValueError(f"metric is indefinite (signature {self.signature}), so it has no "
+                             f"frame; pass metric=None to decompose in the identity")
+        sign = 1.0 if self.signature[0] else -1.0
+        e, v = np.linalg.eigh(sign * self.matrix)
+        return sign, _frozen((v * np.sqrt(e)) @ v.T), _frozen((v / np.sqrt(e)) @ v.T)
 
     @classmethod
     def euclidean(cls, n: int) -> "MetricTensor":

@@ -28,12 +28,14 @@ def positive_imag_eigenvalues(matrix, cut=1e-10):
 
 class TestDecompose:
     def test_already_canonical_2d(self):
-        h = FieldTensor([[0.0, 1.0], [-1.0, 0.0]])
-        form = decompose(h)
-        assert form.num_blocks == 1
-        assert form.free_dims == 0
-        np.testing.assert_allclose(form.strengths, [1.0])
-        np.testing.assert_array_equal(form.basis, np.eye(2))
+        # From the smallest subnormal to near the float limit the block is
+        # its own strength: no rounding of the field before the eigensolve.
+        for s in (1.0, 5e-324, 8.9e307):
+            form = decompose(FieldTensor([[0.0, s], [-s, 0.0]]))
+            assert form.num_blocks == 1
+            assert form.free_dims == 0
+            np.testing.assert_allclose(form.strengths, [s], rtol=2e-16, atol=0)
+            np.testing.assert_array_equal(form.basis, np.eye(2))
 
     def test_3d_axis_field(self):
         form = decompose(field_from_3d_vector([0.0, 0.0, 2.0]))
@@ -44,8 +46,11 @@ class TestDecompose:
     def test_block_form_keeps_the_identity_basis(self):
         five = np.zeros((5, 5))
         five[0, 1], five[1, 0] = 1.5, -1.5
+        # n = 256: the Euclidean frame's roots are exactly I, so whitening by
+        # them changes no bit of the field or of the basis.
+        wide = canonical_tensor(CanonicalForm(np.eye(256), np.arange(128, 0, -1) / 7.0))
         for h in (field_from_3d_vector([0.0, 0.0, 2.0]), FieldTensor(five),
-                  FieldTensor(np.zeros((4, 4)))):
+                  FieldTensor(np.zeros((4, 4))), FieldTensor(wide)):
             np.testing.assert_array_equal(decompose(h).basis, np.eye(h.n))
 
     def test_free_columns_are_an_orthonormal_kernel_basis(self, rng):

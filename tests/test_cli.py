@@ -1,9 +1,12 @@
 import json
+import math
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_antisymmetric, random_spd
 from ncyclo import cli
@@ -437,6 +440,40 @@ class TestSimulateCommand:
                                 "overflows\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["exact", "rk4"])
+    def test_unallocatable_step_count_refused_by_name(self, tmp_path, capsys, method):
+        # 1e17 samples take exabytes, past even a 57-bit address space, so
+        # numpy's allocation fails before any memory is touched.
+        out = tmp_path / "traj.csv"
+        config = circle2d(tmp_path, integration={"dt": 0.01, "steps": 10**17, "method": method})
+        code, captured = run_without_warnings(
+            ["simulate", "--config", config, "--out", str(out)], capsys)
+        assert (code, captured.out) == (2, "")
+        assert captured.err == ("error: integration.steps: 100000000000000000 steps make an "
+                                "orbit of 100000000000000001 samples, too many to allocate\n")
+        assert not out.exists()
+
+    def test_definite_metric_factored_once(self, tmp_path, capsys, rng, monkeypatch):
+        # The frame is the metric's own, so decompose and the closed-form orbit
+        # share one real eigh of G; the complex ones are the two generators.
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(matrix):
+            calls.append(np.iscomplexobj(matrix))
+            return eigh(matrix)
+
+        n = 4
+        g = random_spd(rng, n)
+        config = write_config(tmp_path, {
+            "n": n, "metric": ((g + g.T) / 2.0).tolist(),
+            "field": random_antisymmetric(rng, n).tolist(),
+            "initial": {"x": [0.0] * n, "p": [1.0] * n},
+            "integration": {"dt": 0.05, "steps": 100, "method": "exact"}})
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "traj.csv")]) == 0
+        assert sorted(calls) == [False, True, True]
+
     def test_bad_output_format(self, tmp_path, capsys):
         config = circle2d(tmp_path)
         out = tmp_path / "traj.xml"
@@ -538,29 +575,40 @@ class TestSpectrumCommand:
         assert doc["metric_definite"] is False
 
 
-    @pytest.mark.parametrize("field, particle, levels, overflow", [
+    @pytest.mark.parametrize("field, extra, omega, overflow", [
         # |q|/(m c) = 1e10 and the strength 1e300 are finite, their product is not.
-        (1e300, {"q": 1e10}, "10", "the field's strength 1.000e+300 times the particle's "
-         "|q|/(m c) = 1.000e+10 leaves the floating-point range: the cyclotron frequency"),
-        (1.0, {"q": 1e10, "hbar": 1e300}, "10", "the particle's hbar = 1.000e+300 times the "
-         "field's cyclotron frequencies leaves the floating-point range: the ground energy"),
+        (1e300, {"particle": {"q": 1e10}}, None, "the field's strength 1.000e+300 times the "
+         "particle's |q|/(m c) = 1.000e+10 leaves the floating-point range: the cyclotron "
+         "frequency"),
+        (1.0, {"particle": {"q": 1e10, "hbar": 1e300}}, None, "the particle's hbar = 1.000e+300 "
+         "times the field's cyclotron frequencies leaves the floating-point range: the ground "
+         "energy"),
         # omega = 1e308: the ground and first excited levels fit, the third does not.
-        (1e298, {"q": 1e10}, "3", "the particle's hbar = 1.000e+00 times the field's "
-         "cyclotron frequencies leaves the floating-point range: a level energy"),
-    ], ids=["frequency", "ground", "level"])
-    def test_overflow_refused_by_name(self, tmp_path, capsys, field, particle, levels, overflow):
-        config = write_config(tmp_path, {"n": 2, "field": [[0.0, field], [-field, 0.0]],
-                                         "particle": particle})
+        (1e298, {"particle": {"q": 1e10}}, 1e308, "the particle's hbar = 1.000e+00 times the "
+         "field's cyclotron frequencies leaves the floating-point range: a level energy"),
+        # G^(-1/2) H G^(-1/2) = 100 H is past the float range.
+        (8.9e307, {"metric": [[0.01, 0.0], [0.0, 0.01]]}, None, "the field whitened by the "
+         "metric's frame leaves the floating-point range: G^-1/2 H G^-1/2"),
+        # H / 0.9 fits, though H - H^T does not: one block, and its third level overflows.
+        (8.9e307, {"metric": [[0.9, 0.0], [0.0, 0.9]]}, 8.9e307 / 0.9, "the particle's hbar = "
+         "1.000e+00 times the field's cyclotron frequencies leaves the floating-point range: "
+         "a level energy"),
+    ], ids=["frequency", "ground", "level", "whitened-field", "near-limit-field"])
+    def test_overflow_refused_by_name(self, tmp_path, capsys, field, extra, omega, overflow):
+        config = write_config(tmp_path, {"n": 2, "field": [[0.0, field], [-field, 0.0]], **extra})
+        levels = "10" if omega is None else "3"
         code, captured = run_without_warnings(
             ["spectrum", "--config", config, "--levels", levels], capsys)
         assert (code, captured.out) == (2, "")
         assert captured.err == f"error: {overflow} overflows\n"
-        if levels == "3":  # the levels that fit are listed
+        if omega is not None:  # the levels that fit are listed
             code, captured = run_without_warnings(
                 ["spectrum", "--config", config, "--levels", "2"], capsys)
             assert code == 0
-            levels = [v["energy"] for v in strict_json(captured.out)["levels"]]
-            assert levels == pytest.approx([5e307, 1.5e308], rel=1e-12)
+            doc = strict_json(captured.out)
+            assert doc["frequencies"] == pytest.approx([omega], rel=1e-15)
+            levels = [v["energy"] for v in doc["levels"]]
+            assert levels == pytest.approx([omega / 2, 1.5 * omega], rel=1e-12)
 
 
 class TestVerifyCommand:
@@ -601,13 +649,15 @@ class TestVerifyCommand:
 
     def test_non_finite_deviation_fails_by_name(self, tmp_path, capsys):
         # hbar (q/c) H overflows, so the [p, p] table is NaN: a failure that
-        # names the table, not a pass behind a sentinel maximum.
-        config = write_config(tmp_path, {"n": 2, "field": [[0.0, 1.0], [-1.0, 0.0]],
-                                         "particle": {"q": 1e10, "hbar": 1e300}})
-        code, captured = run_without_warnings(["verify", "--config", config], capsys)
-        assert code == 1
-        assert captured.out.endswith("maximum deviation: nan\n")
-        assert captured.err == "verify: relation violated: [p, p] vs i*hbar*(q/c)*H\n"
+        # names the table, not a pass behind a sentinel maximum.  With q = 1e10
+        # and H = 1e300 the momenta's own (q/c) A overflows already.
+        for field, particle in ((1.0, {"q": 1e10, "hbar": 1e300}), (1e300, {"q": 1e10})):
+            config = write_config(tmp_path, {"n": 2, "field": [[0.0, field], [-field, 0.0]],
+                                             "particle": particle})
+            code, captured = run_without_warnings(["verify", "--config", config], capsys)
+            assert code == 1
+            assert captured.out.endswith("maximum deviation: nan\n")
+            assert captured.err == "verify: relation violated: [p, p] vs i*hbar*(q/c)*H\n"
 
     @pytest.mark.parametrize("kind", ["seeded8", "non-finite"])
     def test_rows_render_entry_by_entry(self, tmp_path, capsys, rng, kind):
@@ -663,6 +713,58 @@ def test_overflowing_particle_ratios_refused(tmp_path, capsys, particle, command
     assert captured.err.startswith("error: particle: q/c and q/(m c) must be finite, got ")
     assert captured.err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["decompose", "spectrum", "simulate"])
+def test_overflowing_whitened_field_refused(tmp_path, capsys, command):
+    # Two blocks of 8.9e307 in the metric 0.9 I: K = H g^-1 is finite, the
+    # Frobenius norm of the whitened field H / 0.9 is not.  simulate refuses
+    # before it writes the trajectory.
+    field = np.kron(np.eye(2), [[0.0, 8.9e307], [-8.9e307, 0.0]])
+    config = write_config(tmp_path, {
+        "n": 4, "metric": (0.9 * np.eye(4)).tolist(), "field": field.tolist(),
+        "initial": {"x": [0.0] * 4, "p": [1.0, 0.0, 0.0, 0.0]},
+        "integration": {"dt": 0.01, "steps": 10, "method": "exact"}})
+    out = tmp_path / "traj.csv"
+    extra = ["--out", str(out)] if command == "simulate" else []
+    code, captured = run_without_warnings([command, "--config", config, *extra], capsys)
+    assert (code, captured.out) == (2, "")
+    assert captured.err == ("error: the field whitened by the metric's frame leaves the "
+                            "floating-point range: G^-1/2 H G^-1/2 overflows\n")
+    assert not out.exists()
+
+
+class TestRobustnessProperties:
+    """Huge fields in diagonal definite frames: the blocks, or one named refusal."""
+
+    # A failing example makes hypothesis import libcst, whose own deprecation
+    # warning would otherwise turn the report into a pytest internal error.
+    @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict:DeprecationWarning")
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6),
+           log_metric=st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+           sign=st.sampled_from([1.0, -1.0]), log_field=st.integers(296, 307))
+    def test_blocks_or_one_error_line(self, tmp_path, capsys, seed, n, log_metric, sign,
+                                      log_field):
+        a = np.random.default_rng(seed).standard_normal((n, n))
+        h = (a - a.T) / np.abs(a - a.T).max() * 10.0 ** log_field
+        d = 10.0 ** np.array(log_metric[:n], dtype=float)
+        config = write_config(tmp_path, {"n": n, "metric": np.diag(sign * d).tolist(),
+                                         "field": h.tolist()})
+        # Oracle: the whitened field H_jk / sqrt(d_j d_k), scaled by a power of
+        # two so that it cannot overflow, through a general eigensolver.
+        white = np.ldexp(h, -math.frexp(np.abs(h).max())[1]) / np.sqrt(np.outer(d, d))
+        imag = np.linalg.eigvals(white).imag
+        blocks = int((imag > 1e-10 * np.linalg.norm(white)).sum())
+        for command in ("decompose", "spectrum"):
+            code, captured = run_without_warnings([command, "--config", config], capsys)
+            if code == 0:
+                assert captured.err == ""
+                assert strict_json(captured.out)["num_blocks"] == blocks
+            else:
+                assert (code, captured.out) == (2, "")
+                assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestFrame:

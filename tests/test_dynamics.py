@@ -306,6 +306,9 @@ class TestClosedForm:
         monkeypatch.setattr(np.linalg, "eigh", counted)
         evolve_exact_trajectory(state, k, metric, constants, 0.1, 50)
         assert calls == [False, True]
+        # The metric keeps its frame, so a second orbit solves the generator only.
+        evolve_exact_trajectory(state, k, metric, constants, 0.2, 50)
+        assert calls == [False, True, True]
         assert not hasattr(dynamics, "decompose")
 
     def test_no_per_sample_iteration(self, rng, monkeypatch):
