@@ -25,7 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import FieldTensor, MetricTensor, _as_square_matrix, _frozen, frobenius_norm
+from .tensors import (
+    FieldTensor,
+    MetricTensor,
+    _as_square_matrix,
+    _frozen,
+    _unit_scaled,
+    frobenius_norm,
+)
 
 __all__ = [
     "CanonicalForm",
@@ -105,8 +112,11 @@ def decompose(field: FieldTensor, metric: MetricTensor | None = None) -> Canonic
 
     Notes
     -----
-    The tensor is first whitened with ``G^{-1/2}`` of ``metric.frame``; a
-    result past the float range raises ``ValueError``.  Its strict upper
+    The tensor, unit-scaled by the power of two ``2^-e`` of its largest
+    entry, which is exact, is first whitened with ``G^{-1/2}`` of
+    ``metric.frame``, so no intermediate product overflows; the strengths and
+    the norm are scaled back by ``2^e``, and a norm past the float range
+    raises ``ValueError``.  The whitened tensor's strict upper
     triangle, mirrored, is ``S``: exactly antisymmetric with no rounding, so
     ``iS`` is Hermitian.  An eigenvector
     ``v`` of ``iS`` with eigenvalue ``s > 0`` gives a block of strength ``s``
@@ -116,7 +126,8 @@ def decompose(field: FieldTensor, metric: MetricTensor | None = None) -> Canonic
     ``B = I``.  Blocks come in descending strength; strengths at or below
     ``ZERO_STRENGTH_RTOL`` times the Frobenius norm of the whitened tensor are
     zero, a cut with no absolute floor, so the block count does not depend on
-    the field's units.  One complete QR factorization of the pairs gives the
+    the field's units; only a strength that scales back below the smallest
+    float is zero too.  One complete QR factorization of the pairs gives the
     basis: its leading columns, with ``diag(R)`` made positive, undo the
     roundoff mixing of nearly equal or tiny strengths, and its trailing
     columns, each with its largest entry positive, span the kernel.
@@ -126,17 +137,19 @@ def decompose(field: FieldTensor, metric: MetricTensor | None = None) -> Canonic
     if metric.n != n:
         raise ValueError(f"metric is {metric.n}x{metric.n} but the field tensor is {n}x{n}")
     sign, _, white = metric.frame
+    unit, exponent = _unit_scaled(field.matrix)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
-        whitened = white @ field.matrix @ white
-    scale = frobenius_norm(whitened)
-    if not np.isfinite(scale):
-        raise ValueError("the field whitened by the metric's frame leaves the floating-point "
-                         "range: G^-1/2 H G^-1/2 overflows")
+        whitened = white @ unit @ white
+        scale = frobenius_norm(whitened)
+        if not np.isfinite(np.ldexp(scale, exponent)):
+            raise ValueError("the field whitened by the metric's frame leaves the "
+                             "floating-point range: G^-1/2 H G^-1/2 overflows")
     upper = np.triu(whitened, 1)
     skew = upper - upper.T
 
     w, v = np.linalg.eigh(1j * skew)
-    kept = np.flatnonzero(w > ZERO_STRENGTH_RTOL * scale)[::-1]
+    strengths = np.ldexp(w, exponent)
+    kept = np.flatnonzero((w > ZERO_STRENGTH_RTOL * scale) & (strengths > 0.0))[::-1]
     top = v[np.argmax(np.abs(v), axis=0), np.arange(n)][kept]
     v = v[:, kept] * (1j * np.conj(top) / np.abs(top))
     pairs = np.stack([v.imag, v.real], axis=2).reshape(n, 2 * kept.size)
@@ -145,7 +158,7 @@ def decompose(field: FieldTensor, metric: MetricTensor | None = None) -> Canonic
     top = free[np.argmax(np.abs(free), axis=0), np.arange(n - 2 * kept.size)]
     vmat = q * np.where(np.concatenate([np.diag(r), top]) < 0.0, -1.0, 1.0)
     basis = white @ vmat + 0.0  # + 0.0 turns -0.0 into 0.0
-    return CanonicalForm(basis=basis, strengths=w[kept], frame=sign * metric.matrix)
+    return CanonicalForm(basis=basis, strengths=strengths[kept], frame=sign * metric.matrix)
 
 
 def canonical_tensor(form: CanonicalForm) -> np.ndarray:
@@ -164,9 +177,15 @@ def orthonormality_residual(form: CanonicalForm) -> float:
 
 
 def reconstruction_residual(form: CanonicalForm, field: FieldTensor) -> float:
-    """Relative Frobenius residual between the transformed tensor and its blocks."""
-    mismatch = frobenius_norm(form.basis.T @ field.matrix @ form.basis - canonical_tensor(form))
-    scale = field.norm
+    """Relative Frobenius residual between the transformed tensor and its blocks.
+
+    Both are unit-scaled by one power of two, which is exact and leaves the
+    ratio unchanged, so neither product overflows for a field near 1e308.
+    """
+    unit, exponent = _unit_scaled(field.matrix)
+    b = form.basis
+    mismatch = frobenius_norm(b.T @ unit @ b - np.ldexp(canonical_tensor(form), -exponent))
+    scale = frobenius_norm(unit)
     return mismatch / scale if scale > 0 else mismatch
 
 
@@ -178,6 +197,7 @@ def metric_singular_columns(form: CanonicalForm, metric_matrix: np.ndarray) -> l
     callers typically just surface the indices in reports.
     """
     g = np.asarray(metric_matrix, dtype=float)
-    norms = np.einsum("ja,jk,ka->a", form.basis, g, form.basis)
+    # One BLAS product, then a dot per column: a three-operand einsum has no BLAS path.
+    norms = np.einsum("ja,ja->a", form.basis, g @ form.basis)
     cut = ZERO_STRENGTH_RTOL * float(np.abs(norms).max(initial=0.0))
     return [int(i) for i in np.nonzero(np.abs(norms) <= cut)[0]]

@@ -2,7 +2,11 @@
 
 Each command reads one JSON run configuration (see :mod:`ncyclo.config`),
 writes deterministic output, and signals success through its exit code, so the
-commands double as an acceptance harness.
+commands double as an acceptance harness.  Each boundary rule is stated
+once.  Every refusal of the library, a malformed configuration or a result
+past the float range, is a ``ValueError``, and :func:`main` alone prints it
+as the one ``error:`` line of exit status 2.  :func:`_emit` alone renders
+numpy arrays and scalars, into strict JSON.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ from .canonical import (
     orthonormality_residual,
     reconstruction_residual,
 )
-from .config import ConfigError, RunConfig
+from .config import RunConfig
 from .dynamics import (
+    check_trajectory_table,
     dual_momentum_value,
     dynamics_matrix,
     evolve_exact_trajectory,
@@ -46,7 +51,9 @@ _REPORT_SAMPLES = 512
 
 
 def _emit(document: dict, out_path: str | None) -> None:
-    text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+    # numpy arrays and scalars render through tolist; a NaN or infinity is refused.
+    text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False,
+                      default=lambda value: value.tolist()) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -65,14 +72,11 @@ def _warn_radiation(config: RunConfig) -> None:
 
 
 def cmd_decompose(config: RunConfig, out_path: str | None) -> int:
-    try:
-        form = decompose(config.field_tensor(), config.gamma_tensor())
-    except ValueError as exc:  # the whitened field leaves the floating-point range
-        raise ConfigError(str(exc)) from None
+    form = decompose(config.field_tensor(), config.gamma_tensor())
     document = {
         "n": form.n,
-        "basis": [[float(v) for v in row] for row in form.basis],
-        "strengths": [float(s) for s in form.strengths],
+        "basis": form.basis,
+        "strengths": form.strengths,
         "num_blocks": form.num_blocks,
         "free_dims": form.free_dims,
         "orthonormality_residual": orthonormality_residual(form),
@@ -85,14 +89,11 @@ def cmd_decompose(config: RunConfig, out_path: str | None) -> int:
 
 def cmd_spectrum(config: RunConfig, out_path: str | None, levels: int) -> int:
     constants, metric = config.constants(), config.metric_tensor()
-    try:
-        form = decompose(config.field_tensor(), config.gamma_tensor())
-        report = classify_spectrum(form, constants, metric)
-        listing = level_listing(form, constants, levels)
-    except ValueError as exc:  # a field, frequency or energy leaves the floating-point range
-        raise ConfigError(str(exc)) from None
+    form = decompose(config.field_tensor(), config.gamma_tensor())
+    report = classify_spectrum(form, constants, metric)
+    listing = level_listing(form, constants, levels)
     document = {
-        "frequencies": [float(w) for w in report.frequencies],
+        "frequencies": report.frequencies,
         "num_blocks": report.num_blocks,
         "free_count": report.free_count,
         "fully_discrete": report.fully_discrete,
@@ -110,22 +111,21 @@ def _block_statistics(times, split, form):
     for l in range(form.num_blocks):
         centers, relatives = split.centers[:, l], split.relatives[:, l]
         center0 = centers[0]
-        drift = float(np.abs(centers - center0).max())
         radii = np.linalg.norm(relatives, axis=1)
-        mean_radius = float(radii.mean())
+        mean_radius = radii.mean()
         entry = {
-            "strength": float(form.strengths[l]),
-            "center": [float(center0[0]), float(center0[1])],
-            "center_drift": drift / max(1.0, float(np.abs(center0).max())),
+            "strength": form.strengths[l],
+            "center": center0,
+            "center_drift": np.abs(centers - center0).max() / max(1.0, np.abs(center0).max()),
             "radius": mean_radius,
-            "radius_drift": (float(radii.max() - radii.min()) / mean_radius
+            "radius_drift": ((radii.max() - radii.min()) / mean_radius
                              if mean_radius > 1e-12 else 0.0),
             "measured_frequency": None,
         }
         if mean_radius > 1e-12 and len(times) >= 8:
             angle = np.unwrap(np.arctan2(relatives[:, 1], relatives[:, 0]))
             slope = np.polyfit(times, angle, 1)[0]
-            entry["measured_frequency"] = float(abs(slope))
+            entry["measured_frequency"] = abs(slope)
         blocks.append(entry)
     return blocks
 
@@ -138,15 +138,14 @@ def cmd_simulate(config: RunConfig, path: str, fmt: str) -> int:
     dt, steps, method = config.integration_settings()
 
     evolve = evolve_exact_trajectory if method == "exact" else evolve_rk4
+    kmat = dynamics_matrix(field, metric, constants)
     try:
-        kmat = dynamics_matrix(field, metric, constants)
         trajectory = evolve(state, kmat, metric, constants, dt, steps)
-        form = decompose(field, config.gamma_tensor())
-    except ValueError as exc:  # the motion or the whitened field leaves the float range
-        raise ConfigError(str(exc)) from None
     except MemoryError:  # only the orbit's steps + 1 rows can outgrow the memory
-        raise ConfigError(f"integration.steps: {steps} steps make an orbit of {steps + 1} "
-                          f"samples, too many to allocate") from None
+        raise ValueError(f"integration.steps: {steps} steps make an orbit of {steps + 1} "
+                         f"samples, too many to allocate") from None
+    form = decompose(field, config.gamma_tensor())
+    check_trajectory_table(trajectory, field, metric, constants)
 
     write = write_trajectory_csv if fmt == "csv" else write_trajectory_structured
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -158,12 +157,11 @@ def cmd_simulate(config: RunConfig, path: str, fmt: str) -> int:
     samples = trajectory[np.unique(np.r_[0:count:stride, count - 1])]
 
     duals = dual_momentum_value(samples, field, constants)
-    dual_scale = max(1.0, float(np.abs(duals[0]).max()))
     energies = kinetic_energy(samples, metric, constants)
     residuals = {
-        "dual_momentum_drift": float(np.abs(duals - duals[0]).max()) / dual_scale,
-        "energy_drift": (float(np.abs(energies - energies[0]).max())
-                         / max(1.0, abs(float(energies[0])))),
+        "dual_momentum_drift": (np.abs(duals - duals[0]).max()
+                                / max(1.0, np.abs(duals[0]).max())),
+        "energy_drift": np.abs(energies - energies[0]).max() / max(1.0, abs(energies[0])),
     }
     split = orbit_decomposition(samples, form, field, constants)
     blocks = _block_statistics(samples.time, split, form)
@@ -176,7 +174,7 @@ def cmd_simulate(config: RunConfig, path: str, fmt: str) -> int:
                       for entry, w in zip(blocks, omegas)
                       if entry["measured_frequency"] is not None]
         if mismatches:
-            residuals["frequency_mismatch"] = float(max(mismatches))
+            residuals["frequency_mismatch"] = max(mismatches)
 
     failing = sorted(name for name, value in residuals.items() if not value <= DEFAULT_TOLERANCE)
     report = {
@@ -190,9 +188,9 @@ def cmd_simulate(config: RunConfig, path: str, fmt: str) -> int:
         "geometric_interpretation_valid": metric.is_definite,
         "metric_singular_columns": metric_singular_columns(form, metric.matrix),
         "blocks": blocks,
-        "free_velocity": [float(v) for v in split.free_velocity[0]],
-        "block_energies": [float(e) for e in split.block_energies[0]],
-        "free_energy": float(split.free_energy[0]),
+        "free_velocity": split.free_velocity[0],
+        "block_energies": split.block_energies[0],
+        "free_energy": split.free_energy[0],
         "residuals": residuals,
         "tolerance": DEFAULT_TOLERANCE,
         "failed_invariants": failing,
@@ -250,25 +248,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True, help="path to the JSON run configuration")
 
-    p = sub.add_parser("decompose", help="block-diagonalize the field tensor")
-    p.add_argument("--config", required=True, help="path to the JSON run configuration")
+    p = sub.add_parser("decompose", parents=[config], help="block-diagonalize the field tensor")
     p.add_argument("--out", help="write the document here instead of stdout")
 
-    p = sub.add_parser("simulate", help="integrate the motion and report the orbits")
-    p.add_argument("--config", required=True, help="path to the JSON run configuration")
+    p = sub.add_parser("simulate", parents=[config],
+                       help="integrate the motion and report the orbits")
     p.add_argument("--out", required=True, help="trajectory file path")
     p.add_argument("--format", choices=OUTPUT_FORMATS, default="csv",
                    help="trajectory format (default csv)")
 
-    p = sub.add_parser("spectrum", help="frequencies, levels, and discreteness")
-    p.add_argument("--config", required=True, help="path to the JSON run configuration")
+    p = sub.add_parser("spectrum", parents=[config], help="frequencies, levels, and discreteness")
     p.add_argument("--out", help="write the document here instead of stdout")
     p.add_argument("--levels", type=non_negative_int, default=10,
                    help="how many ladder levels to list (default 10)")
 
-    p = sub.add_parser("verify", help="check the commutation relations of the momenta")
-    p.add_argument("--config", required=True, help="path to the JSON run configuration")
+    sub.add_parser("verify", parents=[config],
+                   help="check the commutation relations of the momenta")
     return parser
 
 
@@ -284,7 +282,7 @@ def main(argv=None) -> int:
         if args.command == "spectrum":
             return cmd_spectrum(config, args.out, args.levels)
         return cmd_verify(config)
-    except (ConfigError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # every refusal of the library
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

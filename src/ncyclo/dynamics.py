@@ -43,6 +43,7 @@ __all__ = [
     "kinetic_energy",
     "orbit_decomposition",
     "trajectory_table",
+    "check_trajectory_table",
     "write_trajectory_csv",
     "write_trajectory_structured",
 ]
@@ -416,6 +417,34 @@ def trajectory_table(trajectory: Trajectory, field: FieldTensor, metric: MetricT
     }
 
 
+def _column_labels(table: dict[str, np.ndarray]) -> list[str]:
+    # The CSV header: a 1-D column's name, name1..namen for the values of a 2-D one.
+    labels = []
+    for name, column in table.items():
+        if column.ndim == 1:
+            labels.append(name)
+        else:
+            labels += [f"{name}{i + 1}" for i in range(column.shape[1])]
+    return labels
+
+
+def check_trajectory_table(trajectory: Trajectory, field: FieldTensor, metric: MetricTensor,
+                           constants: PhysicalConstants) -> None:
+    """Raise ``ValueError`` naming the first non-finite entry of :func:`trajectory_table`.
+
+    The samples of a :class:`Trajectory` are finite, but ``pT`` and
+    ``E_total`` can still overflow.  The table, with the bits the writers
+    get, is dropped on return, before a writer builds its own.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        table = trajectory_table(trajectory, field, metric, constants)
+    finite = np.column_stack([np.isfinite(column) for column in table.values()])
+    if not finite.all():
+        step, column = np.argwhere(~finite)[0]
+        raise ValueError(f"the trajectory column {_column_labels(table)[column]} leaves the "
+                         f"floating-point range at step {step} (t = {trajectory.time[step]:.12g})")
+
+
 def _write_rows(stream, columns: list[np.ndarray], line: str, separator: str = "") -> None:
     """Write ``line % row`` per sample, ``separator`` between rows, a batch at a time.
 
@@ -439,12 +468,7 @@ def write_trajectory_csv(trajectory: Trajectory, field: FieldTensor,
     bit-faithfully.
     """
     table = trajectory_table(trajectory, field, metric, constants)
-    header = []
-    for name, column in table.items():
-        if column.ndim == 1:
-            header.append(name)
-        else:
-            header += [f"{name}{i + 1}" for i in range(column.shape[1])]
+    header = _column_labels(table)
     stream.write(",".join(header) + "\n")
     _write_rows(stream, list(table.values()), ",".join(["%.17g"] * len(header)) + "\n")
 

@@ -52,20 +52,28 @@ def _as_square_matrix(value, name: str) -> np.ndarray:
     return arr
 
 
+def _unit_scaled(matrix: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(matrix * 2**-e, e)``, ``e`` the binary exponent of the largest entry's magnitude.
+
+    The scaling is exact and leaves every entry below 1 in magnitude, so
+    products and sums of the result cannot overflow; ``e`` is 0 for a zero or
+    non-finite matrix.
+    """
+    exponent = math.frexp(float(np.abs(matrix).max(initial=0.0)))[1]
+    return np.ldexp(matrix, -exponent), exponent
+
+
 def frobenius_norm(matrix: np.ndarray) -> float:
     """Frobenius norm of a real array, with no overflow or underflow of the squares.
 
-    The entries are scaled by the power of two of the largest one, which is
-    exact, so the result is bit for bit ``np.linalg.norm`` wherever that stays
-    in range, and still right for entries near 1e300 or 1e-300.  It is
+    The norm is taken of the unit-scaled entries (:func:`_unit_scaled`) and
+    scaled back, so the result is bit for bit ``np.linalg.norm`` wherever that
+    stays in range, and still right for entries near 1e300 or 1e-300.  It is
     ``inf`` only when the norm itself is past the largest float.
     """
-    top = float(np.abs(matrix).max(initial=0.0))
-    if top == 0.0 or not math.isfinite(top):
-        return top
-    exponent = math.frexp(top)[1]
+    unit, exponent = _unit_scaled(matrix)
     with np.errstate(over="ignore"):
-        return float(np.ldexp(np.linalg.norm(np.ldexp(matrix, -exponent)), exponent))
+        return float(np.ldexp(np.linalg.norm(unit), exponent))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -259,11 +267,17 @@ def gauge_triangular(field: FieldTensor) -> GaugeMatrix:
 def check_radiation_gauge(gauge: GaugeMatrix, metric: MetricTensor) -> float:
     """Residual ``|g^{jk} A_{jk}|`` of the radiation-gauge condition.
 
-    Returns the magnitude only; deciding pass/fail is left to the caller.
+    Returns the magnitude only; deciding pass/fail is left to the caller.  The
+    contraction is taken of both matrices unit-scaled (:func:`_unit_scaled`)
+    and scaled back, so no product overflows: an antisymmetric gauge near the
+    largest float has the same relative residual as at unit scale.
     """
     if gauge.n != metric.n:
         raise ValueError(f"gauge is {gauge.n}x{gauge.n} but the metric is {metric.n}x{metric.n}")
-    return float(abs(np.sum(metric.inverse * gauge.matrix)))
+    inverse, e_inverse = _unit_scaled(metric.inverse)
+    a, e_gauge = _unit_scaled(gauge.matrix)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(abs(np.sum(inverse * a)), e_inverse + e_gauge))
 
 
 def field_from_3d_vector(b) -> FieldTensor:

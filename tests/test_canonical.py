@@ -361,6 +361,29 @@ class TestToCanonical:
             to_canonical(form, ParticleState([0.0] * 3, [0.0] * 3), h, PhysicalConstants())
 
 
+class TestUnitScaling:
+    def test_scales_with_the_field_by_powers_of_two(self):
+        # G^-1/2 has an entry near 45 here, so G^-1/2 H and B^T H overflow at
+        # H = 2^1017 J although the whitened field, 14.1 H, does not.  The
+        # field is unit-scaled first, so the basis and the residual are those
+        # of J and the strength is J's times 2^1017, bit for bit.
+        metric = MetricTensor(np.linalg.inv([[1000.1, 1000.0], [1000.0, 1000.1]]))
+        unit = FieldTensor([[0.0, 1.0], [-1.0, 0.0]])
+        huge = FieldTensor([[0.0, 2.0 ** 1017], [-(2.0 ** 1017), 0.0]])
+        small, form = decompose(unit, metric), decompose(huge, metric)
+        np.testing.assert_array_equal(form.basis, small.basis)
+        np.testing.assert_array_equal(form.strengths, np.ldexp(small.strengths, 1017))
+        assert reconstruction_residual(form, huge) == reconstruction_residual(small, unit)
+        assert reconstruction_residual(form, huge) <= 1e-12
+
+    def test_strength_below_the_smallest_float_is_zero(self):
+        # The whitened strength 5e-324 / 100 is past the float range at the
+        # bottom: the block is free, as when G^-1/2 H G^-1/2 underflows to 0.
+        field = FieldTensor([[0.0, 5e-324], [-5e-324, 0.0]])
+        form = decompose(field, MetricTensor(100.0 * np.eye(2)))
+        assert (form.num_blocks, form.free_dims) == (0, 2)
+
+
 class TestMetricSingularColumns:
     def test_null_direction_is_flagged(self):
         basis = np.array([

@@ -3,6 +3,7 @@ import math
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,6 +18,8 @@ from ncyclo.operators import canonical_momentum, commutator, dual_momentum
 SAMPLE_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 ANISOTROPIC = Path(__file__).resolve().parent.parent / "configs" / "anisotropic2d.json"
 GAMMA_ERROR = "error: unknown configuration key 'gamma'\n"
+WHITENED_ERROR = ("error: the field whitened by the metric's frame leaves the floating-point "
+                  "range: G^-1/2 H G^-1/2 overflows\n")
 
 
 def write_config(tmp_path, data, name="run.json"):
@@ -453,6 +456,30 @@ class TestSimulateCommand:
                                 "orbit of 100000000000000001 samples, too many to allocate\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "structured"])
+    @pytest.mark.parametrize("method", ["exact", "rk4"])
+    @pytest.mark.parametrize("data, column", [
+        # p - (q/c) H x = (0, 1 + 1e310), though x, p and their squares fit.
+        ({"n": 2, "field": [[0.0, 1e300], [-1e300, 0.0]],
+          "initial": {"x": [1e10, 0.0], "p": [0.0, 1.0]},
+          "integration": {"dt": 1e-303, "steps": 10}}, "pT2"),
+        # g^-1 p . p / 2m = 5e309, though p . p = 1e304 fits.
+        ({"n": 2, "metric": [[1e-6, 0.0], [0.0, 1e-6]], "field": [[0.0, 1e6], [-1e6, 0.0]],
+          "initial": {"x": [0.0, 0.0], "p": [1e152, 0.0]},
+          "integration": {"dt": 1e-14, "steps": 10}}, "E_total"),
+    ], ids=["dual-momentum", "energy"])
+    def test_overflowing_column_refused_by_name(self, tmp_path, capsys, data, column, method,
+                                                fmt):
+        config = write_config(tmp_path, {**data, "integration": {**data["integration"],
+                                                                 "method": method}})
+        out = tmp_path / "traj.out"
+        code, captured = run_without_warnings(
+            ["simulate", "--config", config, "--out", str(out), "--format", fmt], capsys)
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (f"error: the trajectory column {column} leaves the "
+                                f"floating-point range at step 0 (t = 0)\n")
+        assert not out.exists()
+
     def test_definite_metric_factored_once(self, tmp_path, capsys, rng, monkeypatch):
         # The frame is the metric's own, so decompose and the closed-form orbit
         # share one real eigh of G; the complex ones are the two generators.
@@ -729,42 +756,116 @@ def test_overflowing_whitened_field_refused(tmp_path, capsys, command):
     extra = ["--out", str(out)] if command == "simulate" else []
     code, captured = run_without_warnings([command, "--config", config, *extra], capsys)
     assert (code, captured.out) == (2, "")
-    assert captured.err == ("error: the field whitened by the metric's frame leaves the "
-                            "floating-point range: G^-1/2 H G^-1/2 overflows\n")
+    assert captured.err == WHITENED_ERROR
     assert not out.exists()
 
 
+def test_whitened_field_in_range_decomposed(tmp_path, capsys):
+    # The metric is the float inverse of [[1000.1, 1000], [1000, 1000.1]], so
+    # G^-1/2 has an entry near 45 and G^-1/2 H overflows at H = 1e306; the
+    # whitened field H_01 / sqrt(det g) = 1.41e307 does not.
+    metric = [[5.000249987499464, -4.999750012498214],
+              [-4.999750012498214, 5.000249987499464]]
+    config = write_config(tmp_path, {"n": 2, "metric": metric,
+                                     "field": [[0.0, 1e306], [-1e306, 0.0]]})
+    with mpmath.workdps(40):
+        g = [[mpmath.mpf(v) for v in row] for row in metric]
+        strength = float(mpmath.mpf(1e306) / mpmath.sqrt(g[0][0] * g[1][1] - g[0][1] * g[1][0]))
+    for command, key in (("decompose", "strengths"), ("spectrum", "frequencies")):
+        code, captured = run_without_warnings([command, "--config", config], capsys)
+        assert (code, captured.err) == (0, "")
+        doc = strict_json(captured.out)
+        assert doc["num_blocks"] == 1
+        assert doc[key] == pytest.approx([strength], rel=1e-12)
+
+
+def rotated_draw(k):
+    """Metric and field of 0-based draw ``k``: a rotated definite metric
+    ``Q diag(+-10^u) Q^T``, ``|u| <= 3``, and a field near the largest float."""
+    rng = np.random.default_rng(5)
+    for _ in range(k + 1):
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        g = (q * (10.0 ** rng.uniform(-3, 3, 4) * rng.choice([-1, 1]))) @ q.T
+        a = rng.standard_normal((4, 4))
+        with np.errstate(over="ignore"):  # some draws are past the float range
+            h = (a - a.T) * 10.0 ** rng.uniform(300, 308)
+    return (g + g.T) / 2.0, h
+
+
+@pytest.mark.parametrize("draw, command", [(85, "decompose"), (185, "spectrum"),
+                                           (310, "spectrum")])
+def test_huge_field_in_rotated_frame_runs_without_warnings(tmp_path, capsys, draw, command):
+    # Unscaled, draw 85 overflows B^T H B into an Infinity reconstruction
+    # residual, and 185 and 310 overflow g^-1 * A in the radiation check.
+    metric, field = rotated_draw(draw)
+    config = write_config(tmp_path, {"n": 4, "metric": metric.tolist(),
+                                     "field": field.tolist()})
+    code, captured = run_without_warnings([command, "--config", config], capsys)
+    assert (code, captured.err) == (0, "")
+    doc = strict_json(captured.out)
+    if command == "decompose":
+        assert doc["reconstruction_residual"] <= 1e-12
+
+
+def test_emit_renders_numpy_values_and_refuses_non_finite(capsys):
+    basis = np.array([[0.1, 1e300], [-0.0, 5e-324]])
+    cli._emit({"basis": basis, "scale": basis[0, 1], "count": np.int64(2),
+               "definite": np.bool_(True)}, None)
+    assert capsys.readouterr().out == json.dumps(
+        {"basis": basis.tolist(), "scale": 1e300, "count": 2, "definite": True},
+        indent=2, sort_keys=True) + "\n"
+    for value in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._emit({"energy": np.array([1.0, value])}, None)
+    assert capsys.readouterr().out == ""
+
+
 class TestRobustnessProperties:
-    """Huge fields in diagonal definite frames: the blocks, or one named refusal."""
+    """Huge fields in rotated definite frames: the blocks, or one named refusal."""
 
     # A failing example makes hypothesis import libcst, whose own deprecation
     # warning would otherwise turn the report into a pytest internal error.
     @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict:DeprecationWarning")
+    # The field exponents come largest first, since hypothesis favours the
+    # leading entries and the frames that overflow are near the float limit.
     @settings(max_examples=60, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6),
            log_metric=st.lists(st.integers(-3, 3), min_size=6, max_size=6),
-           sign=st.sampled_from([1.0, -1.0]), log_field=st.integers(296, 307))
+           sign=st.sampled_from([1.0, -1.0]),
+           log_field=st.sampled_from(range(307, 295, -1)))
     def test_blocks_or_one_error_line(self, tmp_path, capsys, seed, n, log_metric, sign,
                                       log_field):
-        a = np.random.default_rng(seed).standard_normal((n, n))
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = rng.standard_normal((n, n))
         h = (a - a.T) / np.abs(a - a.T).max() * 10.0 ** log_field
-        d = 10.0 ** np.array(log_metric[:n], dtype=float)
-        config = write_config(tmp_path, {"n": n, "metric": np.diag(sign * d).tolist(),
+        g = (q * (sign * 10.0 ** np.array(log_metric[:n], dtype=float))) @ q.T
+        metric = (g + g.T) / 2.0
+        config = write_config(tmp_path, {"n": n, "metric": metric.tolist(),
                                          "field": h.tolist()})
-        # Oracle: the whitened field H_jk / sqrt(d_j d_k), scaled by a power of
-        # two so that it cannot overflow, through a general eigensolver.
-        white = np.ldexp(h, -math.frexp(np.abs(h).max())[1]) / np.sqrt(np.outer(d, d))
-        imag = np.linalg.eigvals(white).imag
-        blocks = int((imag > 1e-10 * np.linalg.norm(white)).sum())
+        # Oracle: the field scaled by a power of two, so that nothing
+        # overflows, whitened by the frame's inverse root and taken through a
+        # general eigensolver.  Its norm scaled back decides whether the field
+        # may be refused.
+        e, v = np.linalg.eigh(sign * metric)
+        exponent = math.frexp(np.abs(h).max())[1]
+        white = (v / np.sqrt(e)) @ v.T @ np.ldexp(h, -exponent) @ ((v / np.sqrt(e)) @ v.T)
+        norm = np.linalg.norm(white)
+        in_range = math.log2(norm) + exponent < 1024
+        blocks = int((np.linalg.eigvals(white).imag > 1e-10 * norm).sum())
         for command in ("decompose", "spectrum"):
             code, captured = run_without_warnings([command, "--config", config], capsys)
             if code == 0:
+                assert in_range
                 assert captured.err == ""
                 assert strict_json(captured.out)["num_blocks"] == blocks
             else:
                 assert (code, captured.out) == (2, "")
                 assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+                # Only spectrum may refuse a field in range: a level energy overflows.
+                assert (captured.err == WHITENED_ERROR) == (not in_range)
+                assert command == "spectrum" or not in_range
 
 
 class TestFrame:

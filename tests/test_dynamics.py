@@ -15,6 +15,7 @@ from ncyclo import (
     PhysicalConstants,
     Trajectory,
     canonical_tensor,
+    check_trajectory_table,
     decompose,
     dual_momentum_value,
     dynamics_matrix,
@@ -118,6 +119,19 @@ class TestTrajectory:
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError, match="shapes"):
             Trajectory(np.arange(3.0), np.zeros((3, 2)), np.zeros((2, 2)))
+
+    def test_table_check_names_the_first_overflowing_entry(self):
+        # The samples are finite, but from step 3 on p - (q/c) H x = (0, 1e310):
+        # the check names pT2 there, with no warning.
+        h = FieldTensor([[0.0, 1e300], [-1e300, 0.0]])
+        position = np.zeros((5, 2))
+        position[3:, 0] = 1e10
+        trajectory = Trajectory(0.5 * np.arange(5), position, np.zeros((5, 2)))
+        check_trajectory_table(trajectory[:3], h, EUCLID2, UNIT)
+        with pytest.raises(ValueError) as exc:
+            check_trajectory_table(trajectory, h, EUCLID2, UNIT)
+        assert str(exc.value) == ("the trajectory column pT2 leaves the floating-point range "
+                                  "at step 3 (t = 1.5)")
 
 
 class TestEvolveExact:

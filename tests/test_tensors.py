@@ -100,6 +100,19 @@ class TestRadiationGauge:
             a = GaugeMatrix(random_antisymmetric(rng, 5))
             assert check_radiation_gauge(a, metric) < 1e-14
 
+    def test_antisymmetric_gauge_near_the_float_limit(self, rng):
+        # g^-1 has entries near 1e3, so g^-1 * A overflowed entry by entry for
+        # a gauge near 1e307; the contraction of unit-scaled factors scales
+        # with the gauge by powers of two, bit for bit.
+        q = random_orthogonal(rng, 4)
+        g = q @ np.diag([1e-3, 1e-2, 1.0, 1e3]) @ q.T
+        metric = MetricTensor((g + g.T) / 2.0)
+        a = random_antisymmetric(rng, 4)
+        residual = check_radiation_gauge(GaugeMatrix(a), metric)
+        assert residual < 1e-14 * frobenius_norm(metric.inverse) * frobenius_norm(a)
+        huge = check_radiation_gauge(GaugeMatrix(np.ldexp(a, 1018)), metric)
+        assert huge == np.ldexp(residual, 1018)
+
 
 class TestFieldFrom3dVector:
     def test_axis_aligned(self):
