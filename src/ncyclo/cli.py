@@ -5,14 +5,17 @@ writes deterministic output, and signals success through its exit code, so the
 commands double as an acceptance harness.  Each boundary rule is stated
 once.  Every refusal of the library, a malformed configuration or a result
 past the float range, is a ``ValueError``, and :func:`main` alone prints it
-as the one ``error:`` line of exit status 2.  :func:`_emit` alone renders
-numpy arrays and scalars, into strict JSON.
+as the one ``error:`` line of exit status 2.  :func:`_render` alone renders
+numpy arrays and scalars, into strict JSON, and names the first entry that is
+not finite.  ``simulate`` checks its trajectory table and renders its report
+before it opens the trajectory file, so a refusal leaves no file behind.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -26,19 +29,19 @@ from .canonical import (
 )
 from .config import RunConfig
 from .dynamics import (
-    check_trajectory_table,
     dual_momentum_value,
     dynamics_matrix,
     evolve_exact_trajectory,
     evolve_rk4,
     kinetic_energy,
     orbit_decomposition,
+    trajectory_table,
     write_trajectory_csv,
     write_trajectory_structured,
 )
 from .operators import canonical_momentum, commutator, dual_momentum
 from .spectrum import classify_spectrum, cyclotron_frequencies, level_listing
-from .tensors import check_radiation_gauge, frobenius_norm
+from .tensors import _unit_scaled, check_radiation_gauge, frobenius_norm
 
 __all__ = ["main"]
 
@@ -50,10 +53,33 @@ OUTPUT_FORMATS = ("csv", "structured")
 _REPORT_SAMPLES = 512
 
 
+def _non_finite_entry(value, path: str = "") -> str | None:
+    """Key path of the first NaN or infinity in ``value``, in json's order."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    if isinstance(value, dict):
+        entries = [(f"{path}.{key}" if path else key, item) for key, item in sorted(value.items())]
+    elif isinstance(value, (list, tuple)):
+        entries = [(f"{path}[{i}]", item) for i, item in enumerate(value)]
+    else:
+        return None
+    return next(filter(None, (_non_finite_entry(item, name) for name, item in entries)), None)
+
+
+def _render(document: dict) -> str:
+    """Strict JSON of ``document``; numpy arrays and scalars render through tolist."""
+    try:
+        return json.dumps(document, indent=2, sort_keys=True, allow_nan=False,
+                          default=lambda value: value.tolist()) + "\n"
+    except ValueError as exc:  # a NaN or infinity: name the first one
+        raise ValueError(f"the document entry {_non_finite_entry(document)} is not finite: "
+                         f"{exc}") from None
+
+
 def _emit(document: dict, out_path: str | None) -> None:
-    # numpy arrays and scalars render through tolist; a NaN or infinity is refused.
-    text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False,
-                      default=lambda value: value.tolist()) + "\n"
+    text = _render(document)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -111,8 +137,10 @@ def _block_statistics(times, split, form):
     for l in range(form.num_blocks):
         centers, relatives = split.centers[:, l], split.relatives[:, l]
         center0 = centers[0]
-        radii = np.linalg.norm(relatives, axis=1)
-        mean_radius = radii.mean()
+        # Norms of the unit-scaled pairs, scaled back: no square overflows.
+        unit, exponent = _unit_scaled(relatives)
+        unit_radii = np.linalg.norm(unit, axis=1)
+        radii, mean_radius = np.ldexp(unit_radii, exponent), np.ldexp(unit_radii.mean(), exponent)
         entry = {
             "strength": form.strengths[l],
             "center": center0,
@@ -145,39 +173,37 @@ def cmd_simulate(config: RunConfig, path: str, fmt: str) -> int:
         raise ValueError(f"integration.steps: {steps} steps make an orbit of {steps + 1} "
                          f"samples, too many to allocate") from None
     form = decompose(field, config.gamma_tensor())
-    check_trajectory_table(trajectory, field, metric, constants)
-
-    write = write_trajectory_csv if fmt == "csv" else write_trajectory_structured
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        write(trajectory, field, metric, constants, fh)
+    # The table checks itself; it is dropped before a writer builds its own.
+    trajectory_table(trajectory, field, metric, constants)
 
     # Every stride-th sample, and the last one.
     count = len(trajectory)
     stride = max(1, count // _REPORT_SAMPLES)
     samples = trajectory[np.unique(np.r_[0:count:stride, count - 1])]
 
-    duals = dual_momentum_value(samples, field, constants)
-    energies = kinetic_energy(samples, metric, constants)
-    residuals = {
-        "dual_momentum_drift": (np.abs(duals - duals[0]).max()
-                                / max(1.0, np.abs(duals[0]).max())),
-        "energy_drift": np.abs(energies - energies[0]).max() / max(1.0, abs(energies[0])),
-    }
-    split = orbit_decomposition(samples, form, field, constants)
-    blocks = _block_statistics(samples.time, split, form)
-    if blocks:
-        residuals["center_drift"] = max(entry["center_drift"] for entry in blocks)
-    if metric.is_definite and blocks:
-        residuals["radius_drift"] = max(entry["radius_drift"] for entry in blocks)
-        omegas = cyclotron_frequencies(form, constants)
-        mismatches = [abs(entry["measured_frequency"] - w) / w
-                      for entry, w in zip(blocks, omegas)
-                      if entry["measured_frequency"] is not None]
-        if mismatches:
-            residuals["frequency_mismatch"] = max(mismatches)
+    with np.errstate(all="ignore"):  # a report value past the float range is named by _render
+        duals = dual_momentum_value(samples, field, constants)
+        energies = kinetic_energy(samples, metric, constants)
+        residuals = {
+            "dual_momentum_drift": (np.abs(duals - duals[0]).max()
+                                    / max(1.0, np.abs(duals[0]).max())),
+            "energy_drift": np.abs(energies - energies[0]).max() / max(1.0, abs(energies[0])),
+        }
+        split = orbit_decomposition(samples, form, field, constants)
+        blocks = _block_statistics(samples.time, split, form)
+        if blocks:
+            residuals["center_drift"] = max(entry["center_drift"] for entry in blocks)
+        if metric.is_definite and blocks:
+            residuals["radius_drift"] = max(entry["radius_drift"] for entry in blocks)
+            omegas = cyclotron_frequencies(form, constants)
+            mismatches = [abs(entry["measured_frequency"] - w) / w
+                          for entry, w in zip(blocks, omegas)
+                          if entry["measured_frequency"] is not None]
+            if mismatches:
+                residuals["frequency_mismatch"] = max(mismatches)
 
     failing = sorted(name for name, value in residuals.items() if not value <= DEFAULT_TOLERANCE)
-    report = {
+    report = _render({
         "method": method,
         "dt": dt,
         "steps": steps,
@@ -195,8 +221,12 @@ def cmd_simulate(config: RunConfig, path: str, fmt: str) -> int:
         "tolerance": DEFAULT_TOLERANCE,
         "failed_invariants": failing,
         "passed": not failing,
-    }
-    _emit(report, None)
+    })
+
+    write = write_trajectory_csv if fmt == "csv" else write_trajectory_structured
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write(trajectory, field, metric, constants, fh)
+    sys.stdout.write(report)
     if failing:
         print("simulate: residuals above tolerance: " + ", ".join(failing), file=sys.stderr)
         return 1

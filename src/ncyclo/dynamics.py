@@ -43,7 +43,6 @@ __all__ = [
     "kinetic_energy",
     "orbit_decomposition",
     "trajectory_table",
-    "check_trajectory_table",
     "write_trajectory_csv",
     "write_trajectory_structured",
 ]
@@ -84,7 +83,9 @@ class Trajectory:
     Reads as a sequence of :class:`ParticleState`: ``len`` and iteration work,
     an int index returns one state, and a slice or an index array returns a
     shorter trajectory.  Finiteness is checked once, over all samples; the
-    error names the first sample that left the floating-point range.
+    error names the first sample that left the floating-point range.  Values
+    derived from the samples are checked where they are computed, the written
+    columns by :func:`trajectory_table`.
     """
 
     time: np.ndarray
@@ -102,14 +103,6 @@ class Trajectory:
         if not finite.all():
             i = int(np.argmin(finite))
             raise ValueError(f"the orbit leaves the floating-point range at step {i} "
-                             f"(t = {t[i]:.12g})")
-        # Energies, radii and drifts square the samples, so those squares must
-        # stay finite too.
-        with np.errstate(over="ignore"):
-            squares = np.isfinite(np.einsum("ij,ij->i", x, x) + np.einsum("ij,ij->i", p, p))
-        if not squares.all():
-            i = int(np.argmin(squares))
-            raise ValueError(f"the squares of the orbit overflow at step {i} "
                              f"(t = {t[i]:.12g})")
         # Frozen views, so arrays passed in keep their own write flag.
         object.__setattr__(self, "time", _frozen(t.view()))
@@ -406,15 +399,25 @@ def trajectory_table(trajectory: Trajectory, field: FieldTensor, metric: MetricT
     """Columns of both trajectory formats, in order: ``t, x, p, pT, E_total``.
 
     ``x``, ``p`` and the dual momentum ``pT`` have one row of n values per
-    sample; ``t`` and ``E_total`` one value per sample.
+    sample; ``t`` and ``E_total`` one value per sample.  The samples of a
+    :class:`Trajectory` are finite, but ``pT`` and ``E_total`` can still
+    overflow: a ``ValueError`` then names the first non-finite entry by its
+    CSV column and step, so every table returned is finite.
     """
-    return {
-        "t": trajectory.time,
-        "x": trajectory.position,
-        "p": trajectory.momentum,
-        "pT": dual_momentum_value(trajectory, field, constants),
-        "E_total": kinetic_energy(trajectory, metric, constants),
-    }
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        table = {
+            "t": trajectory.time,
+            "x": trajectory.position,
+            "p": trajectory.momentum,
+            "pT": dual_momentum_value(trajectory, field, constants),
+            "E_total": kinetic_energy(trajectory, metric, constants),
+        }
+    finite = np.column_stack([np.isfinite(column) for column in table.values()])
+    if not finite.all():
+        step, column = np.argwhere(~finite)[0]
+        raise ValueError(f"the trajectory column {_column_labels(table)[column]} leaves the "
+                         f"floating-point range at step {step} (t = {trajectory.time[step]:.12g})")
+    return table
 
 
 def _column_labels(table: dict[str, np.ndarray]) -> list[str]:
@@ -428,35 +431,17 @@ def _column_labels(table: dict[str, np.ndarray]) -> list[str]:
     return labels
 
 
-def check_trajectory_table(trajectory: Trajectory, field: FieldTensor, metric: MetricTensor,
-                           constants: PhysicalConstants) -> None:
-    """Raise ``ValueError`` naming the first non-finite entry of :func:`trajectory_table`.
-
-    The samples of a :class:`Trajectory` are finite, but ``pT`` and
-    ``E_total`` can still overflow.  The table, with the bits the writers
-    get, is dropped on return, before a writer builds its own.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
-        table = trajectory_table(trajectory, field, metric, constants)
-    finite = np.column_stack([np.isfinite(column) for column in table.values()])
-    if not finite.all():
-        step, column = np.argwhere(~finite)[0]
-        raise ValueError(f"the trajectory column {_column_labels(table)[column]} leaves the "
-                         f"floating-point range at step {step} (t = {trajectory.time[step]:.12g})")
-
-
 def _write_rows(stream, columns: list[np.ndarray], line: str, separator: str = "") -> None:
     """Write ``line % row`` per sample, ``separator`` between rows, a batch at a time.
 
     Each row holds the sample's values of ``columns`` in order, a 2-D column
     contributing one value per entry.
     """
-    rows = np.column_stack(columns)
-    for start in range(0, len(rows), _BATCH):
+    for start in range(0, len(columns[0]), _BATCH):
         if start:
             stream.write(separator)
-        stream.write(separator.join(line % tuple(row)
-                                    for row in rows[start:start + _BATCH].tolist()))
+        rows = np.column_stack([column[start:start + _BATCH] for column in columns])
+        stream.write(separator.join(line % tuple(row) for row in rows.tolist()))
 
 
 def write_trajectory_csv(trajectory: Trajectory, field: FieldTensor,
@@ -481,8 +466,8 @@ def write_trajectory_structured(trajectory: Trajectory, field: FieldTensor,
     Each row has the keys of :func:`trajectory_table`, with ``x``, ``p`` and
     ``pT`` as lists.  The bytes are those of ``json.dumps(document, indent=2,
     sort_keys=True)`` and a final newline: ``json`` renders a float with
-    ``float.__repr__``, which is ``%r``, and :class:`Trajectory` holds finite
-    samples only.
+    ``float.__repr__``, which is ``%r``, and :func:`trajectory_table` returns
+    finite columns only.
     """
     table = trajectory_table(trajectory, field, metric, constants)
     names = sorted(table)

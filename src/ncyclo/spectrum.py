@@ -59,15 +59,19 @@ def cyclotron_frequencies(form: CanonicalForm,
                           constants: PhysicalConstants) -> np.ndarray:
     """Angular frequency ``|q| s / (m c)`` of each block, descending.
 
-    Raises ``ValueError`` when one leaves the floating-point range.
+    Raises ``ValueError`` when one leaves the floating-point range: past the
+    largest float, or down to zero from a positive strength.
     """
     ratio = abs(constants.charge) / (constants.mass * constants.light_speed)
     with np.errstate(over="ignore"):
         omegas = ratio * form.strengths
-    if not np.isfinite(omegas).all():
-        raise ValueError(f"the field's strength {form.strengths[0]:.3e} times the particle's "
+    lost = ~(np.isfinite(omegas) & (omegas > 0))  # every strength is positive
+    if lost.any():
+        l = int(lost.argmax())
+        how = "underflows to zero" if omegas[l] == 0 else "overflows"
+        raise ValueError(f"the field's strength {form.strengths[l]:.3e} times the particle's "
                          f"|q|/(m c) = {ratio:.3e} leaves the floating-point range: the "
-                         f"cyclotron frequency overflows")
+                         f"cyclotron frequency {how}")
     return omegas
 
 

@@ -88,7 +88,8 @@ class MetricTensor:
     The inverse is what enters the equations of motion; the signature
     ``(n_plus, n_minus)`` records how many eigenvalues are positive and
     negative.  Singular and nearly singular metrics, whose eigenvalue magnitudes
-    span a ratio of ``METRIC_CONDITION_MAX`` or more, are rejected.
+    span a ratio of ``METRIC_CONDITION_MAX`` or more, are rejected, and so are
+    metrics whose inverse leaves the floating-point range.
     """
 
     matrix: np.ndarray
@@ -109,6 +110,9 @@ class MetricTensor:
                              f"largest to smallest eigenvalue magnitude is {ratio}, at or "
                              f"above the cut {METRIC_CONDITION_MAX:.0e}")
         inv = np.linalg.inv(g)
+        if not np.isfinite(inv).all():
+            raise ValueError(f"metric's inverse leaves the floating-point range: its smallest "
+                             f"eigenvalue magnitude {low:.3e} is too small to invert")
         inv = (inv + inv.T) / 2.0
         object.__setattr__(self, "matrix", _frozen(g))
         object.__setattr__(self, "inverse", _frozen(inv))

@@ -370,7 +370,8 @@ class TestSimulateCommand:
 
     def test_orbit_with_overflowing_squares_refused_by_name(self, tmp_path, capsys):
         # RK4 at dt = 10 multiplies the boost mode by about 644 per step: the
-        # samples stay finite to the end, but their squares overflow at step 55.
+        # samples stay finite to the end, but the energy column, which squares
+        # them, overflows at step 56.
         out = tmp_path / "boost.csv"
         config = write_config(tmp_path, {
             "n": 2,
@@ -382,8 +383,8 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", config, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert "step 55 (t = 550)" in captured.err
+        assert captured.err == ("error: the trajectory column E_total leaves the "
+                                "floating-point range at step 56 (t = 560)\n")
         assert not out.exists()
 
     def test_missing_output_path(self, tmp_path, capsys):
@@ -479,6 +480,48 @@ class TestSimulateCommand:
         assert captured.err == (f"error: the trajectory column {column} leaves the "
                                 f"floating-point range at step 0 (t = 0)\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "structured"])
+    @pytest.mark.parametrize("method", ["exact", "rk4"])
+    def test_non_finite_report_entry_refused_by_name(self, tmp_path, capsys, method, fmt):
+        # The orbit and its columns fit, but the orbit center (c/q) pT / s =
+        # 1e10 / 1e-300 does not: the report names it before the file opens.
+        config = write_config(tmp_path, {
+            "n": 2, "field": [[0.0, 1e-300], [-1e-300, 0.0]],
+            "initial": {"x": [0.0, 0.0], "p": [1e10, 0.0]},
+            "integration": {"dt": 0.1, "steps": 20, "method": method}})
+        out = tmp_path / "traj.out"
+        code, captured = run_without_warnings(
+            ["simulate", "--config", config, "--out", str(out), "--format", fmt], capsys)
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: the document entry blocks[0].center[1] is not "
+                                       "finite: Out of range float values are not JSON "
+                                       "compliant")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("data, radius", [
+        # m = 1e-300: radius |p| / (q s) = 1.41e200, whose square is past the float range.
+        ({"field": [[0.0, 1e-300], [-1e-300, 0.0]], "particle": {"m": 1e-300},
+          "initial": {"x": [0.0, 0.0], "p": [1.4142135623730951e-100, 0.0]}},
+         1.4142135623730951e200),
+        # A free particle whose position's square is past the float range.
+        ({"field": [[0.0, 0.0], [0.0, 0.0]],
+          "initial": {"x": [1e160, 0.0], "p": [1.0, 0.0]}}, None),
+    ], ids=["radius-1e200", "free-1e160"])
+    def test_orbit_with_squares_past_the_float_range_runs(self, tmp_path, capsys, data,
+                                                           radius):
+        config = write_config(tmp_path, {"n": 2, **data,
+                                         "integration": {"dt": 0.05, "steps": 200}})
+        out = tmp_path / "traj.csv"
+        code, captured = run_without_warnings(
+            ["simulate", "--config", config, "--out", str(out)], capsys)
+        assert (code, captured.err) == (0, "")
+        report = strict_json(captured.out)
+        assert all(value <= 1e-14 for value in report["residuals"].values())
+        if radius is not None:
+            assert report["blocks"][0]["radius"] == pytest.approx(radius, rel=1e-14)
+        assert np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)).all()
 
     def test_definite_metric_factored_once(self, tmp_path, capsys, rng, monkeypatch):
         # The frame is the metric's own, so decompose and the closed-form orbit
@@ -742,6 +785,36 @@ def test_overflowing_particle_ratios_refused(tmp_path, capsys, particle, command
     assert not out.exists()
 
 
+def test_underflowing_cyclotron_frequency_refused(tmp_path, capsys):
+    # |q| s / (m c) = 1e-30 * 1e-300 rounds to zero: spectrum and simulate
+    # refuse it by name; decompose has no frequency and runs.
+    config = circle2d(tmp_path, field=[[0.0, 1e-300], [-1e-300, 0.0]], particle={"q": 1e-30})
+    out = tmp_path / "traj.csv"
+    for argv in (["spectrum"], ["simulate", "--out", str(out)]):
+        code, captured = run_without_warnings([argv[0], "--config", config, *argv[1:]], capsys)
+        assert (code, captured.out) == (2, "")
+        assert captured.err == ("error: the field's strength 1.000e-300 times the particle's "
+                                "|q|/(m c) = 1.000e-30 leaves the floating-point range: the "
+                                "cyclotron frequency underflows to zero\n")
+    assert not out.exists()
+    code, captured = run_without_warnings(["decompose", "--config", config], capsys)
+    assert (code, captured.err) == (0, "")
+
+
+@pytest.mark.parametrize("command", ["decompose", "spectrum", "verify", "simulate"])
+def test_metric_with_overflowing_inverse_refused(tmp_path, capsys, command):
+    # 1e-310 I has eigenvalue ratio 1, but its inverse is past the float range.
+    config = circle2d(tmp_path, metric=[[1e-310, 0.0], [0.0, 1e-310]])
+    out = tmp_path / "traj.csv"
+    extra = ["--out", str(out)] if command == "simulate" else []
+    code, captured = run_without_warnings([command, "--config", config, *extra], capsys)
+    assert (code, captured.out) == (2, "")
+    assert captured.err == ("error: metric: metric's inverse leaves the floating-point range: "
+                            "its smallest eigenvalue magnitude 1.000e-310 is too small to "
+                            "invert\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["decompose", "spectrum", "simulate"])
 def test_overflowing_whitened_field_refused(tmp_path, capsys, command):
     # Two blocks of 8.9e307 in the metric 0.9 I: K = H g^-1 is finite, the
@@ -866,6 +939,52 @@ class TestRobustnessProperties:
                 # Only spectrum may refuse a field in range: a level energy overflows.
                 assert (captured.err == WHITENED_ERROR) == (not in_range)
                 assert command == "spectrum" or not in_range
+
+    # As above for the libcst warning of a failing example.
+    @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict:DeprecationWarning")
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4),
+           metric=st.sampled_from(["euclidean", "minkowski", "rotated"]),
+           log_metric=st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+           sign=st.sampled_from([1.0, -1.0]), log_field=st.integers(-300, 300),
+           log_q=st.integers(-30, 30), log_x=st.integers(0, 160),
+           log_p=st.integers(-100, 150), log_dt=st.integers(-3, 3),
+           fmt=st.sampled_from(cli.OUTPUT_FORMATS))
+    def test_simulate_reports_finite_values_or_one_error_line(
+            self, tmp_path, capsys, seed, n, metric, log_metric, sign, log_field, log_q, log_x,
+            log_p, log_dt, fmt):
+        # Extreme scales: the run writes finite values only, to both the file
+        # and the report, or it refuses with one line before the file opens.
+        rng = np.random.default_rng(seed)
+        if metric == "rotated":
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            g = (q * (sign * 10.0 ** np.array(log_metric[:n], dtype=float))) @ q.T
+            metric = ((g + g.T) / 2.0).tolist()
+        a = rng.standard_normal((n, n))
+        x, p = rng.standard_normal(n), rng.standard_normal(n)
+        data = {"n": n, "metric": metric,
+                "field": ((a - a.T) / np.abs(a - a.T).max() * 10.0 ** log_field).tolist(),
+                "particle": {"q": float(rng.choice([-1.0, 1.0]) * 10.0 ** log_q)},
+                "initial": {"x": (x / np.abs(x).max() * 10.0 ** log_x).tolist(),
+                            "p": (p / np.abs(p).max() * 10.0 ** log_p).tolist()}}
+        for method in ("exact", "rk4"):
+            config = write_config(tmp_path, {**data, "integration": {
+                "dt": 10.0 ** log_dt, "steps": 20, "method": method}})
+            out = tmp_path / "traj.out"
+            out.unlink(missing_ok=True)  # tmp_path is shared by the examples
+            code, captured = run_without_warnings(
+                ["simulate", "--config", config, "--out", str(out), "--format", fmt], capsys)
+            if code == 2:
+                assert captured.out == "" and not out.exists()
+                assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+                continue
+            assert code in (0, 1)
+            strict_json(captured.out)
+            if fmt == "csv":
+                assert np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)).all()
+            else:
+                strict_json(out.read_text())
 
 
 class TestFrame:

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -15,7 +16,6 @@ from ncyclo import (
     PhysicalConstants,
     Trajectory,
     canonical_tensor,
-    check_trajectory_table,
     decompose,
     dual_momentum_value,
     dynamics_matrix,
@@ -127,9 +127,9 @@ class TestTrajectory:
         position = np.zeros((5, 2))
         position[3:, 0] = 1e10
         trajectory = Trajectory(0.5 * np.arange(5), position, np.zeros((5, 2)))
-        check_trajectory_table(trajectory[:3], h, EUCLID2, UNIT)
+        trajectory_table(trajectory[:3], h, EUCLID2, UNIT)
         with pytest.raises(ValueError) as exc:
-            check_trajectory_table(trajectory, h, EUCLID2, UNIT)
+            trajectory_table(trajectory, h, EUCLID2, UNIT)
         assert str(exc.value) == ("the trajectory column pT2 leaves the floating-point range "
                                   "at step 3 (t = 1.5)")
 
@@ -361,6 +361,31 @@ def test_peak_memory_is_the_orbit_itself(metric, evolve):
     finally:
         tracemalloc.stop()
     size = trajectory.time.nbytes + trajectory.position.nbytes + trajectory.momentum.nbytes
+    assert peak <= 1.5 * size
+
+
+@pytest.mark.parametrize("write", [write_trajectory_csv, write_trajectory_structured])
+def test_writer_peak_memory_is_below_the_orbit(write, monkeypatch):
+    # The writers stack and format one batch of rows at a time: beside the
+    # table's own pT and E_total columns, they hold one batch, not a stacked
+    # copy of the whole orbit.  With 64-row batches a 1e4-step orbit spans
+    # 157 of them, as a long one does with the default size.
+    monkeypatch.setattr(dynamics, "_BATCH", 64)
+    metric = MetricTensor.euclidean(4)
+    h = FieldTensor([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.5, 0.0],
+                     [0.0, -0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    state = ParticleState([0.1, 0.2, 0.3, 0.4], [1.0, 0.0, 0.0, 0.5])
+    trajectory = evolve_exact_trajectory(state, dynamics_matrix(h, metric, UNIT), metric,
+                                         UNIT, 0.0123, 10_000)
+    size = trajectory.time.nbytes + trajectory.position.nbytes + trajectory.momentum.nbytes
+    with open(os.devnull, "w", encoding="utf-8") as sink:  # nothing kept in memory
+        write(trajectory[:3], h, metric, UNIT, sink)
+        tracemalloc.start()
+        try:
+            write(trajectory, h, metric, UNIT, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert peak <= 1.5 * size
 
 
