@@ -8,7 +8,10 @@ past the float range, is a ``ValueError``, and :func:`main` alone prints it
 as the one ``error:`` line of exit status 2.  :func:`_render` alone renders
 numpy arrays and scalars, into strict JSON, and names the first entry that is
 not finite.  ``simulate`` checks its trajectory table and renders its report
-before it opens the trajectory file, so a refusal leaves no file behind.
+before it opens the trajectory file, so a refusal leaves no file behind.  The
+report reads both integrals of the motion, the dual momentum and the kinetic
+energy, from that table at every written row, and measures each block's
+frequency from its phase demodulated by the turn the closed form predicts.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .canonical import (
     reconstruction_residual,
 )
 from .config import RunConfig
+# Not called here: perfbench's tracer wraps dual_momentum_value and kinetic_energy in cli.
 from .dynamics import (
     dual_momentum_value,
     dynamics_matrix,
@@ -131,8 +135,24 @@ def cmd_spectrum(config: RunConfig, out_path: str | None, levels: int) -> int:
     return 0
 
 
-def _block_statistics(times, split, form):
-    """Center, radius, and measured-frequency statistics per block of a sampled split."""
+def _drift(values: np.ndarray) -> float:
+    """Largest deviation of a row from the first, relative to ``max(1, |first row|)``."""
+    # From the column extremes, with no temporary: rounding is monotone, so
+    # this is bit for bit np.abs(values - values[0]).max().
+    first = values[0]
+    deviation = np.maximum(values.max(axis=0) - first, first - values.min(axis=0)).max()
+    return deviation / max(1.0, np.abs(first).max())
+
+
+def _block_statistics(times, split, form, turns):
+    """Center, radius, and measured-frequency statistics per block of a sampled split.
+
+    Block ``l``'s relative pair turns at ``turns[l]`` radians per unit time in
+    the closed form.  Its angle less that turn is unwrapped and fit by a line,
+    and the measured frequency is ``|turns[l] + slope|``: the demodulated phase
+    moves little between samples, so samples more than half a turn apart do not
+    alias, and two samples suffice for the fit.
+    """
     blocks = []
     for l in range(form.num_blocks):
         centers, relatives = split.centers[:, l], split.relatives[:, l]
@@ -144,16 +164,16 @@ def _block_statistics(times, split, form):
         entry = {
             "strength": form.strengths[l],
             "center": center0,
-            "center_drift": np.abs(centers - center0).max() / max(1.0, np.abs(center0).max()),
+            "center_drift": _drift(centers),
             "radius": mean_radius,
             "radius_drift": ((radii.max() - radii.min()) / mean_radius
                              if mean_radius > 1e-12 else 0.0),
             "measured_frequency": None,
         }
-        if mean_radius > 1e-12 and len(times) >= 8:
-            angle = np.unwrap(np.arctan2(relatives[:, 1], relatives[:, 0]))
-            slope = np.polyfit(times, angle, 1)[0]
-            entry["measured_frequency"] = abs(slope)
+        if mean_radius > 1e-12:
+            angle = np.arctan2(relatives[:, 1], relatives[:, 0])
+            slope = np.polyfit(times, np.unwrap(angle - turns[l] * times), 1)[0]
+            entry["measured_frequency"] = abs(turns[l] + slope)
         blocks.append(entry)
     return blocks
 
@@ -173,8 +193,8 @@ def cmd_simulate(config: RunConfig, path: str, fmt: str) -> int:
         raise ValueError(f"integration.steps: {steps} steps make an orbit of {steps + 1} "
                          f"samples, too many to allocate") from None
     form = decompose(field, config.gamma_tensor())
-    # The table checks itself; it is dropped before a writer builds its own.
-    trajectory_table(trajectory, field, metric, constants)
+    # The table checks itself and holds both integrals of the motion at every row.
+    table = trajectory_table(trajectory, field, metric, constants)
 
     # Every stride-th sample, and the last one.
     count = len(trajectory)
@@ -182,20 +202,20 @@ def cmd_simulate(config: RunConfig, path: str, fmt: str) -> int:
     samples = trajectory[np.unique(np.r_[0:count:stride, count - 1])]
 
     with np.errstate(all="ignore"):  # a report value past the float range is named by _render
-        duals = dual_momentum_value(samples, field, constants)
-        energies = kinetic_energy(samples, metric, constants)
-        residuals = {
-            "dual_momentum_drift": (np.abs(duals - duals[0]).max()
-                                    / max(1.0, np.abs(duals[0]).max())),
-            "energy_drift": np.abs(energies - energies[0]).max() / max(1.0, abs(energies[0])),
-        }
+        residuals = {"dual_momentum_drift": _drift(table["pT"]),
+                     "energy_drift": _drift(table["E_total"])}
+        del table  # dropped before a writer builds its own
         split = orbit_decomposition(samples, form, field, constants)
-        blocks = _block_statistics(samples.time, split, form)
+        # p' = K p turns block l at -s sign(q) omega_l in the frame s g; the
+        # identity stands in for an indefinite metric's frame.
+        omegas = cyclotron_frequencies(form, constants)
+        sign = metric.frame[0] if metric.is_definite else 1.0
+        blocks = _block_statistics(samples.time, split, form,
+                                   -sign * np.sign(constants.charge) * omegas)
         if blocks:
             residuals["center_drift"] = max(entry["center_drift"] for entry in blocks)
         if metric.is_definite and blocks:
             residuals["radius_drift"] = max(entry["radius_drift"] for entry in blocks)
-            omegas = cyclotron_frequencies(form, constants)
             mismatches = [abs(entry["measured_frequency"] - w) / w
                           for entry, w in zip(blocks, omegas)
                           if entry["measured_frequency"] is not None]

@@ -5,6 +5,9 @@ The top-level keys are the fields of :class:`RunConfig`.  Each tensor key
 (``metric``, ``gauge``, ``field``) is checked by the accessor that builds it;
 the keys, checks and defaults of the object sections live in one table,
 ``SECTIONS``, the one place that validation and every default read them from.
+A section number or a vector entry that is NaN or infinite is refused by its
+key path (``initial.x: entry 1``); a matrix entry is refused, by its row and
+column, by the tensor built from it.
 Parsing keeps the parsed JSON values as given, so a parsed configuration
 serializes back to the exact document it came from; the heavyweight objects
 (tensors, constants, initial state) are materialized on demand.
@@ -54,9 +57,16 @@ def _check_number(value, ctx: str, *_) -> float:
         raise ConfigError(f"{ctx}: the number is outside the floating-point range") from None
 
 
-def _check_positive(value, ctx: str, *_) -> None:
+def _check_finite(value, ctx: str, *_) -> float:
     number = _check_number(value, ctx)
-    if number <= 0 or not np.isfinite(number):
+    if not np.isfinite(number):
+        raise ConfigError(f"{ctx}: expected a finite number, got {number}")
+    return number
+
+
+def _check_positive(value, ctx: str, *_) -> None:
+    number = _check_finite(value, ctx)
+    if number <= 0:
         raise ConfigError(f"{ctx} must be positive, got {number}")
 
 
@@ -103,7 +113,7 @@ def _check_vector(value, ctx: str, n: int) -> None:
     if len(value) != n:
         raise ConfigError(f"{ctx}: expected {n} entries, got {len(value)}")
     for j, entry in enumerate(value):
-        _check_number(entry, f"{ctx}: entry {j}")
+        _check_finite(entry, f"{ctx}: entry {j}")
 
 
 REQUIRED = object()
@@ -111,7 +121,7 @@ REQUIRED = object()
 # Object section -> key -> (checker, default); REQUIRED marks a key with no
 # default.  Key order is the order of the error messages and of settings().
 SECTIONS = {
-    "particle": {key: (_check_number, 1.0) for key in ("m", "q", "c", "hbar")},
+    "particle": {key: (_check_finite, 1.0) for key in ("m", "q", "c", "hbar")},
     "initial": {key: (_check_vector, REQUIRED) for key in ("x", "p")},
     "integration": {"dt": (_check_positive, REQUIRED), "steps": (_check_count, REQUIRED),
                     "method": (_one_of(INTEGRATION_METHODS), "exact")},

@@ -165,10 +165,6 @@ class OrbitDecomposition:
         energy = _frozen(np.array(self.free_energy, dtype=float))
         object.__setattr__(self, "free_energy", float(energy) if energy.ndim == 0 else energy)
 
-    @property
-    def num_blocks(self) -> int:
-        return self.centers.shape[-2]
-
 
 def dynamics_matrix(field: FieldTensor, metric: MetricTensor,
                     constants: PhysicalConstants) -> np.ndarray:

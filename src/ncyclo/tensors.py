@@ -205,10 +205,6 @@ class FieldTensor:
         return self.matrix.shape[0]
 
     @property
-    def norm(self) -> float:
-        return frobenius_norm(self.matrix)
-
-    @property
     def associated(self) -> "FieldTensor":
         """The field generated by the transposed gauge matrix; equal to ``-H``."""
         return FieldTensor(-self.matrix)

@@ -17,6 +17,7 @@ from ncyclo.operators import canonical_momentum, commutator, dual_momentum
 
 SAMPLE_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 ANISOTROPIC = Path(__file__).resolve().parent.parent / "configs" / "anisotropic2d.json"
+UNIT_FIELD = [[0.0, 1.0], [-1.0, 0.0]]
 GAMMA_ERROR = "error: unknown configuration key 'gamma'\n"
 WHITENED_ERROR = ("error: the field whitened by the metric's frame leaves the floating-point "
                   "range: G^-1/2 H G^-1/2 overflows\n")
@@ -129,7 +130,11 @@ class TestDecomposeCommand:
         cases = [
             ({"n": 2, "field": [[0.0, 1.0], [-1.0, 0.0, 9]]}, "row 1"),
             ({"n": 2, "field": field, "initial": {"x": [0.0, nan], "p": [1.0, 0.0]}},
-             "error: initial: particle state entries must be finite\n"),
+             "error: initial.x: entry 1: expected a finite number, got nan\n"),
+            ({"n": 3, "field": [0.0, nan, 1.0]},
+             "error: field: entry 1: expected a finite number, got nan\n"),
+            ({"n": 2, "field": field, "particle": {"m": nan}},
+             "error: particle.m: expected a finite number, got nan\n"),
             ({"n": 2, "field": field, "gauge": [[0.0, nan], [0.0, 0.0]]},
              "error: gauge: gauge has a non-finite entry at row 0, column 1\n"),
             # Entries past half the largest float overflow H - H^T.
@@ -184,6 +189,33 @@ class TestDecomposeCommand:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert message.format(path=path) in captured.err
         assert captured.out == ""
+
+
+    @pytest.mark.parametrize("command, data, message", [
+        ("decompose", {"n": 2, "metric": 5, "field": UNIT_FIELD},
+         "metric: expected a nested array of 2 rows"),
+        ("decompose", {"n": 2, "field": [[0.0, 1.0], 5]}, "field: row 1 is not an array"),
+        ("decompose", {"n": 2, "field": UNIT_FIELD, "initial": {"x": [[0.0], [0.0]],
+                                                                "p": [1.0, 0.0]}},
+         "initial.x: expected a flat array of 2 numbers"),
+        ("decompose", [2, UNIT_FIELD], "configuration must be a JSON object"),
+        ("decompose", {"n": 2, "field": UNIT_FIELD, "particle": 5},
+         "particle: expected an object with keys m, q, c, hbar"),
+        ("simulate", {"n": 2, "field": UNIT_FIELD,
+                      "integration": {"dt": 0.1, "steps": 10}},
+         "this command needs an 'initial' section with x and p"),
+        ("simulate", {"n": 2, "field": UNIT_FIELD,
+                      "initial": {"x": [0.0, 0.0], "p": [1.0, 0.0]}},
+         "this command needs an 'integration' section with dt, steps, and method"),
+    ], ids=["metric-not-nested", "field-row-not-array", "vector-nested", "not-an-object",
+            "section-not-an-object", "no-initial", "no-integration"])
+    def test_config_refusal_names_its_key(self, tmp_path, capsys, command, data, message):
+        out = tmp_path / "traj.csv"
+        argv = [command, "--config", write_config(tmp_path, data)]
+        argv += ["--out", str(out)] if command == "simulate" else []
+        code, captured = run_without_warnings(argv, capsys)
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+        assert not out.exists()
 
 
 class TestSimulateCommand:
@@ -289,6 +321,24 @@ class TestSimulateCommand:
         first = out.read_text().split("\n")[1].split(",")
         total = sum(report["block_energies"]) + report["free_energy"]
         assert total == pytest.approx(sign * float(first[-1]), rel=1e-12)
+
+    @pytest.mark.parametrize("q", [1.0, -1.0])
+    @pytest.mark.parametrize("metric", ["euclidean", [[-1.0, 0.0], [0.0, -1.0]]],
+                             ids=["g", "minus-g"])
+    def test_frequency_measured_past_half_a_turn_per_sample(self, tmp_path, capsys, metric, q):
+        # At dt = 4 the orbit turns by more than half a turn per sample, so its
+        # angle alone unwraps to steps of 2 pi - 4, a frequency of 0.571, not 1.
+        # Its phase less the expected turn, -s sign(q) t in the frame s g,
+        # moves by roundoff only; the sign of that turn is pinned by these four
+        # cases, since an orbit sampled finely measures |slope| either way.
+        config = circle2d(tmp_path, metric=metric, particle={"q": q},
+                          integration={"dt": 4.0, "steps": 20, "method": "exact"})
+        argv = ["simulate", "--config", config, "--out", str(tmp_path / "traj.csv")]
+        code, captured = run_without_warnings(argv, capsys)
+        assert (code, captured.err) == (0, "")
+        report = strict_json(captured.out)
+        assert report["residuals"]["frequency_mismatch"] <= 1e-15
+        assert report["blocks"][0]["measured_frequency"] == pytest.approx(1.0, rel=1e-15)
 
     def test_structured_trajectory_format(self, tmp_path, capsys):
         out = tmp_path / "traj.json"
@@ -787,18 +837,22 @@ def test_overflowing_particle_ratios_refused(tmp_path, capsys, particle, command
 
 def test_underflowing_cyclotron_frequency_refused(tmp_path, capsys):
     # |q| s / (m c) = 1e-30 * 1e-300 rounds to zero: spectrum and simulate
-    # refuse it by name; decompose has no frequency and runs.
-    config = circle2d(tmp_path, field=[[0.0, 1e-300], [-1e-300, 0.0]], particle={"q": 1e-30})
-    out = tmp_path / "traj.csv"
-    for argv in (["spectrum"], ["simulate", "--out", str(out)]):
-        code, captured = run_without_warnings([argv[0], "--config", config, *argv[1:]], capsys)
-        assert (code, captured.out) == (2, "")
-        assert captured.err == ("error: the field's strength 1.000e-300 times the particle's "
-                                "|q|/(m c) = 1.000e-30 leaves the floating-point range: the "
-                                "cyclotron frequency underflows to zero\n")
-    assert not out.exists()
-    code, captured = run_without_warnings(["decompose", "--config", config], capsys)
-    assert (code, captured.err) == (0, "")
+    # refuse it by name, for either kind of metric; decompose has no frequency
+    # and runs.
+    for metric in ("euclidean", "minkowski"):
+        config = circle2d(tmp_path, metric=metric, field=[[0.0, 1e-300], [-1e-300, 0.0]],
+                          particle={"q": 1e-30})
+        out = tmp_path / "traj.csv"
+        for argv in (["spectrum"], ["simulate", "--out", str(out)]):
+            code, captured = run_without_warnings([argv[0], "--config", config, *argv[1:]],
+                                                  capsys)
+            assert (code, captured.out) == (2, "")
+            assert captured.err == ("error: the field's strength 1.000e-300 times the "
+                                    "particle's |q|/(m c) = 1.000e-30 leaves the floating-point "
+                                    "range: the cyclotron frequency underflows to zero\n")
+        assert not out.exists()
+        code, captured = run_without_warnings(["decompose", "--config", config], capsys)
+        assert (code, captured.err) == (0, "")
 
 
 @pytest.mark.parametrize("command", ["decompose", "spectrum", "verify", "simulate"])

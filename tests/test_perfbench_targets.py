@@ -3,9 +3,9 @@
 The tracer finds each name with ``vars(owner)[attr]`` and reads some arguments
 by position, so renaming, unbinding or reordering any of them breaks traced
 runs; the set-up probe of perfbench/run.py calls every ``RunConfig`` accessor.
-The benchmark's own checks (perfbench/checks.py) run here on short orbits
-and on its widest fields, so a change that breaks their tolerances fails the
-tests, not only a benchmark run.
+The benchmark's own checks (perfbench/checks.py) run here on every call of
+its three workloads at seed 1, with orbits cut short, so a change that breaks
+their tolerances fails the tests, not only a benchmark run.
 """
 
 import ast
@@ -107,12 +107,16 @@ def test_benchmark_orbit_check_passes(method, tmp_path, capsys):
     assert outcome.ok and outcome.samples == 5001
 
 
-def _check_call(call, cfg, argv, tmp_path, capsys):
-    """Run ``call`` with the extra ``argv`` on ``cfg`` through ``main`` and
-    judge it with the benchmark's own check."""
+def _check_call(call, cfg, tmp_path, capsys):
+    """Run ``call`` on ``cfg`` through ``main``, with the options the benchmark
+    passes, and judge it with the benchmark's own check."""
     config, out = tmp_path / "run.json", tmp_path / "out"
     config.write_text(json.dumps(cfg), encoding="utf-8")
-    status = main([call.command, "--config", str(config), "--out", str(out), *argv])
+    argv = [call.command, "--config", str(config)]
+    argv += [] if call.command == "verify" else ["--out", str(out)]
+    argv += {"simulate": ["--format", call.fmt],
+             "spectrum": ["--levels", str(workloads.LEVELS)]}.get(call.command, [])
+    status = main(argv)
     captured = capsys.readouterr()
     stdout, stderr = tmp_path / "stdout", tmp_path / "stderr"
     stdout.write_text(captured.out, encoding="utf-8")
@@ -129,7 +133,7 @@ def test_benchmark_indefinite_orbits_pass_its_check(name, steps, tmp_path, capsy
     cfg = configs[name]
     if steps is not None:
         cfg["integration"]["steps"] = steps
-    outcome = _check_call(call, cfg, ["--format", call.fmt], tmp_path, capsys)
+    outcome = _check_call(call, cfg, tmp_path, capsys)
     assert outcome.ok, outcome.reason
     assert call.refuse == (steps is None)
 
@@ -140,6 +144,27 @@ def test_benchmark_widest_fields_pass_its_check(command, name, tmp_path, capsys)
     # The widest fields of the benchmark, with as many levels as it lists.
     configs, calls = workloads.build("wide_field", 1, _ROOT / "configs")
     [call] = [c for c in calls if c.command == command and c.config == name]
-    argv = ["--levels", str(workloads.LEVELS)] if command == "spectrum" else []
-    outcome = _check_call(call, configs[name], argv, tmp_path, capsys)
+    outcome = _check_call(call, configs[name], tmp_path, capsys)
+    assert outcome.ok, outcome.reason
+
+
+def _seed_calls():
+    """Each distinct call of every workload at seed 1, with its config."""
+    params = []
+    for workload in workloads.WORKLOADS:
+        configs, calls = workloads.build(workload, 1, _ROOT / "configs")
+        params += [pytest.param(call, configs[call.config], id=f"{workload}-{call.label}")
+                   for call in dict.fromkeys(calls)]
+    return params
+
+
+@pytest.mark.parametrize("call, cfg", _seed_calls())
+def test_every_seed_call_passes_its_check(call, cfg, tmp_path, capsys):
+    # Every call the benchmark makes at seed 1, so a change that would lower
+    # its success rate fails here.  Orbits are cut to 3000 steps for test time;
+    # a refused orbit runs its full length, as its refusal may come late.
+    cfg = json.loads(json.dumps(cfg))
+    if "integration" in cfg and not call.refuse:
+        cfg["integration"]["steps"] = min(cfg["integration"]["steps"], 3000)
+    outcome = _check_call(call, cfg, tmp_path, capsys)
     assert outcome.ok, outcome.reason
