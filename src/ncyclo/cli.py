@@ -53,7 +53,8 @@ DEFAULT_TOLERANCE = 1e-8
 RADIATION_WARN_TOL = 1e-10
 VERIFY_TOL = 1e-12
 OUTPUT_FORMATS = ("csv", "structured")
-# Orbit statistics are evaluated on at most this many trajectory samples.
+# Orbit statistics are read from every (N // this)-th of N samples and the
+# last: all of them below 1024 samples, 513 to 768 of them from there on.
 _REPORT_SAMPLES = 512
 
 
@@ -156,24 +157,18 @@ def _block_statistics(times, split, form, turns):
     blocks = []
     for l in range(form.num_blocks):
         centers, relatives = split.centers[:, l], split.relatives[:, l]
-        center0 = centers[0]
         # Norms of the unit-scaled pairs, scaled back: no square overflows.
         unit, exponent = _unit_scaled(relatives)
         unit_radii = np.linalg.norm(unit, axis=1)
         radii, mean_radius = np.ldexp(unit_radii, exponent), np.ldexp(unit_radii.mean(), exponent)
-        entry = {
-            "strength": form.strengths[l],
-            "center": center0,
-            "center_drift": _drift(centers),
-            "radius": mean_radius,
-            "radius_drift": ((radii.max() - radii.min()) / mean_radius
-                             if mean_radius > 1e-12 else 0.0),
-            "measured_frequency": None,
-        }
+        entry = {"strength": form.strengths[l], "center": centers[0],
+                 "center_drift": _drift(centers), "radius": mean_radius,
+                 "radius_drift": 0.0, "measured_frequency": None}
         if mean_radius > 1e-12:
             angle = np.arctan2(relatives[:, 1], relatives[:, 0])
             slope = np.polyfit(times, np.unwrap(angle - turns[l] * times), 1)[0]
-            entry["measured_frequency"] = abs(turns[l] + slope)
+            entry.update(radius_drift=(radii.max() - radii.min()) / mean_radius,
+                         measured_frequency=abs(turns[l] + slope))
         blocks.append(entry)
     return blocks
 
@@ -193,18 +188,17 @@ def cmd_simulate(config: RunConfig, path: str, fmt: str) -> int:
         raise ValueError(f"integration.steps: {steps} steps make an orbit of {steps + 1} "
                          f"samples, too many to allocate") from None
     form = decompose(field, config.gamma_tensor())
-    # The table checks itself and holds both integrals of the motion at every row.
+    # The table checks itself, holds both integrals of the motion at every
+    # row, and is the one the writer reuses.
     table = trajectory_table(trajectory, field, metric, constants)
 
-    # Every stride-th sample, and the last one.
+    # Every (count // _REPORT_SAMPLES)-th sample and the last, each once.
     count = len(trajectory)
-    stride = max(1, count // _REPORT_SAMPLES)
-    samples = trajectory[np.unique(np.r_[0:count:stride, count - 1])]
+    samples = trajectory[np.r_[0:count - 1:max(1, count // _REPORT_SAMPLES), count - 1]]
 
     with np.errstate(all="ignore"):  # a report value past the float range is named by _render
         residuals = {"dual_momentum_drift": _drift(table["pT"]),
                      "energy_drift": _drift(table["E_total"])}
-        del table  # dropped before a writer builds its own
         split = orbit_decomposition(samples, form, field, constants)
         # p' = K p turns block l at -s sign(q) omega_l in the frame s g; the
         # identity stands in for an indefinite metric's frame.

@@ -23,7 +23,10 @@ orbits.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -390,30 +393,33 @@ def orbit_decomposition(state: ParticleState | Trajectory, form: CanonicalForm,
     )
 
 
+@lru_cache(maxsize=1)
 def trajectory_table(trajectory: Trajectory, field: FieldTensor, metric: MetricTensor,
-                     constants: PhysicalConstants) -> dict[str, np.ndarray]:
+                     constants: PhysicalConstants) -> MappingProxyType:
     """Columns of both trajectory formats, in order: ``t, x, p, pT, E_total``.
 
     ``x``, ``p`` and the dual momentum ``pT`` have one row of n values per
     sample; ``t`` and ``E_total`` one value per sample.  The samples of a
     :class:`Trajectory` are finite, but ``pT`` and ``E_total`` can still
     overflow: a ``ValueError`` then names the first non-finite entry by its
-    CSV column and step, so every table returned is finite.
+    CSV column and step, so every table returned is finite.  The last result
+    is kept and shared, keyed on its immutable arguments, so a check and a
+    writer of one run build one table; the mapping and its arrays are read-only.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
         table = {
             "t": trajectory.time,
             "x": trajectory.position,
             "p": trajectory.momentum,
-            "pT": dual_momentum_value(trajectory, field, constants),
-            "E_total": kinetic_energy(trajectory, metric, constants),
+            "pT": _frozen(dual_momentum_value(trajectory, field, constants)),
+            "E_total": _frozen(kinetic_energy(trajectory, metric, constants)),
         }
     finite = np.column_stack([np.isfinite(column) for column in table.values()])
     if not finite.all():
         step, column = np.argwhere(~finite)[0]
         raise ValueError(f"the trajectory column {_column_labels(table)[column]} leaves the "
                          f"floating-point range at step {step} (t = {trajectory.time[step]:.12g})")
-    return table
+    return MappingProxyType(table)
 
 
 def _column_labels(table: dict[str, np.ndarray]) -> list[str]:
@@ -461,19 +467,18 @@ def write_trajectory_structured(trajectory: Trajectory, field: FieldTensor,
 
     Each row has the keys of :func:`trajectory_table`, with ``x``, ``p`` and
     ``pT`` as lists.  The bytes are those of ``json.dumps(document, indent=2,
-    sort_keys=True)`` and a final newline: ``json`` renders a float with
-    ``float.__repr__``, which is ``%r``, and :func:`trajectory_table` returns
-    finite columns only.
+    sort_keys=True)`` and a final newline by construction: the layout is
+    ``json``'s own, of a one-row document of ``%r`` slots, ``json`` renders a
+    float with ``float.__repr__``, which is ``%r``, and
+    :func:`trajectory_table` returns finite columns only.
     """
     table = trajectory_table(trajectory, field, metric, constants)
-    names = sorted(table)
-    entries = []
-    for name in names:
-        column = table[name]
-        value = ("%r" if column.ndim == 1 else
-                 "[\n" + ",\n".join(["        %r"] * column.shape[1]) + "\n      ]")
-        entries.append(f'      "{name}": {value}')
-    stream.write('{\n  "trajectory": [\n')
-    _write_rows(stream, [table[name] for name in names],
-                "    {\n" + ",\n".join(entries) + "\n    }", ",\n")
-    stream.write("\n  ]\n}\n")
+    slots = {name: "%r" if column.ndim == 1 else ["%r"] * column.shape[1]
+             for name, column in table.items()}
+    # json's own layout of a one-row document: its first two and last two
+    # lines open and close the document, the lines between are the row.
+    lines = json.dumps({"trajectory": [slots]}, indent=2, sort_keys=True).split("\n")
+    row = "\n".join(lines[2:-2]).replace('"%r"', "%r")
+    stream.write("\n".join(lines[:2]) + "\n")
+    _write_rows(stream, [table[name] for name in sorted(table)], row, ",\n")
+    stream.write("\n" + "\n".join(lines[-2:]) + "\n")

@@ -10,8 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_antisymmetric, random_spd
-from ncyclo import cli
-from ncyclo.cli import cmd_verify, main
+from ncyclo import cli, dynamics
+from ncyclo.cli import OUTPUT_FORMATS, cmd_verify, main
 from ncyclo.config import RunConfig
 from ncyclo.operators import canonical_momentum, commutator, dual_momentum
 
@@ -594,6 +594,37 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", config, "--out", str(tmp_path / "traj.csv")]) == 0
         assert sorted(calls) == [False, True, True]
 
+    @pytest.mark.parametrize("fmt", OUTPUT_FORMATS)
+    @pytest.mark.parametrize("count", [2, 1001, 1024, 1025])
+    def test_one_table_and_the_report_samples(self, tmp_path, capsys, monkeypatch, fmt, count):
+        # One run evaluates each integral of the motion once over its whole
+        # orbit, for the check and the writer alike, and splits every
+        # (count // 512)-th of its count samples and the last.
+        calls = []
+
+        def spy(owner, name):
+            original = getattr(owner, name)
+
+            def logged(state, *args):
+                calls.append((name, state))
+                return original(state, *args)
+            monkeypatch.setattr(owner, name, logged)
+
+        for owner, name in ((dynamics, "dual_momentum_value"), (dynamics, "kinetic_energy"),
+                            (cli, "orbit_decomposition")):
+            spy(owner, name)
+        dt = 2.0 * np.pi / 512
+        config = circle2d(tmp_path, integration={"dt": dt, "steps": count - 1, "method": "exact"})
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "traj"),
+                     "--format", fmt]) == 0
+        [samples] = [state for name, state in calls if name == "orbit_decomposition"]
+        full = sorted(name for name, state in calls
+                      if state is not samples and np.size(state.time) == count)
+        assert full == ["dual_momentum_value", "kinetic_energy"]
+        stride = max(1, count // 512)
+        index = sorted(set(range(0, count, stride)) | {count - 1})
+        np.testing.assert_array_equal(samples.time, np.arange(count)[index] * dt)
+
     def test_bad_output_format(self, tmp_path, capsys):
         config = circle2d(tmp_path)
         out = tmp_path / "traj.xml"
@@ -1095,16 +1126,18 @@ import json, sys
 from ncyclo.cli import main
 calls, minkowski = json.loads(sys.argv[1]), sys.argv[2:]
 codes = [main(args) for args in calls]
-loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy"
+                or name == "numpy.ma" or name.startswith("numpy.ma."))
 codes.append(main(minkowski))
-print(json.dumps({"codes": codes, "scipy_before_minkowski": loaded,
+print(json.dumps({"codes": codes, "before_minkowski": loaded,
                   "scipy_after": "scipy.linalg" in sys.modules}))
 """
 
 
 def test_scipy_loaded_only_for_an_indefinite_exact_orbit(tmp_path):
     # One fresh interpreter runs every command on uniform3d, exact and RK4,
-    # through main; only then does the indefinite exact orbit need expm.
+    # through main, loading neither scipy nor numpy.ma; only then does the
+    # indefinite exact orbit need expm.
     import subprocess
     import sys
     uniform = next(path for path in SAMPLE_CONFIGS if path.stem == "uniform3d")
@@ -1122,7 +1155,7 @@ def test_scipy_loaded_only_for_an_indefinite_exact_orbit(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"codes": [0] * 6, "scipy_before_minkowski": [], "scipy_after": True}
+    assert result == {"codes": [0] * 6, "before_minkowski": [], "scipy_after": True}
     assert (tmp_path / "minkowski.csv").stat().st_size > 0
 
 

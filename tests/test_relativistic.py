@@ -1,0 +1,51 @@
+"""Textbook relativistic orbits as oracles of the indefinite exact path.
+
+With a Minkowski metric, ``p' = (q/mc) H g^-1 p`` and ``x' = g^-1 p / m`` are
+the covariant Lorentz force ``m du/dtau = (q/c) F u`` in proper time ``tau``,
+and ``E_total = g^-1(p, p) / 2m`` is the mass shell, ``-mc^2/2``.  Landau and
+Lifshitz, *The Classical Theory of Fields*, section 20, gives the orbit in a
+pure electric field in closed form, owing nothing to the decomposition or to
+``expm``.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from ncyclo.cli import main
+
+M, Q, C, E = 1.3, 1.1, 2.0, 0.7
+
+
+@pytest.fixture
+def hyperbolic_motion(tmp_path, capsys):
+    """Report and trajectory columns of a 1+1 D orbit in a pure electric field, at rest at 0."""
+    config = tmp_path / "electric.json"
+    config.write_text(json.dumps({
+        "n": 2, "metric": "minkowski", "field": [[0.0, E], [-E, 0.0]],
+        "particle": {"m": M, "q": Q, "c": C},
+        "initial": {"x": [0.0, 0.0], "p": [0.0, -M * C]},
+        "integration": {"dt": 0.01, "steps": 2000, "method": "exact"}}))
+    out = tmp_path / "electric.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    return report, np.loadtxt(out, delimiter=",", skiprows=1)
+
+
+def test_pure_electric_field_is_hyperbolic_motion(hyperbolic_motion):
+    # x1 = (mc^2/qE)(cosh(qE tau/mc) - 1) and the time-like x2 = ct =
+    # (mc^2/qE) sinh(qE tau/mc), with tau the CSV's t.
+    _, rows = hyperbolic_motion
+    tau, x, p, energy = rows[:, 0], rows[:, 1:3], rows[:, 3:5], rows[:, 7]
+    length, rate = M * C**2 / (Q * E), Q * E / (M * C)
+    expected = length * np.column_stack([np.cosh(rate * tau) - 1.0, np.sinh(rate * tau)])
+    assert np.abs(x - expected).max() <= 1e-13 * np.abs(x).max()
+    mass_shell = np.abs(energy + M * C**2 / 2.0).max()
+    assert mass_shell <= 1e-13 * np.square(p).sum(axis=1).max() / (2.0 * M)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a boost is reported as a cyclotron block")
+def test_pure_electric_field_has_no_cyclotron_block(hyperbolic_motion):
+    report, _ = hyperbolic_motion
+    assert report["num_blocks"] == 0
