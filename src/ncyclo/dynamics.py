@@ -1,24 +1,25 @@
 """Classical motion in a constant magnetic field.
 
 The momentum obeys a linear equation ``p' = K p`` with a constant matrix, so
-the flow has a closed form.  For a definite metric every sample is evaluated
-directly from its time in the modal form of the flow: whitened by the metric's
-own frame the generator is real antisymmetric, so one Hermitian eigensolve
-gives its eigenpairs, ``+-lambda`` pairs for the cyclotron motions and zeros
-for the free drift, with no strength cut.  An indefinite metric has no such
-frame, so its orbit is propagated in blocks of about
-``sqrt(N)`` samples from the one-step map, the exponential of the Van Loan
-augmented matrix ``dt [[K, I], [0, 0]]``, and a leap map over one block: about
-``2 sqrt(N)`` array operations for ``N`` steps, with roundoff growing like
-``2 sqrt(N)`` roundoffs; only this path imports ``scipy.linalg.expm``.
-Classic fourth-order Runge-Kutta is the same block propagation with the
-exponential's degree-4 Taylor polynomial: on a linear flow that polynomial is
-exactly one RK4 step.  Every method samples the orbit into one
-:class:`Trajectory` of time, position and momentum arrays, which
-:func:`write_trajectory_csv` and :func:`write_trajectory_structured` stream to
-a file.  The dual momentum ``p - (q/c) H x`` is an integral of the motion for
-every metric, and in the block basis it locates the centers of the cyclotron
-orbits.
+the flow has a closed form, and every exact sample is evaluated directly from
+its time as a sum of modes.  For a definite metric the modes come from one
+Hermitian eigensolve: whitened by the metric's own frame the generator is
+real antisymmetric, with ``+-lambda`` pairs for the cyclotron motions and
+zeros for the free drift, and no strength cut.  An indefinite metric has no
+such frame, and ``K`` can be defective: a null field (``E`` perpendicular to
+``B``, ``|E| = |B|``) has ``K^3 = 0``.  There one eigensolve gives the modes
+(the eigenvector method of Moler and Van Loan), and each near-defective
+cluster of eigenvalues, which no eigenbasis spans, takes its own invariant
+subspace, where ``exp(tN)`` is ``e^{sigma t}`` times a short power series
+about the cluster's center ``sigma`` (:mod:`ncyclo.modes`).  Both paths use
+numpy alone.  Classic fourth-order Runge-Kutta propagates in blocks of about
+``sqrt(N)`` samples with the degree-4 Taylor polynomial of the step's
+exponential: on a linear flow that polynomial is exactly one RK4 step.  Every
+method samples the orbit into one :class:`Trajectory` of time, position and
+momentum arrays, which :func:`write_trajectory_csv` and
+:func:`write_trajectory_structured` stream to a file.  The dual momentum
+``p - (q/c) H x`` is an integral of the motion for every metric, and in the
+block basis it locates the centers of the cyclotron orbits.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import modes
 from .canonical import CanonicalForm
 from .tensors import FieldTensor, MetricTensor, PhysicalConstants, _frozen
 
@@ -50,8 +52,8 @@ __all__ = [
     "write_trajectory_structured",
 ]
 
-# Trajectory rows are evaluated and formatted this many at a time, which
-# bounds the memory held by the temporaries of one batch.
+# Trajectory rows are formatted this many at a time, which bounds the memory
+# held by the temporaries of one batch.
 _BATCH = 1024
 
 
@@ -196,48 +198,38 @@ def _taylor4(a: np.ndarray) -> np.ndarray:
 
 
 def _sample(state: ParticleState, k: np.ndarray, metric: MetricTensor,
-            constants: PhysicalConstants, dt: float, steps: int, exact: bool) -> Trajectory:
-    """Propagate ``z = (p, x)`` by the step map ``E = [[P, 0], [g^{-1} J / m, I]]`` in blocks.
+            constants: PhysicalConstants, dt: float, steps: int) -> Trajectory:
+    """Propagate ``z = (p, x)`` by the RK4 step map ``E = [[P, 0], [g^{-1} J / m, I]]`` in blocks.
 
-    ``F(dt [[K, I], [0, 0]]) = [[P, J], [0, I]]`` is the matrix exponential
-    when ``exact``, else its degree-4 Taylor polynomial: one classic RK4 step
-    of this linear flow.  ``P`` advances the momentum and ``J``, the integral
-    of ``P`` over the step (Van Loan), the position.  No inverse of ``K``
-    appears, so free directions need no care.
+    ``F(dt [[K, I], [0, 0]]) = [[P, J], [0, I]]`` with ``F`` the degree-4
+    Taylor polynomial of the exponential: one classic RK4 step of this linear
+    flow.  ``P`` advances the momentum and ``J``, the integral of ``P`` over
+    the step (Van Loan), the position.  No inverse of ``K`` appears, so free
+    directions need no care.
 
     With ``b = round(sqrt(steps + 1))`` the first ``b`` samples come from
     iterating ``E``, and every later block of ``b`` samples is the block before
     it times the leap ``E^b``: about ``2 sqrt(steps)`` array operations instead
     of one matrix-vector product pair per sample, and roundoff that grows like
-    ``2 sqrt(steps)`` roundoffs instead of ``steps``.  The exact leap is a
-    fresh exponential over ``b dt``, since the error of a ``b``-fold product
-    would compound over the leaps; the RK4 leap is the ``b``-th power of its
-    step map.  Only samples grow, never a power of ``E``, so an orbit that
-    overflows is refused at the sample that leaves the float range.
+    ``2 sqrt(steps)`` roundoffs instead of ``steps``.  Only samples grow, never
+    a power of ``E``, so an orbit that overflows is refused at the sample that
+    leaves the float range.
     """
     n = state.n
-    ginv_over_m = metric.inverse / constants.mass
-    if exact:  # only an indefinite exact orbit loads scipy
-        from scipy.linalg import expm
-
-    def step_map(h: float) -> np.ndarray:
-        aug = np.zeros((2 * n, 2 * n))
-        aug[:n, :n] = h * k
-        aug[:n, n:] = h * np.eye(n)
-        full = expm(aug) if exact else _taylor4(aug)
-        e = np.eye(2 * n)
-        e[:n, :n] = full[:n, :n]
-        e[n:, :n] = ginv_over_m @ full[:n, n:]
-        return e
-
     b = round(np.sqrt(steps + 1))
     rows = np.empty((steps + 1, 2 * n))
     rows[0, :n], rows[0, n:] = state.momentum, state.position
+    aug = np.zeros((2 * n, 2 * n))
     # An orbit that overflows, or a step map that does, is reported once, by
     # Trajectory, instead of through a floating-point warning per operation.
     with np.errstate(over="ignore", invalid="ignore"):
-        step = step_map(dt)
-        leap = step_map(b * dt) if exact else np.linalg.matrix_power(step, b)
+        aug[:n, :n] = dt * k
+        aug[:n, n:] = dt * np.eye(n)
+        full = _taylor4(aug)
+        step = np.eye(2 * n)
+        step[:n, :n] = full[:n, :n]
+        step[n:, :n] = (metric.inverse / constants.mass) @ full[:n, n:]
+        leap = np.linalg.matrix_power(step, b)
         for i in range(1, b):
             rows[i] = step @ rows[i - 1]
         for j in range(b, steps + 1, b):
@@ -251,50 +243,43 @@ def evolve_exact_trajectory(state: ParticleState, k: np.ndarray, metric: MetricT
                             steps: int) -> Trajectory:
     """Sample the closed-form flow at ``steps`` uniform increments of ``dt``.
 
+    Every sample is evaluated directly from its time, a batch of rows at a
+    time, as a sum of modes (:func:`ncyclo.modes.sample`).
+
     For a definite metric ``g`` of sign ``s``, with the frame ``G = s g`` and
     ``y = G^{-1/2} p``, the generator ``A = G^{-1/2} K G^{1/2}`` of ``y`` is
     real antisymmetric.  One Hermitian eigensolve ``i A = U diag(lam) U^H``
-    gives ``exp(tA) = U exp(-i lam t) U^H``, so with ``c = U^H y0`` every
-    sample is evaluated directly from its time, a batch of rows at a time:
+    gives ``exp(tA) = U exp(-i lam t) U^H``, so with ``c = U^H y0``
     ``p(t) = p0 + G^{1/2} Re U [(exp(-i lam t) - 1) c]`` and
     ``x(t) = x0 + (s/m) G^{-1/2} Re U [phi c]``, with ``phi`` the integral
     of ``exp(-i lam t)`` over ``[0, t]``, exactly ``t`` at ``lam = 0``.
     ``s`` and both roots of ``G`` are the metric's :attr:`~MetricTensor.frame`,
     worked out once per metric.  No strength is cut to zero, so a weak block
-    turns however long the orbit.  An indefinite metric has no such frame:
-    its orbit is propagated in ``sqrt(steps)``-sample blocks of the one-step
-    map, about ``2 sqrt(steps)`` array operations with roundoff growing like
-    ``2 sqrt(steps)`` roundoffs.
+    turns however long the orbit.
+
+    An indefinite metric has no such frame, and ``K`` can be defective, so
+    its orbit is the same kind of sum over the modes of one eigensolve and
+    the series of each near-defective cluster of eigenvalues
+    (:func:`ncyclo.modes.orbit`).
     Returns ``steps + 1`` samples, the input first.
     """
     if not np.isfinite(dt):
         raise ValueError("dt must be finite")
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    if not metric.is_definite:
-        return _sample(state, k, metric, constants, dt, steps, True)
-
-    sign, root, inverse_root = metric.frame
     t = np.arange(steps + 1) * dt
-    position, momentum = np.empty((t.size, state.n)), np.empty((t.size, state.n))
-    # An orbit that overflows is reported once, by Trajectory, instead of
-    # through a floating-point warning per operation.
     with np.errstate(over="ignore", invalid="ignore"):
-        a = inverse_root @ k @ root
-        lam, u = np.linalg.eigh(1j * (a / 2.0 - a.T / 2.0))  # exp(tA) = U e^{-i lam t} U^H
-        c = u.conj().T @ (inverse_root @ state.momentum)
-        to_momentum, to_position = root @ u, (sign / constants.mass) * (inverse_root @ u)
-        for start in range(0, t.size, _BATCH):
-            rows = slice(start, start + _BATCH)
-            half = np.outer(t[rows], lam) / 2.0
-            turn = np.exp(-1j * half) * c
-            # e^{-i lam t} - 1 and its integral over [0, t], without
-            # cancellation near lam t = 0.
-            momentum[rows] = state.momentum + ((-2j * np.sin(half) * turn) @ to_momentum.T).real
-            swept = t[rows, None] * np.sinc(half / np.pi) * turn
-            position[rows] = state.position + (swept @ to_position.T).real
-    position[0], momentum[0] = state.position, state.momentum
-    return Trajectory(state.time + t, position, momentum)
+        if metric.is_definite:
+            sign, root, inverse_root = metric.frame
+            a = inverse_root @ k @ root
+            lam, u = np.linalg.eigh(1j * (a / 2.0 - a.T / 2.0))  # exp(tA) = U e^{-i lam t} U^H
+            c = u.conj().T @ (inverse_root @ state.momentum)
+            to_momentum, to_position = root @ u, (sign / constants.mass) * (inverse_root @ u)
+            return Trajectory(state.time + t, *modes.sample(
+                state, t, lam, c, to_momentum, to_position, np.full(lam.size, -1),
+                np.zeros((0, 2, state.n)), 1.0))
+        return Trajectory(state.time + t, *modes.orbit(
+            state, k, metric.inverse / constants.mass, t))
 
 
 def evolve_rk4(state: ParticleState, k: np.ndarray, metric: MetricTensor,
@@ -303,15 +288,15 @@ def evolve_rk4(state: ParticleState, k: np.ndarray, metric: MetricTensor,
 
     The flow is linear, so an RK4 step is a fixed matrix pair: the degree-4
     Taylor polynomial of the step's exponential, propagated in
-    ``sqrt(steps)``-sample blocks like the exact map of an indefinite metric,
-    with the same ``2 sqrt(steps)`` growth of roundoff; the independent check
-    of both is the 40-digit oracle of the tests (``tests/oracle.py``).
+    ``sqrt(steps)``-sample blocks (:func:`_sample`), with roundoff growing like
+    ``2 sqrt(steps)`` roundoffs; the independent check of it and of the exact
+    orbits is the 40-digit oracle of the tests (``tests/oracle.py``).
     """
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive")
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    return _sample(state, k, metric, constants, dt, steps, False)
+    return _sample(state, k, metric, constants, dt, steps)
 
 
 def _apply(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:

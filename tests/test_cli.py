@@ -1124,20 +1124,18 @@ def test_every_sample_config_runs(path, tmp_path, capsys):
 SCIPY_PROBE = """
 import json, sys
 from ncyclo.cli import main
-calls, minkowski = json.loads(sys.argv[1]), sys.argv[2:]
+calls = json.loads(sys.argv[1])
 codes = [main(args) for args in calls]
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy"
                 or name == "numpy.ma" or name.startswith("numpy.ma."))
-codes.append(main(minkowski))
-print(json.dumps({"codes": codes, "before_minkowski": loaded,
-                  "scipy_after": "scipy.linalg" in sys.modules}))
+print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
 
-def test_scipy_loaded_only_for_an_indefinite_exact_orbit(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     # One fresh interpreter runs every command on uniform3d, exact and RK4,
-    # through main, loading neither scipy nor numpy.ma; only then does the
-    # indefinite exact orbit need expm.
+    # and the indefinite exact orbit of minkowski4d, through main: none of
+    # them loads scipy or numpy.ma.
     import subprocess
     import sys
     uniform = next(path for path in SAMPLE_CONFIGS if path.stem == "uniform3d")
@@ -1148,14 +1146,13 @@ def test_scipy_loaded_only_for_an_indefinite_exact_orbit(tmp_path):
     calls = [["decompose", "--config", str(uniform)], ["spectrum", "--config", str(uniform)],
              ["verify", "--config", str(uniform)],
              ["simulate", "--config", str(uniform), "--out", str(tmp_path / "exact.csv")],
-             ["simulate", "--config", rk4, "--out", str(tmp_path / "rk4.csv")]]
-    proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, json.dumps(calls),
-         "simulate", "--config", str(minkowski), "--out", str(tmp_path / "minkowski.csv")],
-        capture_output=True, text=True)
+             ["simulate", "--config", rk4, "--out", str(tmp_path / "rk4.csv")],
+             ["simulate", "--config", str(minkowski), "--out", str(tmp_path / "minkowski.csv")]]
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(calls)],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"codes": [0] * 6, "before_minkowski": [], "scipy_after": True}
+    assert result == {"codes": [0] * 6, "loaded": []}
     assert (tmp_path / "minkowski.csv").stat().st_size > 0
 
 

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ncyclo import dynamics
+from ncyclo import dynamics, modes
 from ncyclo import (
     CanonicalForm,
     FieldTensor,
@@ -326,17 +328,18 @@ class TestClosedForm:
         assert not hasattr(dynamics, "decompose")
 
     def test_no_per_sample_iteration(self, rng, monkeypatch):
+        # Definite or not, an exact orbit is evaluated from each sample's time;
+        # only RK4 iterates a step map.
         def refuse(*args):
-            raise AssertionError("a definite metric iterated a step map")
+            raise AssertionError("an exact orbit iterated a step map")
 
         h, metric, constants, state = definite_case(rng, -1.0)
-        k = dynamics_matrix(h, metric, constants)
         monkeypatch.setattr(dynamics, "_sample", refuse)
-        assert len(evolve_exact_trajectory(state, k, metric, constants, 0.1, 50)) == 51
-        minkowski = MetricTensor.minkowski(5)
-        with pytest.raises(AssertionError, match="iterated"):
-            evolve_exact_trajectory(state, dynamics_matrix(h, minkowski, constants),
-                                    minkowski, constants, 0.1, 50)
+        for metric in (metric, MetricTensor.minkowski(5)):
+            k = dynamics_matrix(h, metric, constants)
+            assert len(evolve_exact_trajectory(state, k, metric, constants, 0.1, 50)) == 51
+            with pytest.raises(AssertionError, match="iterated"):
+                evolve_rk4(state, k, metric, constants, 0.1, 50)
 
 
 @pytest.mark.parametrize("metric, evolve", [
@@ -347,8 +350,6 @@ class TestClosedForm:
 def test_peak_memory_is_the_orbit_itself(metric, evolve):
     # A 1e5-step orbit holds 7.2 MB of samples; every path evaluates them
     # in place, with temporaries of one batch or one sqrt(N) block.
-    import scipy.linalg  # noqa: F401  (loaded before tracing: not the orbit's memory)
-
     h = FieldTensor([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.5, 0.0],
                      [0.0, -0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])  # spatial, so bounded
     state = ParticleState([0.1, 0.2, 0.3, 0.4], [1.0, 0.0, 0.0, 0.5])
@@ -445,9 +446,9 @@ def stepwise(state, k, metric, constants, dt, steps, exact):
 
 class TestBlockPropagation:
     def test_rotated_minkowski_frames_on_the_oracle(self):
-        # After 1e5 steps the blocks land 2e-14 to 1.1e-13 of the orbit's scale
-        # off the oracle on these frames; the step map applied once per step
-        # lands 1.5e-12 to 2.1e-12 off.
+        # After 1e5 steps the closed form lands 6e-16 to 4.2e-14 of the orbit's
+        # scale off the oracle on these frames; the step map applied once per
+        # step lands 1.5e-12 to 2.1e-12 off.
         for seed in (1, 2, 3):
             h, metric, state = rotated_minkowski_case(np.random.default_rng(seed))
             k = dynamics_matrix(h, metric, UNIT)
@@ -470,6 +471,206 @@ class TestBlockPropagation:
         assert len(trajectory) == steps + 1
         np.testing.assert_allclose(trajectory.position, x, rtol=0, atol=1e-13 * scale)
         np.testing.assert_allclose(trajectory.momentum, p, rtol=0, atol=1e-13 * scale)
+
+
+def lorentz_transform(rng, rapidity, n):
+    """``L`` with ``L^T g L = g`` for ``g = diag(1, ..., 1, -1)``: a seeded
+    rotation of the space axes after a boost along the first."""
+    rotation = np.eye(n)
+    rotation[:-1, :-1] = random_orthogonal(rng, n - 1)
+    boost = np.eye(n)
+    boost[0, 0] = boost[-1, -1] = np.cosh(rapidity)
+    boost[0, -1] = boost[-1, 0] = np.sinh(rapidity)
+    return rotation @ boost
+
+
+def spacetime_field(n, entries):
+    """The antisymmetric field with ``H[i, j] = value`` for each ``(i, j): value``;
+    the last axis is time-like, so ``H[i, n - 1]`` is an electric component."""
+    h = np.zeros((n, n))
+    for (i, j), value in entries.items():
+        h[i, j], h[j, i] = value, -value
+    return h
+
+
+# E along x1, B along x3, |E| = |B|: K^3 = 0 under diag(1, 1, 1, -1).
+NULL_FIELD = spacetime_field(4, {(0, 1): 1.0, (0, 3): 1.0})
+
+
+def null_field_case(rapidity):
+    """The null field and a start point, rotated and boosted by a seeded ``L``
+    (none at rapidity None): ``H -> L^T H L``, ``x0 -> L^-1 x0``, ``p0 -> L^T p0``."""
+    rng = np.random.default_rng(22)
+    x0, p0 = rng.uniform(-1.0, 1.0, 4), rng.uniform(-1.0, 1.0, 4)
+    if rapidity is None:
+        return FieldTensor(NULL_FIELD), ParticleState(x0, p0)
+    lorentz = lorentz_transform(rng, rapidity, 4)
+    return (FieldTensor(lorentz.T @ NULL_FIELD @ lorentz),
+            ParticleState(np.linalg.solve(lorentz, x0), lorentz.T @ p0))
+
+
+SO22 = MetricTensor(np.diag([1.0, 1.0, -1.0, -1.0]))
+
+
+def so22_field(block):
+    """A field under ``diag(1, 1, -1, -1)`` whose ``K`` is ``block x I + I x [[0, 1], [0, 0]]``.
+
+    ``kron(e, e)`` with ``e = [[0, 1], [-1, 0]]`` is a form of signature
+    (2, 2) that ``X x I`` and ``I x Y`` keep for traceless ``X`` and ``Y``, and
+    the orthogonal ``q`` takes it to the diagonal.  The nilpotent factor makes
+    every eigenvalue of ``block`` a Jordan block of size 2.
+    """
+    q = np.array([[1.0, 0, 1, 0], [0, 1, 0, 1], [0, -1, 0, 1], [1, 0, -1, 0]]) / np.sqrt(2.0)
+    k = q.T @ (np.kron(block, np.eye(2)) + np.kron(np.eye(2), [[0.0, 1.0], [0.0, 0.0]])) @ q
+    h = k @ SO22.matrix
+    return FieldTensor((h - h.T) / 2.0)
+
+
+class TestIndefiniteClosedForm:
+    """Indefinite metrics: modes, and a series on each near-defective cluster, on the oracle."""
+
+    def on_the_oracle(self, h, state, dt, steps, constants=UNIT, metric=None):
+        metric = metric or MetricTensor.minkowski(state.n)
+        trajectory = evolve_exact_trajectory(state, dynamics_matrix(h, metric, constants),
+                                             metric, constants, dt, steps)
+        deviation, scale = oracle_error(trajectory, h, metric, constants, dt, steps)
+        assert deviation <= 1e-12 * scale, (deviation, scale)
+        return trajectory
+
+    @pytest.mark.parametrize("rapidity", [None, 0.5, 2.0], ids=["plain", "0.5", "2"])
+    def test_null_field_on_the_oracle(self, rapidity):
+        # No eigenbasis spans a null field: eig alone lands hundreds off.  The
+        # seeded frame is rounded to floats, which leaves the field null only
+        # to about 1e-16, a boost of rate about 1e-8 |K| that no float64
+        # method resolves; over t = 20 it stays below the gate.
+        h, state = null_field_case(rapidity)
+        self.on_the_oracle(h, state, 0.05, 400)
+
+    @pytest.mark.parametrize("rapidity", [None, 0.5, 2.0], ids=["plain", "0.5", "2"])
+    def test_null_field_orbit_is_a_cubic(self, rapidity):
+        # Landau-Lifshitz section 22: for E = B the coordinates are cubic in
+        # the proper time (here t) and the momenta quadratic.
+        h, state = null_field_case(rapidity)
+        trajectory = self.on_the_oracle(h, state, 0.05, 400)
+        tau = trajectory.time / trajectory.time[-1]
+        for column in (*trajectory.position.T, *trajectory.momentum.T):
+            fit = np.polyval(np.polyfit(tau, column, 3), tau)
+            assert np.abs(fit - column).max() <= 1e-12 * np.abs(column).max()
+
+    @pytest.mark.parametrize("coupling", [{}, {(2, 1): 1e-6}, {(1, 3): 1e-3}],
+                             ids=["uncoupled", "x3-x2", "x2-x4"])
+    def test_null_rotation_beside_a_cyclotron_block(self, coupling):
+        # 1+5 D: the null field in (x1, x2, t), a cyclotron block in (x4, x5),
+        # in seeded space axes.  Coupling x3 to x2 by 1e-6 makes the null
+        # block a cluster of four eigenvalues of size 1e-3 whose eigenbasis
+        # has condition 2e6; coupling x2 to x4 by 1e-3 leaves a boost of rate
+        # 1.4e-3 beside a double zero, with condition 1e3.  Either way the
+        # cluster about zero moves onto the series, on a basis whose subspace
+        # iteration runs until it stops moving: the nilpotent part swings it
+        # about for the first few steps.  The rounded frame is near-defective
+        # itself: over t = 100 this orbit and the iterated exponential both
+        # land near 1e-12 of the scale, over t = 20 below 2e-14.
+        h = spacetime_field(6, {(0, 1): 1.0, (0, 5): 1.0, (3, 4): 0.7, **coupling})
+        rng = np.random.default_rng(6)
+        rotation = np.eye(6)
+        rotation[:5, :5] = random_orthogonal(rng, 5)
+        state = ParticleState(rng.uniform(-1.0, 1.0, 6), rng.uniform(-1.0, 1.0, 6))
+        self.on_the_oracle(FieldTensor(rotation.T @ h @ rotation), state, 0.05, 400)
+
+    @pytest.mark.parametrize("e_field", [0.6, 1.0 / 0.6], ids=["E<B", "E>B"])
+    def test_crossed_fields_on_the_oracle(self, e_field):
+        # E < B drifts and turns at sqrt(B^2 - E^2); E > B runs away like
+        # exp(sqrt(E^2 - B^2) t).
+        h = FieldTensor(spacetime_field(4, {(0, 1): 1.0, (0, 3): e_field}))
+        constants = PhysicalConstants(mass=1.7, charge=-0.8, light_speed=2.5)
+        self.on_the_oracle(h, ParticleState([0.1, -0.2, 0.3, 0.4], [0.5, 0.2, -0.1, 1.2]),
+                           0.05, 2000, constants)
+
+    def test_zero_field_on_the_oracle(self):
+        trajectory = self.on_the_oracle(FieldTensor(np.zeros((4, 4))),
+                                        ParticleState([0.1, -0.2, 0.3, 0.4],
+                                                      [0.5, 0.2, -0.1, 1.2]), 0.05, 2000)
+        np.testing.assert_array_equal(trajectory.momentum, np.tile([0.5, 0.2, -0.1, 1.2],
+                                                                   (2001, 1)))
+
+    @pytest.mark.parametrize("strength", [1e-6, 1e-9, 1e-13])
+    def test_weak_boost_still_acts(self, strength):
+        # A boost 1e-13 of the cyclotron block is below every cut, yet over
+        # 1e5 steps it moves the orbit by 1e-10 of its scale: its eigenbasis
+        # is well conditioned, so the modes carry it.
+        h = FieldTensor(spacetime_field(5, {(0, 1): 1.0, (2, 4): strength}))
+        state = ParticleState([0.3, -0.2, 0.5, 0.1, 0.2], [0.7, 0.4, -0.6, 0.9, 1.1])
+        self.on_the_oracle(h, state, 0.0123, 100_000)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_strongly_boosted_frame_keeps_turning_blocks_as_modes(self, seed):
+        # At rapidity 5 the unit cyclotron block is below 1e-3 of |K|, so the
+        # largest cut would join it to the cluster about zero, where over
+        # t = 2000 it turns 2000 rad: that series does not end, and the cuts
+        # stop short of it.
+        # The frame has condition e^10, and rounding the boosted field costs
+        # that many roundoffs, hence the gate.
+        lorentz = lorentz_transform(np.random.default_rng(seed), 5.0, 5)
+        h = spacetime_field(5, {(0, 1): 1.0, (2, 3): 5e-4})
+        metric = MetricTensor.minkowski(5)
+        h = FieldTensor(lorentz.T @ h @ lorentz)
+        state = ParticleState([0.1, 0.2, 0.3, 0.4, 0.5], [0.3, -0.2, 0.5, 0.1, 1.2])
+        trajectory = evolve_exact_trajectory(state, dynamics_matrix(h, metric, UNIT), metric,
+                                             UNIT, 2.0, 1000)
+        deviation, scale = oracle_error(trajectory, h, metric, UNIT, 2.0, 1000)
+        assert deviation <= 1e-9 * scale
+
+
+    def test_weak_boost_at_a_long_reach(self):
+        # Over t = 4e14 the boost 1e-13 grows by e^40: no short series holds
+        # it, so it stays on the modes.
+        h = FieldTensor(spacetime_field(5, {(0, 1): 1.0, (2, 4): 1e-13}))
+        state = ParticleState([0.3, -0.2, 0.5, 0.1, 0.2], [0.7, 0.4, -0.6, 0.9, 1.1])
+        self.on_the_oracle(h, state, 2e11, 2000)
+
+    @pytest.mark.parametrize("block", [[[0.5, 0.0], [0.0, -0.5]], [[0.0, -0.5], [0.5, 0.0]],
+                                       [[1e-4, 0.0], [0.0, -1e-4]]],
+                             ids=["real", "complex", "near-zero"])
+    def test_jordan_blocks_at_nonzero_eigenvalues(self, block):
+        # Under signature (2, 2) each eigenvalue of the block is a Jordan
+        # block of size 2, which no eigenbasis spans: each cluster takes a
+        # series about its own center.
+        h = so22_field(np.array(block))
+        k = dynamics_matrix(h, SO22, UNIT)
+        assert np.linalg.cond(np.linalg.eig(k)[1]) > 1e6
+        state = ParticleState([0.1, 0.2, -0.3, 0.4], [0.5, -0.1, 0.2, 0.3])
+        self.on_the_oracle(h, state, 0.01, 2000, metric=SO22)
+
+    def test_cluster_series_ends_or_refuses(self):
+        nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(modes._cluster_series(nilpotent, 2, 1e3, 1.0),
+                                      [np.eye(2), 1e3 * nilpotent])
+        turning = np.array([[0.0, -1e-3], [1e-3, 0.0]])
+        assert len(modes._cluster_series(turning, 2, 1e2, 1.0)) < modes._SERIES_MAX
+        assert modes._cluster_series(turning, 2, 1e6, 1.0) is None
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rapidity=st.floats(0.0, 1.5))
+def test_lorentz_covariance(seed, rapidity):
+    # H -> L^T H L, x0 -> L^-1 x0, p0 -> L^T p0 with L^T g L = g maps every
+    # sample the same way.
+    rng = np.random.default_rng(seed)
+    lorentz = lorentz_transform(rng, rapidity, 4)
+    metric = MetricTensor.minkowski(4)
+    h = FieldTensor(random_antisymmetric(rng, 4))
+    moved = FieldTensor(lorentz.T @ h.matrix @ lorentz)
+    state = ParticleState(rng.standard_normal(4), rng.standard_normal(4))
+    image = ParticleState(np.linalg.solve(lorentz, state.position), lorentz.T @ state.momentum)
+    orbit = evolve_exact_trajectory(state, dynamics_matrix(h, metric, UNIT), metric, UNIT,
+                                    0.01, 2000)
+    seen = evolve_exact_trajectory(image, dynamics_matrix(moved, metric, UNIT), metric, UNIT,
+                                   0.01, 2000)
+    expected_x = np.linalg.solve(lorentz, orbit.position.T).T
+    expected_p = orbit.momentum @ lorentz
+    scale = max(1.0, np.abs(expected_x).max(), np.abs(expected_p).max())
+    np.testing.assert_allclose(seen.position, expected_x, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(seen.momentum, expected_p, rtol=0, atol=1e-12 * scale)
 
 
 class TestEvolveRk4:
