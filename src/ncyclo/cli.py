@@ -8,7 +8,8 @@ past the float range, is a ``ValueError``, and :func:`main` alone prints it
 as the one ``error:`` line of exit status 2.  :func:`_render` alone renders
 numpy arrays and scalars, into strict JSON, and names the first entry that is
 not finite.  ``simulate`` checks its trajectory table and renders its report
-before it opens the trajectory file, so a refusal leaves no file behind.  The
+before it opens the trajectory file, so a refusal leaves no file behind, and
+removes the file again when the write fails.  The
 report reads both integrals of the motion, the dual momentum and the kinetic
 energy, from that table at every written row, and measures each block's
 frequency from its phase demodulated by the turn the closed form predicts.
@@ -19,6 +20,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -239,7 +242,15 @@ def cmd_simulate(config: RunConfig, path: str, fmt: str) -> int:
 
     write = write_trajectory_csv if fmt == "csv" else write_trajectory_structured
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        write(trajectory, field, metric, constants, fh)
+        try:
+            write(trajectory, field, metric, constants, fh)
+        except BaseException:
+            # A failed write leaves no truncated file: the one regular file
+            # opened at the path is removed, never a device or a link to one.
+            opened = os.fstat(fh.fileno())
+            if stat.S_ISREG(opened.st_mode) and os.path.samestat(opened, os.lstat(path)):
+                os.remove(path)
+            raise
     sys.stdout.write(report)
     if failing:
         print("simulate: residuals above tolerance: " + ", ".join(failing), file=sys.stderr)
@@ -326,7 +337,7 @@ def main(argv=None) -> int:
         if args.command == "spectrum":
             return cmd_spectrum(config, args.out, args.levels)
         return cmd_verify(config)
-    except (ValueError, OSError) as exc:  # every refusal of the library
+    except (ValueError, OSError) as exc:  # every refusal of the library, a failed write too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,12 @@ numpy alone.  Classic fourth-order Runge-Kutta propagates in blocks of about
 exponential: on a linear flow that polynomial is exactly one RK4 step.  Every
 method samples the orbit into one :class:`Trajectory` of time, position and
 momentum arrays, which :func:`write_trajectory_csv` and
-:func:`write_trajectory_structured` stream to a file.  The dual momentum
+:func:`write_trajectory_structured` stream to a file a batch of rows at a
+time.  Formatting floats at 17 digits is most of a long run's time, so the
+batches are split into one contiguous share per usable CPU: the calling
+process formats the first share into the file, forked children the others
+into temporary files that it then copies after it in order, and the bytes do
+not depend on the share count.  The dual momentum
 ``p - (q/c) H x`` is an integral of the motion for every metric, and in the
 block basis it locates the centers of the cyclotron orbits.
 """
@@ -25,6 +30,9 @@ block basis it locates the centers of the cyclotron orbits.
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -52,8 +60,8 @@ __all__ = [
     "write_trajectory_structured",
 ]
 
-# Trajectory rows are formatted this many at a time, which bounds the memory
-# held by the temporaries of one batch.
+# Trajectory rows are formatted this many at a time, so each writing process
+# holds the temporaries of one batch.
 _BATCH = 1024
 
 
@@ -422,13 +430,62 @@ def _write_rows(stream, columns: list[np.ndarray], line: str, separator: str = "
     """Write ``line % row`` per sample, ``separator`` between rows, a batch at a time.
 
     Each row holds the sample's values of ``columns`` in order, a 2-D column
-    contributing one value per entry.
+    contributing one value per entry.  The batches are split into one
+    contiguous share per usable CPU, at most one per batch.  This process
+    formats the first share into ``stream``; a forked child formats each other
+    share into a temporary file, which is copied into ``stream`` after the
+    child exits.  Every share writes the separator before each of its batches
+    but the orbit's first, so the bytes are those of one share.  A child that
+    fails raises ``ChildProcessError``; every child is reaped before this
+    returns or raises, the ones still running on an error after a ``SIGTERM``.
     """
-    for start in range(0, len(columns[0]), _BATCH):
-        if start:
-            stream.write(separator)
-        rows = np.column_stack([column[start:start + _BATCH] for column in columns])
-        stream.write(separator.join(line % tuple(row) for row in rows.tolist()))
+    def write_share(out, starts: range) -> None:
+        for start in starts:
+            if start:
+                out.write(separator)
+            rows = np.column_stack([column[start:start + _BATCH] for column in columns])
+            out.write(separator.join(line % tuple(row) for row in rows.tolist()))
+
+    starts = range(0, len(columns[0]), _BATCH)
+    # Where os has sched_getaffinity (Linux) it has fork; elsewhere one share.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    count = max(1, min(cpus, len(starts)))
+    shares = [starts[len(starts) * i // count:len(starts) * (i + 1) // count]
+              for i in range(count)]
+    spools, pids = [], []  # a temporary file per forked share; the children not yet reaped
+    try:
+        for share in shares[1:]:
+            spools.append(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+            pid = os.fork()
+            if pid == 0:  # leave by _exit alone: no flush of inherited buffers, no cleanup
+                status = 1
+                try:
+                    write_share(spools[-1], share)
+                    spools[-1].flush()
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+        write_share(stream, shares[0])
+        for spool in spools:
+            status = os.waitpid(pids[0], 0)[1]
+            pid = pids.pop(0)
+            if status:
+                raise ChildProcessError(f"the trajectory writer process {pid} failed with "
+                                        f"exit status {os.waitstatus_to_exitcode(status)}")
+            spool.seek(0)
+            shutil.copyfileobj(spool, stream)
+    except BaseException:
+        import signal  # here alone, on the error path: it costs a millisecond of import
+
+        for pid in pids:
+            os.kill(pid, signal.SIGTERM)
+        for pid in pids:
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        for spool in spools:
+            spool.close()
 
 
 def write_trajectory_csv(trajectory: Trajectory, field: FieldTensor,

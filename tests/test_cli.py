@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import re
 import warnings
 from pathlib import Path
 
@@ -9,7 +11,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_antisymmetric, random_spd
+from conftest import (
+    assert_no_child_left,
+    fail_in_forked_children,
+    random_antisymmetric,
+    random_spd,
+)
 from ncyclo import cli, dynamics
 from ncyclo.cli import OUTPUT_FORMATS, cmd_verify, main
 from ncyclo.config import RunConfig
@@ -296,6 +303,32 @@ class TestSimulateCommand:
         first = out.read_text().split("\n")[1].split(",")
         total = sum(report["block_energies"]) + report["free_energy"]
         assert total == pytest.approx(float(first[-1]), rel=1e-12)
+
+    @pytest.mark.parametrize("fmt", OUTPUT_FORMATS)
+    def test_failed_writer_process_leaves_no_file(self, fmt, tmp_path, capsys, monkeypatch):
+        # 2001 rows are two batches, so one of them is formatted by a forked child.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        fail_in_forked_children(monkeypatch)
+        out = tmp_path / "traj.out"
+        argv = ["simulate", "--config", str(ANISOTROPIC), "--out", str(out), "--format", fmt]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: the trajectory writer process \d+ failed with exit "
+                            r"status 1\n", captured.err)
+        assert not out.exists()
+        assert_no_child_left()
+
+    def test_failed_write_through_a_link_removes_nothing(self, tmp_path, capsys, monkeypatch):
+        # Only a regular file opened at the path itself is removed, never a
+        # link or what it points to, as a device would be.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        fail_in_forked_children(monkeypatch)
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert main(["simulate", "--config", str(ANISOTROPIC), "--out", str(link)]) == 2
+        assert capsys.readouterr().err.startswith("error: the trajectory writer process")
+        assert link.is_symlink() and target.exists()
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_definite_metric_energies_and_gates(self, tmp_path, capsys, rng, sign):

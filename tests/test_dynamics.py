@@ -32,7 +32,13 @@ from ncyclo import (
     write_trajectory_structured,
 )
 from ncyclo.config import RunConfig
-from conftest import random_antisymmetric, random_orthogonal, random_spd
+from conftest import (
+    assert_no_child_left,
+    fail_in_forked_children,
+    random_antisymmetric,
+    random_orthogonal,
+    random_spd,
+)
 from oracle import van_loan_final
 
 EUCLID2 = MetricTensor.euclidean(2)
@@ -963,3 +969,79 @@ class TestTrajectoryStructured:
         buffer = io.StringIO()
         write_trajectory_structured(trajectory, h, metric, constants, buffer)
         assert buffer.getvalue() == expected
+
+
+def usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def circle_orbit(rows):
+    """The first ``rows`` samples of the unit circle orbit, and its field."""
+    h, k, state = unit_circle_setup()
+    return h, evolve_exact_trajectory(state, k, EUCLID2, UNIT, 0.37, 999)[:rows]
+
+
+class TestShareWriters:
+    """The batches are formatted in one contiguous share per usable CPU, all but the first forked."""
+
+    @pytest.mark.parametrize("write", [write_trajectory_csv, write_trajectory_structured])
+    @pytest.mark.parametrize("rows", [1, 64, 65, 128, 129, 1000])
+    def test_bytes_do_not_depend_on_the_share_count(self, write, rows, tmp_path, monkeypatch):
+        monkeypatch.setattr(dynamics, "_BATCH", 64)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+        h, trajectory = circle_orbit(rows)
+        written = {}
+        for cpus in (1, 2, 3):
+            usable_cpus(monkeypatch, cpus)
+            del forks[:]
+            buffer = io.StringIO()
+            write(trajectory, h, EUCLID2, UNIT, buffer)
+            path = tmp_path / f"{cpus}.out"
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                write(trajectory, h, EUCLID2, UNIT, fh)
+            # One child per share but the first, for each of the two writes,
+            # and none of them left.
+            assert len(forks) == 2 * (min(cpus, -(-rows // 64)) - 1)
+            assert_no_child_left()
+            written[cpus] = buffer.getvalue(), path.read_bytes()
+        text, data = written[1]
+        assert data == text.encode()
+        if write is write_trajectory_csv:
+            assert len(text.splitlines()) == rows + 1
+        else:
+            assert len(json.loads(text)["trajectory"]) == rows
+        assert written[2] == written[1]
+        assert written[3] == written[1]
+
+    def test_one_batch_forks_nothing(self, monkeypatch):
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+        usable_cpus(monkeypatch, 4)
+        h, trajectory = circle_orbit(dynamics._BATCH)
+        for write in (write_trajectory_csv, write_trajectory_structured):
+            write(trajectory, h, EUCLID2, UNIT, io.StringIO())
+
+    def test_failing_child_is_named_and_reaped(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_BATCH", 64)
+        usable_cpus(monkeypatch, 3)
+        fail_in_forked_children(monkeypatch)
+        h, trajectory = circle_orbit(1000)
+        with pytest.raises(ChildProcessError,
+                           match=r"^the trajectory writer process \d+ failed with exit status 1$"):
+            write_trajectory_structured(trajectory, h, EUCLID2, UNIT, io.StringIO())
+        assert_no_child_left()
+
+    def test_children_are_stopped_when_this_process_fails(self, monkeypatch):
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(dynamics, "_BATCH", 64)
+        usable_cpus(monkeypatch, 3)
+        h, trajectory = circle_orbit(1000)
+        with pytest.raises(OSError, match="no space left"):
+            dynamics._write_rows(FullDisk(), [trajectory.time], "%r\n")
+        assert_no_child_left()
