@@ -6,8 +6,9 @@ commands double as an acceptance harness.  Each boundary rule is stated
 once.  Every refusal of the library, a malformed configuration or a result
 past the float range, is a ``ValueError``, and :func:`main` alone prints it
 as the one ``error:`` line of exit status 2.  :func:`_render` alone renders
-numpy arrays and scalars, into strict JSON, and names the first entry that is
-not finite.  ``simulate`` checks its trajectory table and renders its report
+numpy arrays and scalars, into strict JSON with the bytes of
+``json.dumps(..., indent=2, sort_keys=True)``, and names the first entry that
+is not finite.  ``simulate`` checks its trajectory table and renders its report
 before it opens the trajectory file, so a refusal leaves no file behind, and
 removes the file again when the write fails.  The
 report reads both integrals of the motion, the dual momentum and the kinetic
@@ -76,12 +77,43 @@ def _non_finite_entry(value, path: str = "") -> str | None:
     return next(filter(None, (_non_finite_entry(item, name) for name, item in entries)), None)
 
 
+def _layout(value, newline: str = "\n") -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)``.
+
+    Numpy values go through tolist, and dict keys are strings.  A list of
+    plain ints and floats, as every numeric array becomes, is one join of
+    their reprs, the text json writes for each; any other value is json's
+    own.  A NaN or infinity raises ``ValueError``.
+    """
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        items = (f"{json.dumps(key)}: {_layout(item, inner)}"
+                 for key, item in sorted(value.items()))
+    elif isinstance(value, (list, tuple)) and value:
+        if all(type(item) is float or type(item) is int for item in value):
+            items = [("," + inner).join(map(repr, value))]
+            if "n" in items[0]:  # the reprs of nan and inf; no finite one has an n
+                raise ValueError("a number is not finite")
+        else:
+            items = (_layout(item, inner) for item in value)
+    else:
+        return json.dumps(value, allow_nan=False, default=lambda item: item.tolist())
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
+
 def _render(document: dict) -> str:
-    """Strict JSON of ``document``; numpy arrays and scalars render through tolist."""
+    """Strict JSON of ``document``, laid out by :func:`_layout`, and a newline."""
+    try:
+        return _layout(document) + "\n"
+    except ValueError:  # a NaN or infinity: json's own call raises, and it is named
+        pass
     try:
         return json.dumps(document, indent=2, sort_keys=True, allow_nan=False,
                           default=lambda value: value.tolist()) + "\n"
-    except ValueError as exc:  # a NaN or infinity: name the first one
+    except ValueError as exc:
         raise ValueError(f"the document entry {_non_finite_entry(document)} is not finite: "
                          f"{exc}") from None
 

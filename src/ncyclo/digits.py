@@ -1,0 +1,196 @@
+"""Exact bulk text of float64 values: the bytes of ``'%.17g' % v``, a batch at a time.
+
+With 17 significant digits a finite nonzero ``v`` reads ``R * 10**(k - 16)``,
+where ``R`` is the integer in ``[10**16, 10**17)`` nearest to
+``D = |v| * 10**(16 - k)``.  Python's ``%`` finds ``R`` with Gay's bignum
+dtoa, once per value; here it comes from double-double arithmetic (Dekker,
+"A floating-point technique for extending the available precision", 1971)
+over a whole batch.  Write ``10**p = (hi + lo) * 2**s`` with ``p = 16 - k``
+and ``hi + lo`` in ``[1, 2)``, both rounded from exact integers.  Then
+``D = (|v| * 2**s) * (hi + lo)``, where the scaling by ``2**s`` is exact and
+the product with ``hi`` is split exactly by Veltkamp's halves, so ``D`` is
+known as a sum of two doubles to about ``1e-14`` absolute below ``2e17``.
+``k`` starts as ``floor(log10 |v|)`` and moves by one where the unrounded
+floor of ``D`` falls outside ``[10**16, 10**17)``, and a rounded ``10**17``
+carries into ``k + 1``.  The rounding of ``D`` is exact unless its fraction
+lies within ``1e-9`` of one half, so such a value, and any value that is not
+finite, is formatted by ``%`` itself; every other decision is far outside
+the arithmetic's error, and the bytes are Python's by construction.
+
+The text follows C's ``%g`` at precision 17: fixed notation for
+``-4 <= k < 17``, else ``d.ddde+XX`` with three exponent digits once
+``|k| >= 100``; trailing zeros of the fraction and a bare point are dropped;
+the zeros read ``0`` and ``-0``.  Each value owns four 64-bit words of byte
+slots, a slot left 0 when its character is absent, and one ``np.compress``
+drops the empty ones.  The tables are built on first use, each power of ten
+on the first use of its exponent, so importing this module does no work.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+import numpy as np
+
+__all__: list[str] = []
+
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitter of a double into 26-bit halves
+_LOW, _HIGH = 10**16, 10**17  # the range of R, 17 digits
+_DOUBT = 1e-9  # a fraction this close to 1/2 is rounded by % itself
+_K = 330  # |k| < _K for every finite double
+_CHUNK = 4096  # values formatted at once, which bounds the temporaries
+_printf = "%.17g".__mod__
+
+
+@lru_cache(maxsize=None)
+def _power(p: int) -> tuple[float, float, int]:
+    """``(hi, lo, s)`` with ``10**p = (hi + lo) * 2**s`` and ``hi + lo`` in [1, 2)."""
+    num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
+    s = num.bit_length() - den.bit_length()
+    if (num << max(-s, 0)) < (den << max(s, 0)):
+        s -= 1
+    num, den = num << max(-s, 0), den << max(s, 0)
+    hi = num / den  # both divisions round correctly
+    a, b = hi.as_integer_ratio()
+    return hi, (num * b - a * den) / (den * b), s
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Floor and fraction of ``a * 10**(16 - k)`` for positive finite ``a``."""
+    index = 16 - k
+    base = int(index.min())
+    index -= base
+    used = np.zeros(int(index.max()) + 1, bool)
+    used[index] = True
+    hi, lo, s = np.zeros((3, used.size))
+    for i in np.flatnonzero(used):
+        hi[i], lo[i], s[i] = _power(base + int(i))
+    hi, lo = hi.take(index), lo.take(index)
+    w = np.ldexp(a, s.astype(np.int32).take(index))  # exact: w is about D, a normal double
+    low = w * lo
+    top = w * hi
+    # top's rounding error, exactly: Dekker's product of the halves of w and hi.
+    w_head = _SPLIT * w
+    w_head -= w_head - w
+    w -= w_head
+    head = _SPLIT * hi
+    head -= head - hi
+    hi -= head
+    low += (((w_head * head - top) + w_head * hi) + w * head) + w * hi
+    whole = np.floor(top)
+    top -= whole
+    top += low
+    carry = np.floor(top)
+    top -= carry
+    r = whole.astype(np.int64)
+    r += carry.astype(np.int64)
+    return r, top
+
+
+@lru_cache(maxsize=1)
+def _tables() -> tuple[np.ndarray, ...]:
+    """Lookup tables of little-endian words of byte slots (see :func:`_chunk`).
+
+    By 4-digit group 0..9999: its ASCII digits and its trailing zeros.  By
+    ``k + _K``: the digit the point precedes (0 for none), the prefix ``0.``
+    to ``0.000`` after the sign, and the exponent ``e+XX`` after the last two
+    digits.  By ``17 * kept + point``, for each of the three words of seven
+    digit slots: the mask of the kept digits before the point, the mask of
+    those after it, which move up a slot, and the point itself.
+    """
+    ten = np.arange(10)
+    pair = ((ten[:, None] + 48) | (ten + 48) << 8).reshape(-1)
+    quad = (pair[:, None] | pair << 16).reshape(-1)
+    pair_zeros = ((ten == 0) * (1 + (ten[:, None] == 0))).reshape(-1)
+    zeros = pair_zeros + (pair_zeros == 2) * pair_zeros[:, None]
+    k = np.arange(-_K, _K)
+    fixed = (k >= -4) & (k < 17)
+    point = np.where(fixed, np.where(k < 0, 0, k + 1), 1)
+    prefix = np.zeros(k.size, np.int64)
+    for lead in range(1, 5):
+        prefix[k == -lead] = int.from_bytes(b"\0" + b"0." + b"0" * (lead - 1), "little")
+    e = np.abs(k)
+    exponent = (101 | np.where(k < 0, 45, 43) << 8 | np.where(e >= 100, e // 100 + 48, 0) << 16
+                | (e // 10 % 10 + 48) << 24 | (e % 10 + 48) << 32) << 16
+    exponent[fixed] = 0
+    kept, at = np.arange(18)[:, None], np.arange(17)
+    words = []
+    for i in range(3):
+        mask = (1 << 8 * np.clip(kept - 1 - 7 * i, 0, 7)) - 1
+        q = at - 1 - 7 * i
+        inside = (at > 0) & (q >= 0) & (q < 7)
+        low = np.where(inside, (1 << 8 * np.clip(q, 0, 6)) - 1, -1)
+        words += [mask & low, mask & ~low, np.broadcast_to(np.where(inside, 46 * (low + 1), 0),
+                                                           (18, 17))]
+    return tuple(np.ravel(table).astype(np.uint64)
+                 for table in (quad, zeros, point, prefix, exponent, *words))
+
+
+def _chunk(rows: np.ndarray) -> str:
+    """:func:`_csv_rows` of a few thousand values; each temporary is dropped once used."""
+    values = rows.reshape(-1)
+    finite = np.isfinite(values)
+    zero = values == 0
+    a = np.abs(values)
+    a[zero | ~finite] = 1.0
+    k = np.floor(np.log10(a)).astype(np.int64)
+    r, fraction = _scaled(a, k)
+    off = np.flatnonzero((r < _LOW) | (r >= _HIGH))
+    if off.size:
+        k[off] += np.where(r[off] < _LOW, -1, 1)
+        r[off], fraction[off] = _scaled(a[off], k[off])
+    del a
+    fraction -= 0.5
+    r += fraction > 0
+    doubt = ~finite | (np.abs(fraction) < _DOUBT) | (r < _LOW) | (r > _HIGH)
+    del finite, fraction
+    carry = r == _HIGH
+    k += carry
+    r[carry | doubt] = _LOW
+
+    # Four words, 32 byte slots per value, a zero byte an empty slot: sign,
+    # prefix, d0, -; d1..d7, -; d8..d14, -; d15, d16, exponent, separator.
+    # The spare slot of a digit word takes the digit that a point pushes up.
+    quad, zeros, points, prefix, exponent, *masks = _tables()
+    out = np.empty((values.size, 4), "<u8")
+    lead = r // _LOW
+    r -= lead * _LOW
+    lead[zero] = 0
+    lead += 48
+    out[:, 0] = prefix.take(k + _K) | np.signbit(values) * np.uint64(45) | lead.astype(
+        np.uint64) << 48
+    del lead
+    lower = r % 10**8
+    r //= 10**8
+    groups = r // 10**4, r % 10**4, lower // 10**4, lower % 10**4
+    del r, lower
+    z0, z1, z2, z3 = (zeros.take(g) for g in groups)
+    kept = 17 - (z3 + (z3 == 4) * (z2 + (z2 == 4) * (z1 + (z1 == 4) * z0))).astype(np.int64)
+    del z0, z1, z2, z3
+    point = points.take(k + _K).astype(np.int64)
+    np.maximum(kept, point, out=kept)
+    index = 17 * kept + point * (point < kept)
+    del kept, point
+    q0, q1, q2, q3 = (quad.take(g) for g in groups)
+    del groups
+    for i, word in enumerate((q0 | (q1 & 0xFFFFFF) << 32, q1 >> 24 | q2 << 8 | (q3 & 0xFFFF) << 40,
+                              q3 >> 16)):
+        before, after, dot = (table.take(index) for table in masks[3 * i:3 * i + 3])
+        out[:, i + 1] = (word & before) | (word & after) << 8 | dot
+    del q0, q1, q2, q3, index, before, after, dot
+    ends = np.full(rows.shape, 44 << 56, np.uint64)
+    ends[:, -1] = 10 << 56
+    out[:, 3] |= exponent.take(k + _K) | ends.reshape(-1)
+    slots = out.view(np.uint8).reshape(values.size, 32)
+    for i in np.flatnonzero(doubt):
+        text = _printf(float(values[i])).encode()
+        slots[i, :31] = 0
+        slots[i, :len(text)] = np.frombuffer(text, np.uint8)
+    flat = slots.reshape(-1)
+    return str(np.compress(flat != 0, flat), "ascii")
+
+
+def _csv_rows(rows: np.ndarray) -> str:
+    """CSV text of a ``(b, c)`` float64 array: ``'%.17g' % value``, commas, a newline per row."""
+    step = max(1, _CHUNK // rows.shape[1])
+    return "".join(_chunk(rows[start:start + step]) for start in range(0, len(rows), step))

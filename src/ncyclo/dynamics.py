@@ -18,7 +18,9 @@ exponential: on a linear flow that polynomial is exactly one RK4 step.  Every
 method samples the orbit into one :class:`Trajectory` of time, position and
 momentum arrays, which :func:`write_trajectory_csv` and
 :func:`write_trajectory_structured` stream to a file a batch of rows at a
-time.  Formatting floats at 17 digits is most of a long run's time, so the
+time: CSV numbers through the exact numpy ``'%.17g'`` kernel of
+:mod:`ncyclo.digits`, structured rows through a ``%r`` row template.
+Formatting floats at 17 digits is still most of a long run's time, so the
 batches are split into one contiguous share per usable CPU: the calling
 process formats the first share into the file, forked children the others
 into temporary files that it then copies after it in order, and the bytes do
@@ -426,12 +428,13 @@ def _column_labels(table: dict[str, np.ndarray]) -> list[str]:
     return labels
 
 
-def _write_rows(stream, columns: list[np.ndarray], line: str, separator: str = "") -> None:
-    """Write ``line % row`` per sample, ``separator`` between rows, a batch at a time.
+def _write_rows(stream, columns: list[np.ndarray], text, separator: str = "") -> None:
+    """Write the rows of ``columns`` as ``text(batch)``, a batch at a time, ``separator`` between.
 
     Each row holds the sample's values of ``columns`` in order, a 2-D column
-    contributing one value per entry.  The batches are split into one
-    contiguous share per usable CPU, at most one per batch.  This process
+    contributing one value per entry, and ``text`` renders a ``(rows, values)``
+    batch of them, ``separator`` between its rows.  The batches are split into
+    one contiguous share per usable CPU, at most one per batch.  This process
     formats the first share into ``stream``; a forked child formats each other
     share into a temporary file, which is copied into ``stream`` after the
     child exits.  Every share writes the separator before each of its batches
@@ -443,8 +446,7 @@ def _write_rows(stream, columns: list[np.ndarray], line: str, separator: str = "
         for start in starts:
             if start:
                 out.write(separator)
-            rows = np.column_stack([column[start:start + _BATCH] for column in columns])
-            out.write(separator.join(line % tuple(row) for row in rows.tolist()))
+            out.write(text(np.column_stack([column[start:start + _BATCH] for column in columns])))
 
     starts = range(0, len(columns[0]), _BATCH)
     # Where os has sched_getaffinity (Linux) it has fork; elsewhere one share.
@@ -494,12 +496,14 @@ def write_trajectory_csv(trajectory: Trajectory, field: FieldTensor,
     """Write a trajectory as CSV: ``t, x1..xn, p1..pn, pT1..pTn, E_total``.
 
     Numbers are rendered with 17 significant digits so the file round-trips
-    bit-faithfully.
+    bit-faithfully: the bytes of ``'%.17g' % value``, made a batch at a time
+    by numpy (:mod:`ncyclo.digits`).
     """
+    from . import digits  # here alone: no other command compiles it
+
     table = trajectory_table(trajectory, field, metric, constants)
-    header = _column_labels(table)
-    stream.write(",".join(header) + "\n")
-    _write_rows(stream, list(table.values()), ",".join(["%.17g"] * len(header)) + "\n")
+    stream.write(",".join(_column_labels(table)) + "\n")
+    _write_rows(stream, list(table.values()), digits._csv_rows)
 
 
 def write_trajectory_structured(trajectory: Trajectory, field: FieldTensor,
@@ -522,5 +526,6 @@ def write_trajectory_structured(trajectory: Trajectory, field: FieldTensor,
     lines = json.dumps({"trajectory": [slots]}, indent=2, sort_keys=True).split("\n")
     row = "\n".join(lines[2:-2]).replace('"%r"', "%r")
     stream.write("\n".join(lines[:2]) + "\n")
-    _write_rows(stream, [table[name] for name in sorted(table)], row, ",\n")
+    _write_rows(stream, [table[name] for name in sorted(table)],
+                lambda rows: ",\n".join(row % tuple(values) for values in rows.tolist()), ",\n")
     stream.write("\n" + "\n".join(lines[-2:]) + "\n")

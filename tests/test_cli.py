@@ -1011,6 +1011,21 @@ def test_emit_renders_numpy_values_and_refuses_non_finite(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_render_writes_the_bytes_of_json_dumps(rng):
+    # Numbers in bulk, mixed lists, tuples, empty containers, numpy scalars
+    # (np.float64 is a float, np.int64 and np.bool_ are not), escaped keys.
+    document = {"basis": rng.standard_normal((40, 40)), "ints": np.arange(-3, 4),
+                "mixed": [1, 2.5, True, None, "é", np.float64(0.1), [], {}, (1, [2.0])],
+                "nested": {"z": [[1.0, -0.0], [5e-324, 1e300]], "a\n": {"b": ()}},
+                "scalars": [np.int64(7), np.bool_(False), np.float32(0.5)], "empty": np.zeros(0)}
+    assert cli._render(document) == json.dumps(document, indent=2, sort_keys=True,
+                                               default=lambda value: value.tolist()) + "\n"
+    for value in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match=r"^the document entry rows\[1\]\[2\] is not finite: "
+                                             r"Out of range float values are not JSON compliant"):
+            cli._render({"rows": [[1.0, 2.0, 3.0], [4, 5, value]], "x": 1.0})
+
+
 class TestRobustnessProperties:
     """Huge fields in rotated definite frames: the blocks, or one named refusal."""
 
