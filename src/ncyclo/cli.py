@@ -5,12 +5,12 @@ writes deterministic output, and signals success through its exit code, so the
 commands double as an acceptance harness.  Each boundary rule is stated
 once.  Every refusal of the library, a malformed configuration or a result
 past the float range, is a ``ValueError``, and :func:`main` alone prints it
-as the one ``error:`` line of exit status 2.  :func:`_render` alone renders
+as the one ``error:`` line of exit status 2.  :func:`_layout` alone renders
 numpy arrays and scalars, into strict JSON with the bytes of
-``json.dumps(..., indent=2, sort_keys=True)``, and names the first entry that
-is not finite.  ``simulate`` checks its trajectory table and renders its report
-before it opens the trajectory file, so a refusal leaves no file behind, and
-removes the file again when the write fails.  The
+``json.dumps(..., indent=2, sort_keys=True)``, in one walk that also names
+the first entry that is not finite.  ``simulate`` checks its trajectory table
+and renders its report before it opens the trajectory file, so a refusal
+leaves no file behind, and removes the file again when the write fails.  The
 report reads both integrals of the motion, the dual momentum and the kinetic
 energy, from that table at every written row, and measures each block's
 frequency from its phase demodulated by the turn the closed form predicts.
@@ -62,60 +62,41 @@ OUTPUT_FORMATS = ("csv", "structured")
 _REPORT_SAMPLES = 512
 
 
-def _non_finite_entry(value, path: str = "") -> str | None:
-    """Key path of the first NaN or infinity in ``value``, in json's order."""
-    if isinstance(value, (np.ndarray, np.generic)):
-        value = value.tolist()
-    if isinstance(value, float):
-        return None if math.isfinite(value) else path
-    if isinstance(value, dict):
-        entries = [(f"{path}.{key}" if path else key, item) for key, item in sorted(value.items())]
-    elif isinstance(value, (list, tuple)):
-        entries = [(f"{path}[{i}]", item) for i, item in enumerate(value)]
-    else:
-        return None
-    return next(filter(None, (_non_finite_entry(item, name) for name, item in entries)), None)
-
-
-def _layout(value, newline: str = "\n") -> str:
-    """The text of ``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)``.
+def _layout(value, newline: str = "\n", path: str = "") -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``, checked as it is laid out.
 
     Numpy values go through tolist, and dict keys are strings.  A list of
     plain ints and floats, as every numeric array becomes, is one join of
     their reprs, the text json writes for each; any other value is json's
-    own.  A NaN or infinity raises ``ValueError``.
+    own.  The one walk carries the key path of each entry (``a.b[1][2]``), so
+    the first NaN or infinity in json's order raises a ``ValueError`` that
+    names it.
     """
-    if isinstance(value, np.ndarray):
+    if isinstance(value, (np.ndarray, np.generic)):
         value = value.tolist()
     inner = newline + "  "
     if isinstance(value, dict) and value:
-        items = (f"{json.dumps(key)}: {_layout(item, inner)}"
+        items = (f"{json.dumps(key)}: {_layout(item, inner, f'{path}.{key}' if path else key)}"
                  for key, item in sorted(value.items()))
     elif isinstance(value, (list, tuple)) and value:
         if all(type(item) is float or type(item) is int for item in value):
             items = [("," + inner).join(map(repr, value))]
             if "n" in items[0]:  # the reprs of nan and inf; no finite one has an n
-                raise ValueError("a number is not finite")
+                index = next(i for i, item in enumerate(value) if "n" in repr(item))
+                return _layout(value[index], inner, f"{path}[{index}]")  # raises, by name
         else:
-            items = (_layout(item, inner) for item in value)
+            items = (_layout(item, inner, f"{path}[{i}]") for i, item in enumerate(value))
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"the document entry {path} is not finite: Out of range float values "
+                         f"are not JSON compliant: {value!r}")
     else:
-        return json.dumps(value, allow_nan=False, default=lambda item: item.tolist())
+        return json.dumps(value)
     brackets = "{}" if isinstance(value, dict) else "[]"
     return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
 def _render(document: dict) -> str:
-    """Strict JSON of ``document``, laid out by :func:`_layout`, and a newline."""
-    try:
-        return _layout(document) + "\n"
-    except ValueError:  # a NaN or infinity: json's own call raises, and it is named
-        pass
-    try:
-        return json.dumps(document, indent=2, sort_keys=True, allow_nan=False,
-                          default=lambda value: value.tolist()) + "\n"
-    except ValueError as exc:
-        raise ValueError(f"the document entry {_non_finite_entry(document)} is not finite: "
-                         f"{exc}") from None
+    return _layout(document) + "\n"
 
 
 def _emit(document: dict, out_path: str | None) -> None:
@@ -219,19 +200,19 @@ def cmd_simulate(config: RunConfig, path: str, fmt: str) -> int:
     kmat = dynamics_matrix(field, metric, constants)
     try:
         trajectory = evolve(state, kmat, metric, constants, dt, steps)
-    except MemoryError:  # only the orbit's steps + 1 rows can outgrow the memory
+        form = decompose(field, config.gamma_tensor())
+        # The table checks itself, holds both integrals of the motion at every
+        # row, and is the one the writer reuses.
+        table = trajectory_table(trajectory, field, metric, constants)
+    except MemoryError:  # only the orbit's steps + 1 rows and their columns can outgrow it
         raise ValueError(f"integration.steps: {steps} steps make an orbit of {steps + 1} "
                          f"samples, too many to allocate") from None
-    form = decompose(field, config.gamma_tensor())
-    # The table checks itself, holds both integrals of the motion at every
-    # row, and is the one the writer reuses.
-    table = trajectory_table(trajectory, field, metric, constants)
 
     # Every (count // _REPORT_SAMPLES)-th sample and the last, each once.
     count = len(trajectory)
     samples = trajectory[np.r_[0:count - 1:max(1, count // _REPORT_SAMPLES), count - 1]]
 
-    with np.errstate(all="ignore"):  # a report value past the float range is named by _render
+    with np.errstate(all="ignore"):  # a report value past the float range is named by _layout
         residuals = {"dual_momentum_drift": _drift(table["pT"]),
                      "energy_drift": _drift(table["E_total"])}
         split = orbit_decomposition(samples, form, field, constants)

@@ -207,47 +207,6 @@ def _taylor4(a: np.ndarray) -> np.ndarray:
     return poly
 
 
-def _sample(state: ParticleState, k: np.ndarray, metric: MetricTensor,
-            constants: PhysicalConstants, dt: float, steps: int) -> Trajectory:
-    """Propagate ``z = (p, x)`` by the RK4 step map ``E = [[P, 0], [g^{-1} J / m, I]]`` in blocks.
-
-    ``F(dt [[K, I], [0, 0]]) = [[P, J], [0, I]]`` with ``F`` the degree-4
-    Taylor polynomial of the exponential: one classic RK4 step of this linear
-    flow.  ``P`` advances the momentum and ``J``, the integral of ``P`` over
-    the step (Van Loan), the position.  No inverse of ``K`` appears, so free
-    directions need no care.
-
-    With ``b = round(sqrt(steps + 1))`` the first ``b`` samples come from
-    iterating ``E``, and every later block of ``b`` samples is the block before
-    it times the leap ``E^b``: about ``2 sqrt(steps)`` array operations instead
-    of one matrix-vector product pair per sample, and roundoff that grows like
-    ``2 sqrt(steps)`` roundoffs instead of ``steps``.  Only samples grow, never
-    a power of ``E``, so an orbit that overflows is refused at the sample that
-    leaves the float range.
-    """
-    n = state.n
-    b = round(np.sqrt(steps + 1))
-    rows = np.empty((steps + 1, 2 * n))
-    rows[0, :n], rows[0, n:] = state.momentum, state.position
-    aug = np.zeros((2 * n, 2 * n))
-    # An orbit that overflows, or a step map that does, is reported once, by
-    # Trajectory, instead of through a floating-point warning per operation.
-    with np.errstate(over="ignore", invalid="ignore"):
-        aug[:n, :n] = dt * k
-        aug[:n, n:] = dt * np.eye(n)
-        full = _taylor4(aug)
-        step = np.eye(2 * n)
-        step[:n, :n] = full[:n, :n]
-        step[n:, :n] = (metric.inverse / constants.mass) @ full[:n, n:]
-        leap = np.linalg.matrix_power(step, b)
-        for i in range(1, b):
-            rows[i] = step @ rows[i - 1]
-        for j in range(b, steps + 1, b):
-            end = min(j + b, steps + 1)
-            rows[j:end] = rows[j - b:end - b] @ leap.T
-    return Trajectory(state.time + np.arange(steps + 1) * dt, rows[:, n:], rows[:, :n])
-
-
 def evolve_exact_trajectory(state: ParticleState, k: np.ndarray, metric: MetricTensor,
                             constants: PhysicalConstants, dt: float,
                             steps: int) -> Trajectory:
@@ -296,17 +255,47 @@ def evolve_rk4(state: ParticleState, k: np.ndarray, metric: MetricTensor,
                constants: PhysicalConstants, dt: float, steps: int) -> Trajectory:
     """Classic fourth-order Runge-Kutta trajectory: ``steps + 1`` samples, the input first.
 
-    The flow is linear, so an RK4 step is a fixed matrix pair: the degree-4
-    Taylor polynomial of the step's exponential, propagated in
-    ``sqrt(steps)``-sample blocks (:func:`_sample`), with roundoff growing like
-    ``2 sqrt(steps)`` roundoffs; the independent check of it and of the exact
+    The flow of ``z = (p, x)`` is linear, so an RK4 step is the fixed step map
+    ``E = [[P, 0], [g^{-1} J / m, I]]``.  ``F(dt [[K, I], [0, 0]]) = [[P, J], [0, I]]``
+    with ``F`` the degree-4 Taylor polynomial of the exponential: one classic
+    RK4 step of this linear flow.  ``P`` advances the momentum and ``J``, the
+    integral of ``P`` over the step (Van Loan), the position.  No inverse of
+    ``K`` appears, so free directions need no care.
+
+    With ``b = round(sqrt(steps + 1))`` the first ``b`` samples come from
+    iterating ``E``, and every later block of ``b`` samples is the block before
+    it times the leap ``E^b``: about ``2 sqrt(steps)`` array operations instead
+    of one matrix-vector product pair per sample, and roundoff that grows like
+    ``2 sqrt(steps)`` roundoffs instead of ``steps``.  Only samples grow, never
+    a power of ``E``, so an orbit that overflows is refused at the sample that
+    leaves the float range.  The independent check of it and of the exact
     orbits is the 40-digit oracle of the tests (``tests/oracle.py``).
     """
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive")
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    return _sample(state, k, metric, constants, dt, steps)
+    n = state.n
+    b = round(np.sqrt(steps + 1))
+    rows = np.empty((steps + 1, 2 * n))
+    rows[0, :n], rows[0, n:] = state.momentum, state.position
+    aug = np.zeros((2 * n, 2 * n))
+    # An orbit that overflows, or a step map that does, is reported once, by
+    # Trajectory, instead of through a floating-point warning per operation.
+    with np.errstate(over="ignore", invalid="ignore"):
+        aug[:n, :n] = dt * k
+        aug[:n, n:] = dt * np.eye(n)
+        full = _taylor4(aug)
+        step = np.eye(2 * n)
+        step[:n, :n] = full[:n, :n]
+        step[n:, :n] = (metric.inverse / constants.mass) @ full[:n, n:]
+        leap = np.linalg.matrix_power(step, b)
+        for i in range(1, b):
+            rows[i] = step @ rows[i - 1]
+        for j in range(b, steps + 1, b):
+            end = min(j + b, steps + 1)
+            rows[j:end] = rows[j - b:end - b] @ leap.T
+    return Trajectory(state.time + np.arange(steps + 1) * dt, rows[:, n:], rows[:, :n])
 
 
 def _apply(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:

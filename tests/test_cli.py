@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import (
     assert_no_child_left,
@@ -540,6 +541,22 @@ class TestSimulateCommand:
                                 "orbit of 100000000000000001 samples, too many to allocate\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["exact", "rk4"])
+    def test_unallocatable_table_refused_by_name(self, tmp_path, capsys, monkeypatch, method):
+        # The orbit fits, but the columns the table adds to it do not.
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(dynamics, "kinetic_energy", exhausted)
+        out = tmp_path / "traj.csv"
+        config = circle2d(tmp_path, integration={"dt": 0.01, "steps": 300, "method": method})
+        code, captured = run_without_warnings(
+            ["simulate", "--config", config, "--out", str(out)], capsys)
+        assert (code, captured.out) == (2, "")
+        assert captured.err == ("error: integration.steps: 300 steps make an orbit of 301 "
+                                "samples, too many to allocate\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("fmt", ["csv", "structured"])
     @pytest.mark.parametrize("method", ["exact", "rk4"])
     @pytest.mark.parametrize("data, column", [
@@ -1020,10 +1037,81 @@ def test_render_writes_the_bytes_of_json_dumps(rng):
                 "scalars": [np.int64(7), np.bool_(False), np.float32(0.5)], "empty": np.zeros(0)}
     assert cli._render(document) == json.dumps(document, indent=2, sort_keys=True,
                                                default=lambda value: value.tolist()) + "\n"
-    for value in (float("inf"), float("-inf"), float("nan")):
-        with pytest.raises(ValueError, match=r"^the document entry rows\[1\]\[2\] is not finite: "
-                                             r"Out of range float values are not JSON compliant"):
-            cli._render({"rows": [[1.0, 2.0, 3.0], [4, 5, value]], "x": 1.0})
+    refused = [({"rows": [[1.0, 2.0, 3.0], [4, 5, value]], "x": 1.0}, "rows[1][2]", value)
+               for value in (float("inf"), float("-inf"), float("nan"))] + [
+        ({"x": float("nan"), "y": [1.0]}, "x", float("nan")),
+        ({"blocks": [{"center": [0.0, 1.0], "strength": np.float64("inf")}]},
+         "blocks[0].strength", float("inf")),
+        ({"basis": np.array([[1.0, 2.0], [3.0, -np.inf]])}, "basis[1][1]", float("-inf")),
+        # json writes "a" before "b", so the later-written key is the one named.
+        ({"b": [float("inf")], "a": {"c": float("nan")}}, "a.c", float("nan")),
+    ]
+    for document, path, value in refused:
+        with pytest.raises(ValueError) as refusal:
+            cli._render(document)
+        assert str(refusal.value) == (f"the document entry {path} is not finite: Out of range "
+                                      f"float values are not JSON compliant: {value!r}")
+
+
+def json_documents(keys, floats):
+    """Dicts of json's types, numpy scalars and small numpy arrays, nested."""
+    arrays = st.one_of(
+        hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3),
+                   elements=floats),
+        hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3)),
+        hnp.arrays(np.bool_, hnp.array_shapes(max_dims=1, max_side=3)))
+    leaves = st.one_of(
+        st.none(), st.booleans(), st.text(max_size=3),
+        # Ints within and past 64 bits, and past the float range.
+        st.integers(), st.integers(-2**70, 2**70), st.integers(2**1030, 2**1100),
+        floats, st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 1e308, -1e308]),
+        floats.map(np.float64), st.integers(-2**63, 2**63 - 1).map(np.int64),
+        st.booleans().map(np.bool_), arrays)
+    entries = st.recursive(
+        leaves, lambda children: st.one_of(
+            st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(keys, children, max_size=4)),
+        max_leaves=20)
+    return st.dictionaries(keys, entries, max_size=4)
+
+
+def entry_at(document, path):
+    # The entry named by a key path such as blocks[0].center[1].
+    for key, index in re.findall(r"\.?([^.\[\]]+)|\[(\d+)\]", path):
+        document = document[key] if key else document[int(index)]
+    return document
+
+
+# A failing example makes hypothesis import libcst, whose own deprecation
+# warning would otherwise turn the report into a pytest internal error.
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict:DeprecationWarning")
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(document=json_documents(st.text(max_size=3),
+                               st.floats(allow_nan=False, allow_infinity=False)))
+def test_render_of_finite_documents_is_json_dumps(document):
+    assert cli._render(document) == json.dumps(document, indent=2, sort_keys=True,
+                                               default=lambda value: value.tolist()) + "\n"
+
+
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict:DeprecationWarning")
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(document=json_documents(st.text("ab", min_size=1, max_size=2),
+                               st.floats() | st.sampled_from([math.inf, -math.inf, math.nan])))
+def test_render_names_a_non_finite_entry(document):
+    try:
+        expected = json.dumps(document, indent=2, sort_keys=True, allow_nan=False,
+                              default=lambda value: value.tolist())
+    except ValueError:
+        with pytest.raises(ValueError) as refusal:
+            cli._render(document)
+        path = re.fullmatch(r"the document entry (.*) is not finite: Out of range float "
+                            r"values are not JSON compliant: .*", str(refusal.value))[1]
+        entry = entry_at(document, path)
+        if isinstance(entry, (np.ndarray, np.generic)):
+            entry = entry.tolist()
+        assert type(entry) is float and not math.isfinite(entry)
+    else:
+        assert cli._render(document) == expected + "\n"
 
 
 class TestRobustnessProperties:

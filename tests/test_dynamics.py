@@ -340,7 +340,7 @@ class TestClosedForm:
             raise AssertionError("an exact orbit iterated a step map")
 
         h, metric, constants, state = definite_case(rng, -1.0)
-        monkeypatch.setattr(dynamics, "_sample", refuse)
+        monkeypatch.setattr(dynamics, "_taylor4", refuse)
         for metric in (metric, MetricTensor.minkowski(5)):
             k = dynamics_matrix(h, metric, constants)
             assert len(evolve_exact_trajectory(state, k, metric, constants, 0.1, 50)) == 51
