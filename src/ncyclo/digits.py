@@ -1,28 +1,50 @@
-"""Exact bulk text of float64 values: the bytes of ``'%.17g' % v``, a batch at a time.
+"""Exact bulk text of float64 values, a batch at a time: ``'%.17g' % v`` and ``repr(v)``.
 
-With 17 significant digits a finite nonzero ``v`` reads ``R * 10**(k - 16)``,
-where ``R`` is the integer in ``[10**16, 10**17)`` nearest to
-``D = |v| * 10**(16 - k)``.  Python's ``%`` finds ``R`` with Gay's bignum
-dtoa, once per value; here it comes from double-double arithmetic (Dekker,
-"A floating-point technique for extending the available precision", 1971)
-over a whole batch.  Write ``10**p = (hi + lo) * 2**s`` with ``p = 16 - k``
-and ``hi + lo`` in ``[1, 2)``, both rounded from exact integers.  Then
-``D = (|v| * 2**s) * (hi + lo)``, where the scaling by ``2**s`` is exact and
-the product with ``hi`` is split exactly by Veltkamp's halves, so ``D`` is
-known as a sum of two doubles to about ``1e-14`` absolute below ``2e17``.
-``k`` starts as ``floor(log10 |v|)`` and moves by one where the unrounded
-floor of ``D`` falls outside ``[10**16, 10**17)``, and a rounded ``10**17``
-carries into ``k + 1``.  The rounding of ``D`` is exact unless its fraction
-lies within ``1e-9`` of one half, so such a value, and any value that is not
-finite, is formatted by ``%`` itself; every other decision is far outside
+A finite nonzero ``v`` is first scaled to ``D = |v| * 10**(16 - k)`` in
+``[10**16, 10**17)``.  Python's ``%`` and ``repr`` find their digits with
+Gay's bignum dtoa, once per value; here ``D`` comes from double-double
+arithmetic (Dekker, "A floating-point technique for extending the available
+precision", 1971) over a whole batch.  Write ``10**p = (hi + lo) * 2**s``
+with ``p = 16 - k`` and ``hi + lo`` in ``[1, 2)``, both rounded from exact
+integers.  Then ``D = (|v| * 2**s) * (hi + lo)``, where the scaling by
+``2**s`` is exact and the product with ``hi`` is split exactly by Veltkamp's
+halves, so ``D`` is known as a floor and a fraction to about ``1e-14``
+absolute.  ``k`` starts as ``floor(log10 |v|)`` and moves by one where the
+unrounded floor of ``D`` falls outside ``[10**16, 10**17)``.
+
+The two texts differ in their digits ``R * 10**(k - 16)``, an integer ``R``
+in ``[10**16, 10**17]`` whose trailing zeros are dropped, where ``10**17``
+carries into ``k + 1``:
+
+- ``'%.17g'`` takes the ``R`` nearest to ``D``.
+- ``repr`` takes the shortest ``R`` strictly inside the rounding interval of
+  ``v``, and of those the nearest (Steele and White, "How to print
+  floating-point numbers accurately", 1990; Adams, "Ryu", PLDI 2018).  With
+  ``M`` the 53-bit integer mantissa, the interval reaches ``D / (2M)`` above
+  ``D`` and as far below, or half as far when ``M`` is a power of two.  It
+  is less than 23 units of ``D`` wide and always holds the ``R`` nearest
+  ``D``.  A text of 15 digits or fewer is a multiple of 100, of which the
+  interval holds at most one, so ``R`` is that multiple where there is one;
+  else a multiple of 10 inside it, the nearer where both about ``D`` are;
+  else the nearest integer.
+
+Each decision compares a remainder of ``D`` with half its unit or a distance
+with its gap, and is exact unless the two lie within ``1e-9`` of each other.
+Such a value, a value that is not finite and, for ``repr``, a subnormal or
+the least normal value (whose lower gap is not half its upper one) is
+formatted by ``%`` or ``repr`` itself; every other decision is far outside
 the arithmetic's error, and the bytes are Python's by construction.
 
-The text follows C's ``%g`` at precision 17: fixed notation for
-``-4 <= k < 17``, else ``d.ddde+XX`` with three exponent digits once
-``|k| >= 100``; trailing zeros of the fraction and a bare point are dropped;
-the zeros read ``0`` and ``-0``.  Each value owns four 64-bit words of byte
-slots, a slot left 0 when its character is absent, and one ``np.compress``
-drops the empty ones.  The tables are built on first use, each power of ten
+The layouts: ``'%.17g'`` is C's ``%g`` at precision 17, fixed notation for
+``-4 <= k < 17`` with no point on an integral value, the zeros ``0`` and
+``-0``; ``repr`` uses fixed notation for ``-4 <= k < 16`` with ``.0`` on an
+integral value, the zeros ``0.0`` and ``-0.0``.  Otherwise both read
+``d.ddde+XX``, or ``de+XX`` for one digit, with three exponent digits once
+``|k| >= 100``.  Each value owns at least four 64-bit words of byte slots, a
+slot left 0 when its character is absent, and its text ends with the text
+that follows it in its row, from the last slot of its fourth word on: a CSV
+comma or newline, the JSON between two numbers.  One ``bytes.translate``
+drops the empty slots.  The tables are built on first use, each power of ten
 on the first use of its exponent, so importing this module does no work.
 """
 
@@ -36,10 +58,12 @@ __all__: list[str] = []
 
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitter of a double into 26-bit halves
 _LOW, _HIGH = 10**16, 10**17  # the range of R, 17 digits
-_DOUBT = 1e-9  # a fraction this close to 1/2 is rounded by % itself
+_DOUBT = 1e-9  # a decision this close is left to % or repr itself
 _K = 330  # |k| < _K for every finite double
 _CHUNK = 4096  # values formatted at once, which bounds the temporaries
+_TINY = np.finfo(float).tiny  # the least normal value
 _printf = "%.17g".__mod__
+_repr = float.__repr__
 
 
 @lru_cache(maxsize=None)
@@ -87,16 +111,45 @@ def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, top
 
 
-@lru_cache(maxsize=1)
-def _tables() -> tuple[np.ndarray, ...]:
+def _nearest(r: np.ndarray, fraction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The digits of ``'%.17g'``: ``R`` nearest to ``D = r + fraction``, and where in doubt."""
+    fraction -= 0.5
+    return r + (fraction > 0), np.abs(fraction) < _DOUBT
+
+
+def _shortest(a: np.ndarray, r: np.ndarray,
+              fraction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The digits of ``repr``: the shortest ``R`` in the rounding interval, and where in doubt."""
+    mantissa = np.frexp(a)[0]
+    up_gap = (r + fraction) / (mantissa * 2.0**54)  # D / (2M)
+    down_gap = np.where(mantissa == 0.5, 0.5 * up_gap, up_gap)
+    digits, doubt = _nearest(r, fraction.copy())
+    doubt |= a <= _TINY
+    for unit in (10, 100):  # 16 digits, then 15, which win where they fit
+        low = r % unit
+        below = low + fraction  # the distance down to the multiple of unit at or below D
+        above = unit - below
+        down = below < down_gap
+        up = above < up_gap
+        doubt |= (np.abs(below - down_gap) < _DOUBT) | (np.abs(above - up_gap) < _DOUBT)
+        both = down & up
+        doubt |= both & (np.abs(below - 0.5 * unit) < _DOUBT)
+        up &= ~both | (below > 0.5 * unit)
+        np.copyto(digits, r - low + unit * up, where=down | up)
+    return digits, doubt
+
+
+@lru_cache(maxsize=2)
+def _tables(shortest: bool) -> tuple[np.ndarray, ...]:
     """Lookup tables of little-endian words of byte slots (see :func:`_chunk`).
 
     By 4-digit group 0..9999: its ASCII digits and its trailing zeros.  By
-    ``k + _K``: the digit the point precedes (0 for none), the prefix ``0.``
-    to ``0.000`` after the sign, and the exponent ``e+XX`` after the last two
-    digits.  By ``17 * kept + point``, for each of the three words of seven
-    digit slots: the mask of the kept digits before the point, the mask of
-    those after it, which move up a slot, and the point itself.
+    ``k + _K``: the digit the point precedes (0 for none), the least count of
+    digits shown, the prefix ``0.`` to ``0.000`` after the sign, and the
+    exponent ``e+XX`` after the last two digits, for ``'%.17g'`` or, where
+    ``shortest``, for ``repr``.  By ``17 * kept + point``, for each of the
+    three words of seven digit slots: the mask of the kept digits before the
+    point, the mask of those after it, which move up a slot, and the point.
     """
     ten = np.arange(10)
     pair = ((ten[:, None] + 48) | (ten + 48) << 8).reshape(-1)
@@ -104,8 +157,9 @@ def _tables() -> tuple[np.ndarray, ...]:
     pair_zeros = ((ten == 0) * (1 + (ten[:, None] == 0))).reshape(-1)
     zeros = pair_zeros + (pair_zeros == 2) * pair_zeros[:, None]
     k = np.arange(-_K, _K)
-    fixed = (k >= -4) & (k < 17)
+    fixed = (k >= -4) & (k < 17 - shortest)
     point = np.where(fixed, np.where(k < 0, 0, k + 1), 1)
+    least = point + (shortest & fixed & (k >= 0))  # repr's ".0" on an integral value
     prefix = np.zeros(k.size, np.int64)
     for lead in range(1, 5):
         prefix[k == -lead] = int.from_bytes(b"\0" + b"0." + b"0" * (lead - 1), "little")
@@ -123,11 +177,19 @@ def _tables() -> tuple[np.ndarray, ...]:
         words += [mask & low, mask & ~low, np.broadcast_to(np.where(inside, 46 * (low + 1), 0),
                                                            (18, 17))]
     return tuple(np.ravel(table).astype(np.uint64)
-                 for table in (quad, zeros, point, prefix, exponent, *words))
+                 for table in (quad, zeros, point, least, prefix, exponent, *words))
 
 
-def _chunk(rows: np.ndarray) -> str:
-    """:func:`_csv_rows` of a few thousand values; each temporary is dropped once used."""
+@lru_cache(maxsize=None)
+def _tails(ends: tuple[str, ...]) -> np.ndarray:
+    """Each column's slot words from the fourth on: empty up to their last slot, then its end."""
+    width = -(-(7 + max(map(len, ends))) // 8) * 8
+    text = b"".join((b"\0" * 7 + end.encode("ascii")).ljust(width, b"\0") for end in ends)
+    return np.frombuffer(text, "<u8").reshape(len(ends), -1)
+
+
+def _chunk(rows: np.ndarray, ends: tuple[str, ...], shortest: bool) -> str:
+    """:func:`_rows` of a few thousand values; each temporary is dropped once used."""
     values = rows.reshape(-1)
     finite = np.isfinite(values)
     zero = values == 0
@@ -139,20 +201,20 @@ def _chunk(rows: np.ndarray) -> str:
     if off.size:
         k[off] += np.where(r[off] < _LOW, -1, 1)
         r[off], fraction[off] = _scaled(a[off], k[off])
-    del a
-    fraction -= 0.5
-    r += fraction > 0
-    doubt = ~finite | (np.abs(fraction) < _DOUBT) | (r < _LOW) | (r > _HIGH)
-    del finite, fraction
+    r, doubt = _shortest(a, r, fraction) if shortest else _nearest(r, fraction)
+    doubt |= ~finite | (r < _LOW) | (r > _HIGH)
+    del a, finite, fraction
     carry = r == _HIGH
     k += carry
     r[carry | doubt] = _LOW
 
-    # Four words, 32 byte slots per value, a zero byte an empty slot: sign,
-    # prefix, d0, -; d1..d7, -; d8..d14, -; d15, d16, exponent, separator.
-    # The spare slot of a digit word takes the digit that a point pushes up.
-    quad, zeros, points, prefix, exponent, *masks = _tables()
-    out = np.empty((values.size, 4), "<u8")
+    # Words of byte slots, a zero byte an empty slot: sign, prefix, d0, -;
+    # d1..d7, -; d8..d14, -; d15, d16, exponent, then the end in the last
+    # slot of the fourth word and the words after it.  The spare slot of a
+    # digit word takes the digit that a point pushes up.
+    quad, zeros, points, least, prefix, exponent, *masks = _tables(shortest)
+    tails = _tails(ends)
+    out = np.empty((values.size, 3 + tails.shape[1]), "<u8")
     lead = r // _LOW
     r -= lead * _LOW
     lead[zero] = 0
@@ -167,8 +229,8 @@ def _chunk(rows: np.ndarray) -> str:
     z0, z1, z2, z3 = (zeros.take(g) for g in groups)
     kept = 17 - (z3 + (z3 == 4) * (z2 + (z2 == 4) * (z1 + (z1 == 4) * z0))).astype(np.int64)
     del z0, z1, z2, z3
+    np.maximum(kept, least.take(k + _K).astype(np.int64), out=kept)
     point = points.take(k + _K).astype(np.int64)
-    np.maximum(kept, point, out=kept)
     index = 17 * kept + point * (point < kept)
     del kept, point
     q0, q1, q2, q3 = (quad.take(g) for g in groups)
@@ -177,20 +239,30 @@ def _chunk(rows: np.ndarray) -> str:
                               q3 >> 16)):
         before, after, dot = (table.take(index) for table in masks[3 * i:3 * i + 3])
         out[:, i + 1] = (word & before) | (word & after) << 8 | dot
-    del q0, q1, q2, q3, index, before, after, dot
-    ends = np.full(rows.shape, 44 << 56, np.uint64)
-    ends[:, -1] = 10 << 56
-    out[:, 3] |= exponent.take(k + _K) | ends.reshape(-1)
-    slots = out.view(np.uint8).reshape(values.size, 32)
+    del q0, q1, q2, q3, index, before, after, dot, word
+    columns = out.reshape(*rows.shape, -1)
+    columns[..., 3] |= tails[:, 0]
+    columns[..., 4:] = tails[:, 1:]
+    out[:, 3] |= exponent.take(k + _K)
+    slots = out.view(np.uint8).reshape(values.size, -1)
+    python = _repr if shortest else _printf
     for i in np.flatnonzero(doubt):
-        text = _printf(float(values[i])).encode()
+        text = python(float(values[i])).encode()
         slots[i, :31] = 0
         slots[i, :len(text)] = np.frombuffer(text, np.uint8)
-    flat = slots.reshape(-1)
-    return str(np.compress(flat != 0, flat), "ascii")
+    return out.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _rows(rows: np.ndarray, ends: tuple[str, ...], shortest: bool) -> str:
+    """Text of a ``(b, c)`` float64 array, each value's text followed by its column's end.
+
+    A value's text is ``repr(value)`` where ``shortest``, else ``'%.17g' % value``.
+    """
+    step = max(1, _CHUNK // rows.shape[1])
+    return "".join(_chunk(rows[start:start + step], ends, shortest)
+                   for start in range(0, len(rows), step))
 
 
 def _csv_rows(rows: np.ndarray) -> str:
     """CSV text of a ``(b, c)`` float64 array: ``'%.17g' % value``, commas, a newline per row."""
-    step = max(1, _CHUNK // rows.shape[1])
-    return "".join(_chunk(rows[start:start + step]) for start in range(0, len(rows), step))
+    return _rows(rows, (",",) * (rows.shape[1] - 1) + ("\n",), False)

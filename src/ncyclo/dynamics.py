@@ -18,9 +18,9 @@ exponential: on a linear flow that polynomial is exactly one RK4 step.  Every
 method samples the orbit into one :class:`Trajectory` of time, position and
 momentum arrays, which :func:`write_trajectory_csv` and
 :func:`write_trajectory_structured` stream to a file a batch of rows at a
-time: CSV numbers through the exact numpy ``'%.17g'`` kernel of
-:mod:`ncyclo.digits`, structured rows through a ``%r`` row template.
-Formatting floats at 17 digits is still most of a long run's time, so the
+time, each number through the exact numpy kernel of :mod:`ncyclo.digits`:
+``'%.17g'`` text in CSV, ``repr``'s shortest text in the structured rows.
+Formatting floats is still most of a long run's time, so the
 batches are split into one contiguous share per usable CPU: the calling
 process formats the first share into the file, forked children the others
 into temporary files that it then copies after it in order, and the bytes do
@@ -502,19 +502,25 @@ def write_trajectory_structured(trajectory: Trajectory, field: FieldTensor,
 
     Each row has the keys of :func:`trajectory_table`, with ``x``, ``p`` and
     ``pT`` as lists.  The bytes are those of ``json.dumps(document, indent=2,
-    sort_keys=True)`` and a final newline by construction: the layout is
-    ``json``'s own, of a one-row document of ``%r`` slots, ``json`` renders a
-    float with ``float.__repr__``, which is ``%r``, and
-    :func:`trajectory_table` returns finite columns only.
+    sort_keys=True)`` and a final newline by construction: the text around
+    the numbers is ``json``'s own layout of a one-row document, ``json``
+    renders a float with ``float.__repr__``, whose bytes the numpy kernel of
+    :mod:`ncyclo.digits` writes, and :func:`trajectory_table` returns finite
+    columns only.
     """
+    from . import digits  # here alone: no other command compiles it
+
     table = trajectory_table(trajectory, field, metric, constants)
-    slots = {name: "%r" if column.ndim == 1 else ["%r"] * column.shape[1]
+    slots = {name: None if column.ndim == 1 else [None] * column.shape[1]
              for name, column in table.items()}
     # json's own layout of a one-row document: its first two and last two
-    # lines open and close the document, the lines between are the row.
+    # lines open and close the document, the lines between are the row, and
+    # the text between its null slots follows each number.
     lines = json.dumps({"trajectory": [slots]}, indent=2, sort_keys=True).split("\n")
-    row = "\n".join(lines[2:-2]).replace('"%r"', "%r")
+    head, *ends, tail = "\n".join(lines[2:-2]).split("null")
+    ends = (*ends, tail + ",\n" + head)  # the last number of a row leads into the next row
+    cut = len(ends[-1]) - len(tail)
     stream.write("\n".join(lines[:2]) + "\n")
     _write_rows(stream, [table[name] for name in sorted(table)],
-                lambda rows: ",\n".join(row % tuple(values) for values in rows.tolist()), ",\n")
+                lambda rows: head + digits._rows(rows, ends, True)[:-cut], ",\n")
     stream.write("\n" + "\n".join(lines[-2:]) + "\n")

@@ -3,9 +3,9 @@
 With a Minkowski metric, ``p' = (q/mc) H g^-1 p`` and ``x' = g^-1 p / m`` are
 the covariant Lorentz force ``m du/dtau = (q/c) F u`` in proper time ``tau``,
 and ``E_total = g^-1(p, p) / 2m`` is the mass shell, ``-mc^2/2``.  Landau and
-Lifshitz, *The Classical Theory of Fields*, section 20, gives the orbit in a
-pure electric field in closed form, owing nothing to the decomposition or to
-``expm``.
+Lifshitz, *The Classical Theory of Fields*, gives the orbits in a pure
+electric field (section 20) and in a pure magnetic field (section 21) in
+closed form, owing nothing to the decomposition or to ``expm``.
 """
 
 import json
@@ -40,6 +40,39 @@ def test_pure_electric_field_is_hyperbolic_motion(hyperbolic_motion):
     tau, x, p, energy = rows[:, 0], rows[:, 1:3], rows[:, 3:5], rows[:, 7]
     length, rate = M * C**2 / (Q * E), Q * E / (M * C)
     expected = length * np.column_stack([np.cosh(rate * tau) - 1.0, np.sinh(rate * tau)])
+    assert np.abs(x - expected).max() <= 1e-13 * np.abs(x).max()
+    mass_shell = np.abs(energy + M * C**2 / 2.0).max()
+    assert mass_shell <= 1e-13 * np.square(p).sum(axis=1).max() / (2.0 * M)
+
+
+def test_pure_magnetic_field_is_a_helix(tmp_path):
+    # Section 21: in 3+1 D with H[0, 1] = B the velocity across B turns at
+    # qB/(mc) per proper time tau, the CSV's t, so at omega = qB/(m c gamma)
+    # per coordinate time t = gamma tau, on a circle of radius v_perp/omega,
+    # while x3 = u3 tau and x4 = ct = gamma c tau.
+    b = 0.7
+    velocity = np.array([0.6, 0.2, 0.3]) * C
+    gamma = 1.0 / np.sqrt(1.0 - velocity @ velocity / C**2)
+    field = np.zeros((4, 4))
+    field[0, 1], field[1, 0] = b, -b
+    config = tmp_path / "magnetic.json"
+    config.write_text(json.dumps({
+        "n": 4, "metric": "minkowski", "field": field.tolist(),
+        "particle": {"m": M, "q": Q, "c": C},
+        "initial": {"x": [0.0] * 4, "p": [*(M * gamma * velocity), -M * gamma * C]},
+        "integration": {"dt": 0.01, "steps": 2000, "method": "exact"}}))
+    out = tmp_path / "magnetic.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    tau, x, p, energy = rows[:, 0], rows[:, 1:5], rows[:, 5:9], rows[:, 13]
+    omega, time = Q * b / (M * C * gamma), gamma * tau
+    vx, vy = velocity[:2]
+    expected = np.column_stack([
+        (vx * np.sin(omega * time) + vy * (1.0 - np.cos(omega * time))) / omega,
+        (vy * np.sin(omega * time) - vx * (1.0 - np.cos(omega * time))) / omega,
+        gamma * velocity[2] * tau,
+        C * time,
+    ])
     assert np.abs(x - expected).max() <= 1e-13 * np.abs(x).max()
     mass_shell = np.abs(energy + M * C**2 / 2.0).max()
     assert mass_shell <= 1e-13 * np.square(p).sum(axis=1).max() / (2.0 * M)
