@@ -262,7 +262,3 @@ def _rows(rows: np.ndarray, ends: tuple[str, ...], shortest: bool) -> str:
     return "".join(_chunk(rows[start:start + step], ends, shortest)
                    for start in range(0, len(rows), step))
 
-
-def _csv_rows(rows: np.ndarray) -> str:
-    """CSV text of a ``(b, c)`` float64 array: ``'%.17g' % value``, commas, a newline per row."""
-    return _rows(rows, (",",) * (rows.shape[1] - 1) + ("\n",), False)

@@ -417,25 +417,25 @@ def _column_labels(table: dict[str, np.ndarray]) -> list[str]:
     return labels
 
 
-def _write_rows(stream, columns: list[np.ndarray], text, separator: str = "") -> None:
-    """Write the rows of ``columns`` as ``text(batch)``, a batch at a time, ``separator`` between.
+def _write_rows(stream, columns: list[np.ndarray], ends: tuple[str, ...], shortest: bool) -> None:
+    """Write the rows of ``columns``, a batch at a time, each value followed by its column's end.
 
     Each row holds the sample's values of ``columns`` in order, a 2-D column
-    contributing one value per entry, and ``text`` renders a ``(rows, values)``
-    batch of them, ``separator`` between its rows.  The batches are split into
-    one contiguous share per usable CPU, at most one per batch.  This process
-    formats the first share into ``stream``; a forked child formats each other
-    share into a temporary file, which is copied into ``stream`` after the
-    child exits.  Every share writes the separator before each of its batches
-    but the orbit's first, so the bytes are those of one share.  A child that
-    fails raises ``ChildProcessError``; every child is reaped before this
-    returns or raises, the ones still running on an error after a ``SIGTERM``.
+    contributing one value per entry, and a ``(rows, values)`` batch of them
+    is formatted by ``digits._rows(batch, ends, shortest)``.  The batches are
+    split into one contiguous share per usable CPU, at most one per batch.
+    This process formats the first share into ``stream``; a forked child
+    formats each other share into a temporary file, which is copied into
+    ``stream`` after the child exits, so the bytes are those of one share.  A
+    child that fails raises ``ChildProcessError``; every child is reaped before
+    this returns or raises, the ones still running on an error after a ``SIGTERM``.
     """
+    from . import digits  # here alone: no other command compiles it
+
     def write_share(out, starts: range) -> None:
         for start in starts:
-            if start:
-                out.write(separator)
-            out.write(text(np.column_stack([column[start:start + _BATCH] for column in columns])))
+            out.write(digits._rows(np.column_stack([column[start:start + _BATCH]
+                                                    for column in columns]), ends, shortest))
 
     starts = range(0, len(columns[0]), _BATCH)
     # Where os has sched_getaffinity (Linux) it has fork; elsewhere one share.
@@ -488,11 +488,10 @@ def write_trajectory_csv(trajectory: Trajectory, field: FieldTensor,
     bit-faithfully: the bytes of ``'%.17g' % value``, made a batch at a time
     by numpy (:mod:`ncyclo.digits`).
     """
-    from . import digits  # here alone: no other command compiles it
-
     table = trajectory_table(trajectory, field, metric, constants)
-    stream.write(",".join(_column_labels(table)) + "\n")
-    _write_rows(stream, list(table.values()), digits._csv_rows)
+    labels = _column_labels(table)
+    stream.write(",".join(labels) + "\n")
+    _write_rows(stream, list(table.values()), (",",) * (len(labels) - 1) + ("\n",), False)
 
 
 def write_trajectory_structured(trajectory: Trajectory, field: FieldTensor,
@@ -506,11 +505,13 @@ def write_trajectory_structured(trajectory: Trajectory, field: FieldTensor,
     the numbers is ``json``'s own layout of a one-row document, ``json``
     renders a float with ``float.__repr__``, whose bytes the numpy kernel of
     :mod:`ncyclo.digits` writes, and :func:`trajectory_table` returns finite
-    columns only.
+    columns only.  Every row but the last goes through :func:`_write_rows`,
+    its last number's end leading into the next row; the last closes the list.
     """
     from . import digits  # here alone: no other command compiles it
 
     table = trajectory_table(trajectory, field, metric, constants)
+    columns = [table[name] for name in sorted(table)]
     slots = {name: None if column.ndim == 1 else [None] * column.shape[1]
              for name, column in table.items()}
     # json's own layout of a one-row document: its first two and last two
@@ -518,9 +519,10 @@ def write_trajectory_structured(trajectory: Trajectory, field: FieldTensor,
     # the text between its null slots follows each number.
     lines = json.dumps({"trajectory": [slots]}, indent=2, sort_keys=True).split("\n")
     head, *ends, tail = "\n".join(lines[2:-2]).split("null")
-    ends = (*ends, tail + ",\n" + head)  # the last number of a row leads into the next row
-    cut = len(ends[-1]) - len(tail)
     stream.write("\n".join(lines[:2]) + "\n")
-    _write_rows(stream, [table[name] for name in sorted(table)],
-                lambda rows: head + digits._rows(rows, ends, True)[:-cut], ",\n")
+    if len(trajectory):  # an empty orbit has no row to open
+        stream.write(head)
+        _write_rows(stream, [column[:-1] for column in columns], (*ends, tail + ",\n" + head), True)
+        stream.write(digits._rows(np.column_stack([column[-1:] for column in columns]),
+                                  (*ends, tail), True))
     stream.write("\n" + "\n".join(lines[-2:]) + "\n")

@@ -4,8 +4,9 @@ With a Minkowski metric, ``p' = (q/mc) H g^-1 p`` and ``x' = g^-1 p / m`` are
 the covariant Lorentz force ``m du/dtau = (q/c) F u`` in proper time ``tau``,
 and ``E_total = g^-1(p, p) / 2m`` is the mass shell, ``-mc^2/2``.  Landau and
 Lifshitz, *The Classical Theory of Fields*, gives the orbits in a pure
-electric field (section 20) and in a pure magnetic field (section 21) in
-closed form, owing nothing to the decomposition or to ``expm``.
+electric field (section 20), in a pure magnetic field (section 21) and the
+drift in crossed fields (section 22) in closed form, owing nothing to the
+decomposition or to ``expm``.
 """
 
 import json
@@ -82,3 +83,55 @@ def test_pure_magnetic_field_is_a_helix(tmp_path):
 def test_pure_electric_field_has_no_cyclotron_block(hyperbolic_motion):
     report, _ = hyperbolic_motion
     assert report["num_blocks"] == 0
+
+
+def crossed_fields(tmp_path, e, b):
+    """Section 22's config: E along x1, B along x3, E < B, from 0 on the mass shell.
+
+    Returns the config's path and the proper-time frequency
+    ``|q| sqrt(B^2 - E^2) / mc``; the run covers 7 of its periods in 7000 steps.
+    """
+    field = np.zeros((4, 4))
+    field[0, 1], field[0, 3] = b, e
+    field -= field.T
+    momentum = np.array([0.3, -0.2, 0.1]) * M * C
+    frequency = abs(Q) * np.sqrt(b * b - e * e) / (M * C)
+    config = tmp_path / "crossed.json"
+    config.write_text(json.dumps({
+        "n": 4, "metric": "minkowski", "field": field.tolist(),
+        "particle": {"m": M, "q": Q, "c": C},
+        "initial": {"x": [0.0] * 4,
+                    "p": [*momentum, -np.sqrt((M * C) ** 2 + momentum @ momentum)]},
+        "integration": {"dt": 2.0 * np.pi / (1000.0 * frequency), "steps": 7000,
+                        "method": "exact"}}))
+    return config, frequency
+
+
+CROSSED = pytest.mark.parametrize("e, b", [(0.6, 1.0), (0.3, 0.7)])
+
+
+@CROSSED
+def test_crossed_fields_drift_at_e_cross_b_over_b_squared(tmp_path, e, b):
+    # Over whole periods of proper time the orbit closes in the frame that
+    # drifts at c E x B / B^2, so the mean velocity c dx/dx4 is that drift:
+    # 0 along x1 and -cE/B along x2, E x B pointing along -x2.
+    config, _ = crossed_fields(tmp_path, e, b)
+    out = tmp_path / "crossed.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    x, p, energy = rows[:, 1:5], rows[:, 5:9], rows[:, 13]
+    dx = x[-1] - x[0]
+    velocity = C * dx[:2] / dx[3]
+    assert np.abs(velocity - [0.0, -C * e / b]).max() <= 1e-12 * C
+    mass_shell = np.abs(energy + M * C**2 / 2.0).max()
+    assert mass_shell <= 1e-13 * np.square(p).sum(axis=1).max() / (2.0 * M)
+
+
+@CROSSED
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: spectrum lists the identity-frame "
+                                       "strength |q| sqrt(B^2 + E^2) / mc")
+def test_crossed_fields_list_one_cyclotron_frequency(tmp_path, capsys, e, b):
+    config, frequency = crossed_fields(tmp_path, e, b)
+    assert main(["spectrum", "--config", str(config)]) == 0
+    assert json.loads(capsys.readouterr().out)["frequencies"] == pytest.approx([frequency],
+                                                                                rel=1e-12)
