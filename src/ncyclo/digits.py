@@ -1,4 +1,4 @@
-"""Exact bulk text of float64 values, a batch at a time: ``'%.17g' % v`` and ``repr(v)``.
+"""Exact bulk text of float64 values, a chunk at a time: ``'%.17g' % v`` and ``repr(v)``.
 
 A finite nonzero ``v`` is first scaled to ``D = |v| * 10**(16 - k)`` in
 ``[10**16, 10**17)``.  Python's ``%`` and ``repr`` find their digits with
@@ -46,10 +46,16 @@ that follows it in its row, from the last slot of its fourth word on: a CSV
 comma or newline, the JSON between two numbers.  One ``bytes.translate``
 drops the empty slots.  The tables are built on first use, each power of ten
 on the first use of its exponent, so importing this module does no work.
+
+:func:`_write_rows` is the one path from a trajectory's columns to its file:
+one share of rows per usable CPU, each cut once into chunks for the kernel.
 """
 
 from __future__ import annotations
 
+import os
+import shutil
+import tempfile
 from functools import lru_cache
 
 import numpy as np
@@ -61,6 +67,7 @@ _LOW, _HIGH = 10**16, 10**17  # the range of R, 17 digits
 _DOUBT = 1e-9  # a decision this close is left to % or repr itself
 _K = 330  # |k| < _K for every finite double
 _CHUNK = 4096  # values formatted at once, which bounds the temporaries
+_SHARE_ROWS = 1024  # rows begun per share at most: a write of this many or fewer forks nothing
 _TINY = np.finfo(float).tiny  # the least normal value
 _printf = "%.17g".__mod__
 _repr = float.__repr__
@@ -189,7 +196,10 @@ def _tails(ends: tuple[str, ...]) -> np.ndarray:
 
 
 def _chunk(rows: np.ndarray, ends: tuple[str, ...], shortest: bool) -> str:
-    """:func:`_rows` of a few thousand values; each temporary is dropped once used."""
+    """Text of a ``(b, c)`` float64 array, each value's text followed by its column's end.
+
+    The text is ``repr(value)`` where ``shortest``, else ``'%.17g' % value``.
+    """
     values = rows.reshape(-1)
     finite = np.isfinite(values)
     zero = values == 0
@@ -253,12 +263,62 @@ def _chunk(rows: np.ndarray, ends: tuple[str, ...], shortest: bool) -> str:
     return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _rows(rows: np.ndarray, ends: tuple[str, ...], shortest: bool) -> str:
-    """Text of a ``(b, c)`` float64 array, each value's text followed by its column's end.
+def _write_rows(stream, columns: list[np.ndarray], ends: tuple[str, ...], shortest: bool) -> None:
+    """Write the rows of ``columns``, each value's text followed by its column's end.
 
-    A value's text is ``repr(value)`` where ``shortest``, else ``'%.17g' % value``.
+    A row holds a sample's values of ``columns`` in order, one per entry of a
+    2-D column, so ``ends`` has one entry per value.  The rows are split into
+    one contiguous share per usable CPU, at most one per ``_SHARE_ROWS`` rows
+    begun; each share walks chunks of ``_CHUNK // len(ends)`` rows, each
+    stacked once and formatted by :func:`_chunk`.  This process formats the
+    first share into ``stream`` and a forked child each other share into a
+    temporary file, copied into ``stream`` after the child exits, so the
+    bytes are those of one share.  A child that fails raises
+    ``ChildProcessError``; every child is reaped before this returns or
+    raises, the ones still running on an error after a ``SIGTERM``.
     """
-    step = max(1, _CHUNK // rows.shape[1])
-    return "".join(_chunk(rows[start:start + step], ends, shortest)
-                   for start in range(0, len(rows), step))
+    rows, step = len(columns[0]), max(1, _CHUNK // len(ends))
 
+    def write_share(out, starts: range) -> None:
+        for start in starts:
+            chunk = [column[start:min(start + step, starts.stop)] for column in columns]
+            out.write(_chunk(np.column_stack(chunk), ends, shortest))
+
+    # Where os has sched_getaffinity (Linux) it has fork; elsewhere one share.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    count = max(1, min(cpus, -(-rows // _SHARE_ROWS)))
+    shares = [range(rows * i // count, rows * (i + 1) // count, step) for i in range(count)]
+    spools, pids = [], []  # a temporary file per forked share; the children not yet reaped
+    try:
+        for share in shares[1:]:
+            spools.append(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+            pid = os.fork()
+            if pid == 0:  # leave by _exit alone: no flush of inherited buffers, no cleanup
+                status = 1
+                try:
+                    write_share(spools[-1], share)
+                    spools[-1].flush()
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+        write_share(stream, shares[0])
+        for spool in spools:
+            status = os.waitpid(pids[0], 0)[1]
+            pid = pids.pop(0)
+            if status:
+                raise ChildProcessError(f"the trajectory writer process {pid} failed with "
+                                        f"exit status {os.waitstatus_to_exitcode(status)}")
+            spool.seek(0)
+            shutil.copyfileobj(spool, stream)
+    except BaseException:
+        import signal  # here alone, on the error path: it costs a millisecond of import
+
+        for pid in pids:
+            os.kill(pid, signal.SIGTERM)
+        for pid in pids:
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        for spool in spools:
+            spool.close()

@@ -16,15 +16,12 @@ numpy alone.  Classic fourth-order Runge-Kutta propagates in blocks of about
 ``sqrt(N)`` samples with the degree-4 Taylor polynomial of the step's
 exponential: on a linear flow that polynomial is exactly one RK4 step.  Every
 method samples the orbit into one :class:`Trajectory` of time, position and
-momentum arrays, which :func:`write_trajectory_csv` and
-:func:`write_trajectory_structured` stream to a file a batch of rows at a
-time, each number through the exact numpy kernel of :mod:`ncyclo.digits`:
-``'%.17g'`` text in CSV, ``repr``'s shortest text in the structured rows.
-Formatting floats is still most of a long run's time, so the
-batches are split into one contiguous share per usable CPU: the calling
-process formats the first share into the file, forked children the others
-into temporary files that it then copies after it in order, and the bytes do
-not depend on the share count.  The dual momentum
+momentum arrays.  :func:`write_trajectory_csv` and
+:func:`write_trajectory_structured` lay out the text around the numbers and
+pass the columns to :mod:`ncyclo.digits`, whose exact numpy kernel writes
+``'%.17g'`` text in CSV and ``repr``'s shortest text in the structured rows,
+in one share per usable CPU; the bytes do not depend on the share count.
+The dual momentum
 ``p - (q/c) H x`` is an integral of the motion for every metric, and in the
 block basis it locates the centers of the cyclotron orbits.
 """
@@ -32,9 +29,6 @@ block basis it locates the centers of the cyclotron orbits.
 from __future__ import annotations
 
 import json
-import os
-import shutil
-import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -61,10 +55,6 @@ __all__ = [
     "write_trajectory_csv",
     "write_trajectory_structured",
 ]
-
-# Trajectory rows are formatted this many at a time, so each writing process
-# holds the temporaries of one batch.
-_BATCH = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,81 +407,21 @@ def _column_labels(table: dict[str, np.ndarray]) -> list[str]:
     return labels
 
 
-def _write_rows(stream, columns: list[np.ndarray], ends: tuple[str, ...], shortest: bool) -> None:
-    """Write the rows of ``columns``, a batch at a time, each value followed by its column's end.
-
-    Each row holds the sample's values of ``columns`` in order, a 2-D column
-    contributing one value per entry, and a ``(rows, values)`` batch of them
-    is formatted by ``digits._rows(batch, ends, shortest)``.  The batches are
-    split into one contiguous share per usable CPU, at most one per batch.
-    This process formats the first share into ``stream``; a forked child
-    formats each other share into a temporary file, which is copied into
-    ``stream`` after the child exits, so the bytes are those of one share.  A
-    child that fails raises ``ChildProcessError``; every child is reaped before
-    this returns or raises, the ones still running on an error after a ``SIGTERM``.
-    """
-    from . import digits  # here alone: no other command compiles it
-
-    def write_share(out, starts: range) -> None:
-        for start in starts:
-            out.write(digits._rows(np.column_stack([column[start:start + _BATCH]
-                                                    for column in columns]), ends, shortest))
-
-    starts = range(0, len(columns[0]), _BATCH)
-    # Where os has sched_getaffinity (Linux) it has fork; elsewhere one share.
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    count = max(1, min(cpus, len(starts)))
-    shares = [starts[len(starts) * i // count:len(starts) * (i + 1) // count]
-              for i in range(count)]
-    spools, pids = [], []  # a temporary file per forked share; the children not yet reaped
-    try:
-        for share in shares[1:]:
-            spools.append(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
-            pid = os.fork()
-            if pid == 0:  # leave by _exit alone: no flush of inherited buffers, no cleanup
-                status = 1
-                try:
-                    write_share(spools[-1], share)
-                    spools[-1].flush()
-                    status = 0
-                finally:
-                    os._exit(status)
-            pids.append(pid)
-        write_share(stream, shares[0])
-        for spool in spools:
-            status = os.waitpid(pids[0], 0)[1]
-            pid = pids.pop(0)
-            if status:
-                raise ChildProcessError(f"the trajectory writer process {pid} failed with "
-                                        f"exit status {os.waitstatus_to_exitcode(status)}")
-            spool.seek(0)
-            shutil.copyfileobj(spool, stream)
-    except BaseException:
-        import signal  # here alone, on the error path: it costs a millisecond of import
-
-        for pid in pids:
-            os.kill(pid, signal.SIGTERM)
-        for pid in pids:
-            os.waitpid(pid, 0)
-        raise
-    finally:
-        for spool in spools:
-            spool.close()
-
-
 def write_trajectory_csv(trajectory: Trajectory, field: FieldTensor,
                          metric: MetricTensor, constants: PhysicalConstants,
                          stream) -> None:
     """Write a trajectory as CSV: ``t, x1..xn, p1..pn, pT1..pTn, E_total``.
 
     Numbers are rendered with 17 significant digits so the file round-trips
-    bit-faithfully: the bytes of ``'%.17g' % value``, made a batch at a time
-    by numpy (:mod:`ncyclo.digits`).
+    bit-faithfully: the bytes of ``'%.17g' % value``, made a chunk at a time
+    by numpy (:func:`ncyclo.digits._write_rows`).
     """
+    from . import digits  # here alone: no other command compiles it
+
     table = trajectory_table(trajectory, field, metric, constants)
     labels = _column_labels(table)
     stream.write(",".join(labels) + "\n")
-    _write_rows(stream, list(table.values()), (",",) * (len(labels) - 1) + ("\n",), False)
+    digits._write_rows(stream, list(table.values()), (",",) * (len(labels) - 1) + ("\n",), False)
 
 
 def write_trajectory_structured(trajectory: Trajectory, field: FieldTensor,
@@ -505,12 +435,15 @@ def write_trajectory_structured(trajectory: Trajectory, field: FieldTensor,
     the numbers is ``json``'s own layout of a one-row document, ``json``
     renders a float with ``float.__repr__``, whose bytes the numpy kernel of
     :mod:`ncyclo.digits` writes, and :func:`trajectory_table` returns finite
-    columns only.  Every row but the last goes through :func:`_write_rows`,
-    its last number's end leading into the next row; the last closes the list.
+    columns only.  Each row's last number is followed by the text that opens
+    the next row, or, for the last row, closes the list.
     """
     from . import digits  # here alone: no other command compiles it
 
     table = trajectory_table(trajectory, field, metric, constants)
+    if not len(trajectory):  # json's own text of an empty list
+        stream.write(json.dumps({"trajectory": []}, indent=2) + "\n")
+        return
     columns = [table[name] for name in sorted(table)]
     slots = {name: None if column.ndim == 1 else [None] * column.shape[1]
              for name, column in table.items()}
@@ -519,10 +452,8 @@ def write_trajectory_structured(trajectory: Trajectory, field: FieldTensor,
     # the text between its null slots follows each number.
     lines = json.dumps({"trajectory": [slots]}, indent=2, sort_keys=True).split("\n")
     head, *ends, tail = "\n".join(lines[2:-2]).split("null")
-    stream.write("\n".join(lines[:2]) + "\n")
-    if len(trajectory):  # an empty orbit has no row to open
-        stream.write(head)
-        _write_rows(stream, [column[:-1] for column in columns], (*ends, tail + ",\n" + head), True)
-        stream.write(digits._rows(np.column_stack([column[-1:] for column in columns]),
-                                  (*ends, tail), True))
+    stream.write("\n".join(lines[:2]) + "\n" + head)
+    digits._write_rows(stream, [column[:-1] for column in columns], (*ends, tail + ",\n" + head),
+                       True)
+    digits._write_rows(stream, [column[-1:] for column in columns], (*ends, tail), True)
     stream.write("\n" + "\n".join(lines[-2:]) + "\n")

@@ -234,7 +234,10 @@ def _cluster_basis(k: np.ndarray, sigma: complex, m: int) -> np.ndarray | None:
     iteration at rank ``n - m`` from the leading singular vectors, until the
     basis stops moving, or None when it still moves after ``_POWERS_MAX``
     steps.  The nilpotent part of a Jordan cluster can swing the basis about
-    for the first few steps, so no step short of that settling ends it.
+    for the first few steps, so no step short of that settling ends it.  Where
+    that part holds every leading singular vector (an exactly structured
+    ``K``), a column of the iteration vanishes, and it starts again from
+    those of ``(K - sigma)^{H m}``, the dominant subspace in exact arithmetic.
     ``K`` is unit-scaled by a power of two so that no power can overflow.
     """
     n = k.shape[0]
@@ -245,13 +248,17 @@ def _cluster_basis(k: np.ndarray, sigma: complex, m: int) -> np.ndarray | None:
     if np.iscomplexobj(sigma):
         shift = shift + 1j * np.ldexp(np.imag(sigma), -exponent)
     step = (unit - shift * np.eye(n)).conj().T
-    left = np.linalg.svd(step)[0][:, :n - m]
-    for _ in range(_POWERS_MAX):
-        new = np.linalg.qr(step @ left)[0]
-        moved = np.abs(new - left @ (left.conj().T @ new)).max()
-        left = new
-        if moved <= 4 * n * np.finfo(float).eps:
-            return np.linalg.svd(left)[0][:, n - m:]
+    settled = 4 * n * np.finfo(float).eps
+    for start in (step, np.linalg.matrix_power(step, m)):
+        left = np.linalg.svd(start)[0][:, :n - m]
+        for _ in range(_POWERS_MAX):
+            new, r = np.linalg.qr(step @ left)
+            if np.abs(np.diagonal(r)).min() <= settled:
+                break  # a column vanished: the start misses part of the dominant subspace
+            moved = np.abs(new - left @ (left.conj().T @ new)).max()
+            left = new
+            if moved <= settled:
+                return np.linalg.svd(left)[0][:, n - m:]
     return None
 
 

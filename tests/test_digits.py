@@ -1,5 +1,6 @@
 """The bulk kernel writes the bytes of Python's ``'%.17g' %`` and of ``repr``, value for value."""
 
+import io
 import json
 import math
 import os
@@ -29,8 +30,15 @@ def expected(rows):
     return "".join(",".join("%.17g" % value for value in row) + "\n" for row in rows.tolist())
 
 
+def text_rows(rows, shortest):
+    """The writer's text of ``rows`` as one 2-D column, values joined by commas."""
+    buffer = io.StringIO()
+    digits._write_rows(buffer, [rows], (",",) * (rows.shape[1] - 1) + ("\n",), shortest)
+    return buffer.getvalue()
+
+
 def csv_rows(rows):
-    return digits._rows(rows, (",",) * (rows.shape[1] - 1) + ("\n",), False)
+    return text_rows(rows, False)
 
 
 def assert_same_text(rows):
@@ -51,6 +59,8 @@ def fraction_at_17_digits(value):
 
 
 def count_python_calls(monkeypatch, name="_printf"):
+    """The values formatted by Python itself, all of them in this process."""
+    one_share(monkeypatch)
     calls = []
     python = getattr(digits, name)
     monkeypatch.setattr(digits, name, lambda value: calls.append(value) or python(value))
@@ -67,7 +77,7 @@ def expected_repr(rows):
 
 
 def repr_rows(rows):
-    return digits._rows(rows, (",",) * (rows.shape[1] - 1) + ("\n",), True)
+    return text_rows(rows, True)
 
 
 def assert_same_repr(rows):
@@ -147,7 +157,6 @@ def test_orbit_table_needs_no_python(monkeypatch, rng, tmp_path):
     state = ParticleState(rng.standard_normal(n), rng.standard_normal(n))
     trajectory = evolve_exact_trajectory(state, dynamics_matrix(field, metric, constants), metric,
                                          constants, 0.37, 5000)
-    one_share(monkeypatch)
     calls = count_python_calls(monkeypatch)
     path = tmp_path / "orbit.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -211,7 +220,6 @@ def test_orbit_structured_write_needs_no_repr(monkeypatch, rng, tmp_path):
     state = ParticleState(rng.standard_normal(n), rng.standard_normal(n))
     trajectory = evolve_exact_trajectory(state, dynamics_matrix(field, metric, constants), metric,
                                          constants, 0.37, 5000)
-    one_share(monkeypatch)
     calls = count_python_calls(monkeypatch, "_repr")
     path = tmp_path / "orbit.json"
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ncyclo import dynamics, modes
+from ncyclo import digits, dynamics, modes
 from ncyclo import (
     CanonicalForm,
     FieldTensor,
@@ -31,6 +32,7 @@ from ncyclo import (
     write_trajectory_csv,
     write_trajectory_structured,
 )
+from ncyclo.cli import main
 from ncyclo.config import RunConfig
 from conftest import (
     assert_no_child_left,
@@ -373,11 +375,12 @@ def test_peak_memory_is_the_orbit_itself(metric, evolve):
 
 @pytest.mark.parametrize("write", [write_trajectory_csv, write_trajectory_structured])
 def test_writer_peak_memory_is_below_the_orbit(write, monkeypatch):
-    # The writers stack and format one batch of rows at a time: beside the
-    # table's own pT and E_total columns, they hold one batch, not a stacked
-    # copy of the whole orbit.  With 64-row batches a 1e4-step orbit spans
-    # 157 of them, as a long one does with the default size.
-    monkeypatch.setattr(dynamics, "_BATCH", 64)
+    # The writers stack and format one chunk of rows at a time: beside the
+    # table's own pT and E_total columns, they hold one chunk, not a stacked
+    # copy of the whole orbit.  With chunks of 64 rows of this n = 4 table's
+    # 14 values a 1e4-step orbit spans 157 of them, as a long one does with
+    # the default size.
+    monkeypatch.setattr(digits, "_CHUNK", 64 * 14)
     metric = MetricTensor.euclidean(4)
     h = FieldTensor([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.5, 0.0],
                      [0.0, -0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
@@ -684,6 +687,10 @@ class TestIndefiniteClosedForm:
         turning = np.array([[0.0, -1e-3], [1e-3, 0.0]])
         assert len(modes._cluster_series(turning, 2, 1e2, 1.0)) < modes._SERIES_MAX
         assert modes._cluster_series(turning, 2, 1e6, 1.0) is None
+        # Over 1e14 its terms overflow before they could end; orbit() calls
+        # it with overflow warnings off, as here.
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert modes._cluster_series(turning, 2, 1e14, 1.0) is None
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -771,6 +778,150 @@ def test_exact_flow_keeps_the_commutator_algebra(case):
         j = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), sign * bracket]])
         bound = 1e-13 * (np.abs(m) @ np.abs(j) @ np.abs(m).T)
         assert (np.abs(m @ j @ m.T - j) <= bound).all() == kept
+
+
+def exact_classes(h, signs):
+    """The roots of ``det(x - K)`` for ``K = H g^-1``, ``g = diag(signs)``, from exact arithmetic.
+
+    ``H`` has integer entries, so ``K`` does too.  The characteristic
+    polynomial is factored over the rationals, and a factor ``f`` of degree
+    ``d`` and multiplicity ``e > 1`` is defective (a Jordan cluster) when the
+    exact rank of ``f(K)`` exceeds ``n - d e``.  Returns one ``(root,
+    defective)`` pair per root, repeated by multiplicity, each root a complex
+    rounded from 30 digits.
+    """
+    x = sympy.Symbol("x")
+    k = sympy.Matrix(np.rint(h).astype(int).tolist()) * sympy.diag(*[int(s) for s in signs])
+    n = k.shape[0]
+    roots = []
+    for factor, e in sympy.factor_list(k.charpoly(x).as_expr(), x)[1]:
+        poly = sympy.Poly(factor, x)
+        value = sympy.zeros(n, n)
+        for coefficient in poly.all_coeffs():  # f(K) by Horner's rule
+            value = value * k + coefficient * sympy.eye(n)
+        defective = e > 1 and value.rank() > n - e * poly.degree()
+        roots += [(complex(root), defective) for root in poly.nroots(n=30)] * e
+    return roots
+
+
+# Four times the Pythagorean boost (5, 3, 4), of rapidity log 2: it mixes a
+# space-like axis with a time-like one and keeps an integer field integer.
+PYTHAGOREAN_BOOST = np.array([[5.0, 3.0], [3.0, 5.0]])
+FIELD_KINDS = ("generic", "repeated", "null", "jordan", "null-rotation")
+
+
+def kind_fits(kind, n, negative):
+    """Whether signature ``(n - negative, negative)`` has the axes of a field kind."""
+    sizes = sorted([n - negative, negative], reverse=True)
+    return {"generic": True,
+            "repeated": (n - negative) // 2 + negative // 2 >= 2,
+            "null": sizes[0] >= 2 and sizes[1] >= 1,
+            "jordan": sizes[1] >= 2,
+            "null-rotation": sizes[1] >= 1 and (sizes[0] - 2) // 2 + (sizes[1] - 1) // 2 >= 1,
+            }[kind]
+
+
+@st.composite
+def integer_fields(draw):
+    """An integer field ``H`` and the signs of ``g``: n = 2 to 6 and every signature.
+
+    Beside generic fields the kinds are the hard ones for ``modes.split``,
+    each on its own axes with a generic field on the others: two cyclotron
+    planes of one strength, a null field (``E`` perpendicular to ``B``,
+    ``|E| = |B|``, ``K^3 = 0`` on its three axes), twice an ``so22_field``
+    Jordan block, and a null field beside a cyclotron plane.  A Pythagorean
+    boost may follow, then a permutation of the axes.
+    """
+    kind = draw(st.sampled_from(FIELD_KINDS))
+    n = draw(st.sampled_from([n for n in range(2, 7)
+                              if any(kind_fits(kind, n, q) for q in range(n + 1))]))
+    negative = draw(st.sampled_from([q for q in range(n + 1) if kind_fits(kind, n, q)]))
+    signs = np.array([1.0] * (n - negative) + [-1.0] * negative)
+    groups = [list(range(n - negative)), list(range(n - negative, n))]
+    major, minor = sorted(groups, key=len, reverse=True)
+    upper, used = np.zeros((n, n)), []  # the field above its diagonal, the axes taken
+    if kind in ("null", "null-rotation"):
+        (a, b), t = major[:2], minor[0]
+        upper[a, b] = upper[a, t] = draw(st.integers(1, 2))
+        used = [a, b, t]
+    if kind == "jordan":
+        used = groups[0][:2] + groups[1][:2]  # diag(1, 1, -1, -1), as so22_field takes it
+        a, b, c = draw(st.lists(st.integers(-2, 2), min_size=3, max_size=3))
+        upper[np.ix_(used, used)] = np.triu(np.rint(2.0 * so22_field(
+            np.array([[a, b], [c, -a]])).matrix), 1)
+    if kind in ("repeated", "null-rotation"):
+        free = [[axis for axis in group if axis not in used] for group in groups]
+        planes = [group[i:i + 2] for group in free for i in range(0, len(group) - 1, 2)]
+        strength = draw(st.integers(1, 3))
+        for a, b in planes[:2 if kind == "repeated" else 1]:
+            upper[a, b] = strength
+            used += [a, b]
+    rest = [axis for axis in range(n) if axis not in used]
+    upper[np.ix_(rest, rest)] = np.triu(np.reshape(draw(st.lists(
+        st.integers(-2, 2), min_size=len(rest) ** 2, max_size=len(rest) ** 2)),
+        (len(rest), len(rest))), 1)
+    h = upper - upper.T
+    if 0 < negative < n and draw(st.booleans()):
+        axes = [draw(st.sampled_from(groups[0])), draw(st.sampled_from(groups[1]))]
+        boost = np.eye(n)
+        boost[np.ix_(axes, axes)] = PYTHAGOREAN_BOOST
+        h = boost.T @ h @ boost
+    order = draw(st.permutations(range(n)))
+    return h[np.ix_(order, order)], signs[order]
+
+
+# Exactly structured fields whose leading singular vectors of K^T all lie in
+# the null field's own axes, where the subspace iteration of
+# modes._cluster_basis dies out: from them alone, the first takes the
+# cyclotron plane into the cluster about zero, and the second never settles.
+NULL_BESIDE_A_PLANE = (spacetime_field(6, {(0, 1): 1.0, (0, 5): 1.0, (3, 4): 1.0}),
+                       np.array([1.0, 1.0, 1.0, 1.0, 1.0, -1.0]))
+NULL_UNDER_2_4 = (spacetime_field(6, {(3, 0): 1.0, (3, 2): 1.0, (4, 5): 1.0}),
+                  np.array([1.0, 1.0, -1.0, -1.0, -1.0, -1.0]))
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=integer_fields())
+@example(case=NULL_BESIDE_A_PLANE)
+@example(case=NULL_UNDER_2_4)
+def test_split_agrees_with_the_exact_classes(case, tmp_path, capsys):
+    """``modes.split`` against :func:`exact_classes`, and ``spectrum``'s frequencies.
+
+    ``split``'s modes match roots one for one to 1e-12 of ``|K|``, and none
+    of them is defective; the clusters hold the other roots, so every
+    defective one: ``K`` on their bases has the characteristic polynomial of
+    those roots, whose coefficients are well conditioned where the roots of
+    a Jordan cluster are not.  For a definite metric ``spectrum`` lists the
+    positive imaginary parts of the roots, ``sqrt(a)`` for a factor
+    ``x^2 + a``, to 1e-14 of the largest: a small frequency is only known
+    to that share of ``|K|``.
+    """
+    h, signs = case
+    n = signs.size
+    roots = exact_classes(h, signs)
+    k = h * signs  # H g^-1 with g^-1 = g = diag(signs)
+    scale = np.linalg.norm(k)
+    mu, _, clusters = modes.split(k, 10.0)
+    left = list(roots)
+    for value in mu:
+        distance = [abs(value - root) for root, _ in left]
+        assert min(distance) <= 1e-12 * scale, (value, left)
+        root, defective = left.pop(int(np.argmin(distance)))
+        assert not defective, (root, "a defective root among the modes")
+    held = [np.linalg.eigvals(z.conj().T @ k @ z) for _, z, _ in clusters]
+    np.testing.assert_allclose(np.poly(np.concatenate([[], *held]) / scale),
+                               np.poly(np.array([root for root, _ in left]) / scale),
+                               rtol=0.0, atol=1e-12)
+    if abs(signs.sum()) == n:
+        path = tmp_path / "integer.json"
+        path.write_text(json.dumps({"n": n, "metric": np.diag(signs).tolist(),
+                                    "field": h.tolist()}))
+        assert main(["spectrum", "--config", str(path)]) == 0
+        frequencies = json.loads(capsys.readouterr().out)["frequencies"]
+        exact = sorted((root.imag for root, _ in roots if root.imag > 0), reverse=True)
+        np.testing.assert_allclose(frequencies, exact, rtol=0.0,
+                                   atol=1e-14 * max(exact, default=0.0))
 
 
 class TestEvolveRk4:
@@ -1043,9 +1194,10 @@ class TestTrajectoryCsv:
 
 class TestTrajectoryStructured:
     @pytest.mark.parametrize("n", [1, 3])
-    @pytest.mark.parametrize("rows", [1, 1024, 1025])
+    @pytest.mark.parametrize("rows", [0, 1, 1024, 1025])
     def test_bytes_are_those_of_json_dumps(self, rng, n, rows):
-        # The batch holds 1024 rows, so 1025 crosses its boundary.
+        # An empty orbit is json's "[]"; 1024 rows span several chunks, and
+        # 1025 rows are split into two shares where two CPUs are usable.
         specials = np.array([-0.0, 5e-324, 1.0 / 3.0, -2.5e150])
         time = rng.choice(np.array([-0.0, 5e-324, 1e308, 1.0 / 3.0]), rows)
         position = rng.choice(specials, (rows, n)) * rng.choice([1.0, 0.7], (rows, n))
@@ -1081,7 +1233,7 @@ class TestShareWriters:
     @pytest.mark.parametrize("write", [write_trajectory_csv, write_trajectory_structured])
     @pytest.mark.parametrize("rows", [0, 1, 64, 65, 128, 129, 1000])
     def test_bytes_do_not_depend_on_the_share_count(self, write, rows, tmp_path, monkeypatch):
-        monkeypatch.setattr(dynamics, "_BATCH", 64)
+        monkeypatch.setattr(digits, "_SHARE_ROWS", 64)
         forks, fork = [], os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
         h, trajectory = circle_orbit(rows)
@@ -1116,12 +1268,12 @@ class TestShareWriters:
 
         monkeypatch.setattr(os, "fork", fork)
         usable_cpus(monkeypatch, 4)
-        h, trajectory = circle_orbit(dynamics._BATCH)
+        h, trajectory = circle_orbit(digits._SHARE_ROWS)
         for write in (write_trajectory_csv, write_trajectory_structured):
             write(trajectory, h, EUCLID2, UNIT, io.StringIO())
 
     def test_failing_child_is_named_and_reaped(self, monkeypatch):
-        monkeypatch.setattr(dynamics, "_BATCH", 64)
+        monkeypatch.setattr(digits, "_SHARE_ROWS", 64)
         usable_cpus(monkeypatch, 3)
         fail_in_forked_children(monkeypatch)
         h, trajectory = circle_orbit(1000)
@@ -1135,9 +1287,9 @@ class TestShareWriters:
             def write(self, text):
                 raise OSError("no space left on device")
 
-        monkeypatch.setattr(dynamics, "_BATCH", 64)
+        monkeypatch.setattr(digits, "_SHARE_ROWS", 64)
         usable_cpus(monkeypatch, 3)
         h, trajectory = circle_orbit(1000)
         with pytest.raises(OSError, match="no space left"):
-            dynamics._write_rows(FullDisk(), [trajectory.time], ("\n",), False)
+            digits._write_rows(FullDisk(), [trajectory.time], ("\n",), False)
         assert_no_child_left()
