@@ -51,9 +51,9 @@ def sample(state, t: np.ndarray, nu: np.ndarray, c: np.ndarray, to_momentum: np.
     column whose ``powers`` entry is -1; one with ``j >= 0`` is a term of a
     cluster's series instead, where both the momentum and the position take
     ``exp(-i nu t) s^j``, less 1 at ``j = 0``, with ``s = t / reach`` (its
-    ``to_position`` holds the inverse of ``K`` on the cluster).  Row ``j - 1``
-    of ``drift``, a pair ``(dp, dx)``, adds ``s^j dp`` to the momentum and
-    ``s^j dx`` to the position.
+    ``to_position`` holds the inverse of ``K`` on the cluster).  Row ``j`` of
+    ``drift``, a pair ``(dp, dx)``, adds ``t s^j dp`` to the momentum and
+    ``t s^j dx`` to the position, so no coefficient is multiplied by ``reach``.
     Each row depends on its time alone, and rows are evaluated a batch at a
     time.  A growing mode (``nu`` off the real axis) can pass the float range
     before its projection does, so a row whose mode amplitudes pass
@@ -88,8 +88,8 @@ def sample(state, t: np.ndarray, nu: np.ndarray, c: np.ndarray, to_momentum: np.
                                                        excess)
             position[rows] = state.position + np.ldexp(((swept * turn) @ to_position.T).real,
                                                        excess)
-            for j, (dp, dx) in enumerate(drift, 1):
-                sj = (t[rows, None] / reach) ** j
+            for j, (dp, dx) in enumerate(drift):
+                sj = t[rows, None] * (t[rows, None] / reach) ** j
                 momentum[rows] += sj * dp
                 position[rows] += sj * dx
     position[0], momentum[0] = state.position, state.momentum
@@ -135,17 +135,18 @@ def orbit(state, k: np.ndarray, to_velocity: np.ndarray,
         powers, start = [np.full(keep.sum(), -1)], mu.size
         drift = np.zeros((int(free.any()), 2, state.n))
         if free.any():
-            drift[0, 1] = reach * (to_velocity @ (v[:, free] @ amplitude[free])).real
+            drift[0, 1] = (to_velocity @ (v[:, free] @ amplitude[free])).real
         for sigma, z, series in clusters:
             b = coords[start:start + z.shape[1]]
             start += z.shape[1]
             if sigma == 0:
                 # exp(tN) b = sum_j g_j s^j: p gains the terms past the
-                # first, x their integrals, reach g_j s^(j+1) / (j + 1).
+                # first, t s^(j-1) g_j / reach, and x their integrals,
+                # t s^j g_j / (j + 1).
                 terms = (series @ b.real) @ z.T
                 kicks = np.zeros_like(terms)
-                kicks[:-1] = terms[1:]
-                swept = reach * (terms @ to_velocity.T) / np.arange(1.0, len(terms) + 1.0)[:, None]
+                kicks[:-1] = terms[1:] / reach
+                swept = (terms @ to_velocity.T) / np.arange(1.0, len(terms) + 1.0)[:, None]
                 drift = np.stack([kicks, swept], axis=1)
                 continue
             terms = (series @ b).T
@@ -169,7 +170,8 @@ def split(k: np.ndarray, reach: float) -> tuple:
     basis ``Z`` of its invariant subspace (:func:`_cluster_basis`) and the
     series ``P`` of ``exp(t(Z^H K Z - sigma))`` (:func:`_cluster_series`).  A
     cut is skipped when a basis does not settle, which happens when it splits
-    a Jordan block, and the cuts stop short of one whose series does not end
+    a Jordan block or when the roundoff of an ill-conditioned ``K`` keeps
+    moving it, and the cuts stop short of one whose series does not end
     within ``_SERIES_MAX`` terms over the orbit's ``reach``, the largest
     ``|t|``: that cluster turns or grows too far for a series, and raising the
     cut only widens it.
@@ -231,14 +233,13 @@ def _cluster_basis(k: np.ndarray, sigma: complex, m: int) -> np.ndarray | None:
 
     It is the orthogonal complement of the left invariant subspace of the
     other eigenvalues, the dominant one of ``(K - sigma)^H``: subspace
-    iteration at rank ``n - m`` from the leading singular vectors, until the
-    basis stops moving, or None when it still moves after ``_POWERS_MAX``
-    steps.  The nilpotent part of a Jordan cluster can swing the basis about
-    for the first few steps, so no step short of that settling ends it.  Where
-    that part holds every leading singular vector (an exactly structured
-    ``K``), a column of the iteration vanishes, and it starts again from
-    those of ``(K - sigma)^{H m}``, the dominant subspace in exact arithmetic.
-    ``K`` is unit-scaled by a power of two so that no power can overflow.
+    iteration at rank ``n - m`` (Golub and Van Loan, section 7.3) from the
+    leading singular vectors of ``(K - sigma)^{H m}``, whose range is that
+    subspace in exact arithmetic, until the basis stops moving, or None when
+    it still moves after ``_POWERS_MAX`` steps.  The nilpotent part of a
+    Jordan cluster can swing the basis about for the first few steps, so no
+    step short of that settling ends it.  ``K`` is unit-scaled by a power of
+    two so that no power can overflow.
     """
     n = k.shape[0]
     if m == n:
@@ -249,16 +250,13 @@ def _cluster_basis(k: np.ndarray, sigma: complex, m: int) -> np.ndarray | None:
         shift = shift + 1j * np.ldexp(np.imag(sigma), -exponent)
     step = (unit - shift * np.eye(n)).conj().T
     settled = 4 * n * np.finfo(float).eps
-    for start in (step, np.linalg.matrix_power(step, m)):
-        left = np.linalg.svd(start)[0][:, :n - m]
-        for _ in range(_POWERS_MAX):
-            new, r = np.linalg.qr(step @ left)
-            if np.abs(np.diagonal(r)).min() <= settled:
-                break  # a column vanished: the start misses part of the dominant subspace
-            moved = np.abs(new - left @ (left.conj().T @ new)).max()
-            left = new
-            if moved <= settled:
-                return np.linalg.svd(left)[0][:, n - m:]
+    left = np.linalg.svd(np.linalg.matrix_power(step, m))[0][:, :n - m]
+    for _ in range(_POWERS_MAX):
+        new = np.linalg.qr(step @ left)[0]
+        moved = np.abs(new - left @ (left.conj().T @ new)).max()
+        left = new
+        if moved <= settled:
+            return np.linalg.svd(left)[0][:, n - m:]
     return None
 
 

@@ -414,9 +414,19 @@ class TestSimulateCommand:
         # Euclidean, so sampled in closed form: the free drift 1e307 per step
         # leaves the floating-point range at step 18, the step where repeated
         # addition of that drift overflows too.  No floating-point warning.
+        self.refuse_free_drift(tmp_path, capsys, {})
+
+    def test_overflowing_free_drift_refused_by_name_under_minkowski(self, tmp_path, capsys):
+        # The same drift along the time-like axis, sampled as a mode at zero:
+        # the orbit's reach (4e8) times the drift would overflow at once, so
+        # the drift is stored free of it and overflows at step 18 too.
+        self.refuse_free_drift(tmp_path, capsys, {"metric": "minkowski"})
+
+    def refuse_free_drift(self, tmp_path, capsys, metric):
         out = tmp_path / "drift.csv"
         config = write_config(tmp_path, {
             "n": 3,
+            **metric,
             "field": [0.0, 0.0, 1.0],
             "initial": {"x": [0.0, 0.0, 0.0], "p": [1.0, 0.0, 1e300]},
             "integration": {"dt": 1e7, "steps": 40, "method": "exact"},

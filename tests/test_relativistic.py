@@ -85,26 +85,28 @@ def test_pure_electric_field_has_no_cyclotron_block(hyperbolic_motion):
     assert report["num_blocks"] == 0
 
 
-def crossed_fields(tmp_path, e, b):
-    """Section 22's config: E along x1, B along x3, E < B, from 0 on the mass shell.
+def crossed_fields(tmp_path, e, b, steps=7000):
+    """Section 22's config: E along x1, B along x3, from 0 on the mass shell.
 
-    Returns the config's path and the proper-time frequency
-    ``|q| sqrt(B^2 - E^2) / mc``; the run covers 7 of its periods in 7000 steps.
+    Returns the config's path and the proper-time rate
+    ``|q| sqrt(|B^2 - E^2|) / mc``: the frequency of the turn for E < B, the
+    growth rate for E > B.  The run takes ``steps`` steps of 2 pi / 1000 over
+    it: 7000 cover 7 periods of the turn.
     """
     field = np.zeros((4, 4))
     field[0, 1], field[0, 3] = b, e
     field -= field.T
     momentum = np.array([0.3, -0.2, 0.1]) * M * C
-    frequency = abs(Q) * np.sqrt(b * b - e * e) / (M * C)
+    rate = abs(Q) * np.sqrt(abs(b * b - e * e)) / (M * C)
     config = tmp_path / "crossed.json"
     config.write_text(json.dumps({
         "n": 4, "metric": "minkowski", "field": field.tolist(),
         "particle": {"m": M, "q": Q, "c": C},
         "initial": {"x": [0.0] * 4,
                     "p": [*momentum, -np.sqrt((M * C) ** 2 + momentum @ momentum)]},
-        "integration": {"dt": 2.0 * np.pi / (1000.0 * frequency), "steps": 7000,
+        "integration": {"dt": 2.0 * np.pi / (1000.0 * rate), "steps": steps,
                         "method": "exact"}}))
-    return config, frequency
+    return config, rate
 
 
 CROSSED = pytest.mark.parametrize("e, b", [(0.6, 1.0), (0.3, 0.7)])
@@ -135,3 +137,48 @@ def test_crossed_fields_list_one_cyclotron_frequency(tmp_path, capsys, e, b):
     assert main(["spectrum", "--config", str(config)]) == 0
     assert json.loads(capsys.readouterr().out)["frequencies"] == pytest.approx([frequency],
                                                                                 rel=1e-12)
+
+
+RUNAWAY = pytest.mark.parametrize("e, b", [(1.0, 0.5), (0.7, 0.3)])
+
+
+@RUNAWAY
+def test_crossed_fields_with_e_above_b_run_away(tmp_path, e, b):
+    # Section 22, E > B: in the frame that moves at c B / E along E x B the
+    # field is electric alone, of strength sqrt(E^2 - B^2), and the motion is
+    # hyperbolic at kappa = |q| sqrt(E^2 - B^2) / mc per proper time tau, the
+    # CSV's t.  Here K = (q/mc) H g^-1 has K^3 = kappa^2 K, so
+    # exp(tau K) = I + sinh(kappa tau) K / kappa + (cosh(kappa tau) - 1) K^2 / kappa^2,
+    # and |p| grows like exp(kappa tau) at late times: over the last 100
+    # steps of 1200 (kappa tau = 7.5) the terms in exp(-kappa tau) and 1 move
+    # its rate by 2e-4 of kappa.  A much longer run exceeds simulate's energy
+    # tolerance, 1e-8 of the first energy, since the energy rounds like |p|^2.
+    config, kappa = crossed_fields(tmp_path, e, b, steps=1200)
+    data = json.loads(config.read_text())
+    out = tmp_path / "crossed.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    tau, x, p, energy = rows[:, 0], rows[:, 1:5], rows[:, 5:9], rows[:, 13]
+    ginv = np.diag([1.0, 1.0, 1.0, -1.0])
+    k = Q / (M * C) * np.array(data["field"]) @ ginv
+    p0 = np.array(data["initial"]["p"])
+    angle = kappa * tau[:, None, None]
+    turn = (np.sinh(angle) / kappa * k + (np.cosh(angle) - 1.0) / kappa**2 * (k @ k)) @ p0
+    swept = ((np.cosh(angle) - 1.0) / kappa**2 * k
+             + (np.sinh(angle) - angle) / kappa**3 * (k @ k)) @ p0
+    assert np.abs(p - (p0 + turn)).max() <= 1e-13 * np.abs(p).max()
+    assert np.abs(x - (tau[:, None] * p0 + swept) @ ginv / M).max() <= 1e-13 * np.abs(x).max()
+    size = np.linalg.norm(p, axis=1)
+    growth = np.log(size[-1] / size[-101]) / (tau[-1] - tau[-101])
+    assert growth == pytest.approx(kappa, rel=1e-3)
+    mass_shell = np.abs(energy + M * C**2 / 2.0).max()
+    assert mass_shell <= 1e-13 * np.square(p).sum(axis=1).max() / (2.0 * M)
+
+
+@RUNAWAY
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: spectrum lists the identity-frame "
+                                       "strength |q| sqrt(B^2 + E^2) / mc where no turn exists")
+def test_crossed_fields_with_e_above_b_list_no_frequency(tmp_path, capsys, e, b):
+    config, _ = crossed_fields(tmp_path, e, b)
+    assert main(["spectrum", "--config", str(config)]) == 0
+    assert json.loads(capsys.readouterr().out)["frequencies"] == []
