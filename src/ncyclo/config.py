@@ -9,8 +9,10 @@ A section number or a vector entry that is NaN or infinite is refused by its
 key path (``initial.x: entry 1``); a matrix entry is refused, by its row and
 column, by the tensor built from it.
 Parsing keeps the parsed JSON values as given, so a parsed configuration
-serializes back to the exact document it came from; the heavyweight objects
-(tensors, constants, initial state) are materialized on demand.
+serializes back to the exact document it came from.  The tensors, the
+constants and the initial state are built once, while parsing, by the
+accessors that check them (``_validate``); each accessor then returns the
+object it kept.
 """
 
 from __future__ import annotations

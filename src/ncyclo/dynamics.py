@@ -35,7 +35,6 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import modes
 from .canonical import CanonicalForm
 from .tensors import FieldTensor, MetricTensor, PhysicalConstants, _frozen
 
@@ -222,6 +221,8 @@ def evolve_exact_trajectory(state: ParticleState, k: np.ndarray, metric: MetricT
     (:func:`ncyclo.modes.orbit`).
     Returns ``steps + 1`` samples, the input first.
     """
+    from . import modes  # here alone: no other command compiles it
+
     if not np.isfinite(dt):
         raise ValueError("dt must be finite")
     if steps < 1:
@@ -299,7 +300,9 @@ def _apply(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 def dual_momentum_value(state: ParticleState | Trajectory, field: FieldTensor,
                         constants: PhysicalConstants) -> np.ndarray:
     """Conserved dual momentum ``p - (q/c) H x``: one vector, or one row per sample."""
-    return state.momentum - constants.coupling * _apply(field.matrix, state.position)
+    value = _apply(field.matrix, state.position)
+    value *= constants.coupling  # in place: the one array allocated is the result
+    return np.subtract(state.momentum, value, out=value)
 
 
 def to_canonical(form: CanonicalForm, state: ParticleState | Trajectory, field: FieldTensor,
@@ -379,17 +382,21 @@ def trajectory_table(trajectory: Trajectory, field: FieldTensor, metric: MetricT
     CSV column and step, so every table returned is finite.  The last result
     is kept and shared, keyed on its immutable arguments, so a check and a
     writer of one run build one table; the mapping and its arrays are read-only.
+    ``E_total`` is built before ``pT``: the ``g^-1 p`` rows it sums over are
+    freed before ``pT``'s rows are made, so the table's peak is its new columns
+    and one column's finiteness mask, not an extra orbit-sized array.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        energy = _frozen(kinetic_energy(trajectory, metric, constants))
         table = {
             "t": trajectory.time,
             "x": trajectory.position,
             "p": trajectory.momentum,
             "pT": _frozen(dual_momentum_value(trajectory, field, constants)),
-            "E_total": _frozen(kinetic_energy(trajectory, metric, constants)),
+            "E_total": energy,
         }
-    finite = np.column_stack([np.isfinite(column) for column in table.values()])
-    if not finite.all():
+    if not all(np.isfinite(column).all() for column in table.values()):
+        finite = np.column_stack([np.isfinite(column) for column in table.values()])
         step, column = np.argwhere(~finite)[0]
         raise ValueError(f"the trajectory column {_column_labels(table)[column]} leaves the "
                          f"floating-point range at step {step} (t = {trajectory.time[step]:.12g})")

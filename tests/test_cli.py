@@ -1302,6 +1302,38 @@ def test_no_command_loads_scipy(tmp_path):
     assert (tmp_path / "minkowski.csv").stat().st_size > 0
 
 
+MODES_PROBE = """
+import json, sys
+from ncyclo.cli import main
+loaded = []
+for args in json.loads(sys.argv[1]):
+    assert main(args) == 0, args
+    loaded.append("ncyclo.modes" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_only_the_exact_flow_loads_modes(tmp_path):
+    # ncyclo.modes is imported where the exact flow runs, as the writers
+    # import digits: a fresh interpreter that runs decompose, spectrum,
+    # verify and an RK4 simulate on uniform3d never compiles it, and the
+    # exact simulate run after them does.
+    import subprocess
+    import sys
+    uniform = next(path for path in SAMPLE_CONFIGS if path.stem == "uniform3d")
+    data = json.loads(uniform.read_text())
+    data["integration"]["method"] = "rk4"
+    rk4 = write_config(tmp_path, data)
+    calls = [["decompose", "--config", str(uniform)], ["spectrum", "--config", str(uniform)],
+             ["verify", "--config", str(uniform)],
+             ["simulate", "--config", rk4, "--out", str(tmp_path / "rk4.csv")],
+             ["simulate", "--config", str(uniform), "--out", str(tmp_path / "exact.csv")]]
+    proc = subprocess.run([sys.executable, "-c", MODES_PROBE, json.dumps(calls)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False] * 4 + [True]
+
+
 class TestEntryPoint:
     def test_console_script_runs(self, tmp_path):
         import subprocess

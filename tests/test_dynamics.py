@@ -399,6 +399,26 @@ def test_writer_peak_memory_is_below_the_orbit(write, monkeypatch):
     assert peak <= 1.5 * size
 
 
+def test_table_peak_memory_is_its_new_columns():
+    # The table adds pT and E_total to the orbit's own columns and holds
+    # nothing else of the orbit's size: each column is allocated once, and
+    # its finiteness is checked a column at a time.
+    metric = MetricTensor.euclidean(4)
+    h = FieldTensor([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.5, 0.0],
+                     [0.0, -0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    state = ParticleState([0.1, 0.2, 0.3, 0.4], [1.0, 0.0, 0.0, 0.5])
+    trajectory = evolve_exact_trajectory(state, dynamics_matrix(h, metric, UNIT), metric,
+                                         UNIT, 0.0123, 10_000)
+    trajectory_table(trajectory[:3], h, metric, UNIT)
+    tracemalloc.start()
+    try:
+        table = trajectory_table(trajectory, h, metric, UNIT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (table["pT"].nbytes + table["E_total"].nbytes)
+
+
 def stagewise_rk4(state, k, metric, constants, dt, steps):
     """Final ``(x, p)`` of classic RK4 on ``p' = K p``, ``x' = g^{-1} p / m``, stage by stage."""
     ginv_over_m = metric.inverse / constants.mass
