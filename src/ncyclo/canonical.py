@@ -21,13 +21,12 @@ downstream works the frame out again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensors import (
     FieldTensor,
     MetricTensor,
+    _ReadOnly,
     _as_square_matrix,
     _frozen,
     _unit_scaled,
@@ -47,8 +46,7 @@ __all__ = [
 ZERO_STRENGTH_RTOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class CanonicalForm:
+class CanonicalForm(_ReadOnly):
     """Basis and block data of one decomposed field tensor.
 
     ``basis`` holds the new basis vectors as columns, expressed in the original
@@ -59,24 +57,19 @@ class CanonicalForm:
     ``B.T @ G @ B = I``; the identity when omitted.
     """
 
-    basis: np.ndarray
-    strengths: np.ndarray
-    frame: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        b = _as_square_matrix(self.basis, "basis")
-        s = np.array(self.strengths, dtype=float).reshape(-1)
+    def __init__(self, basis: np.ndarray, strengths: np.ndarray,
+                 frame: np.ndarray | None = None) -> None:
+        b = _as_square_matrix(basis, "basis")
+        s = np.array(strengths, dtype=float).reshape(-1)
         if 2 * s.size > b.shape[0]:
             raise ValueError(f"{s.size} blocks cannot fit in {b.shape[0]} dimensions")
         if s.size and (not np.all(s > 0) or np.any(np.diff(s) > 0)):
             raise ValueError("strengths must be positive and sorted in descending order")
-        g = np.eye(b.shape[0]) if self.frame is None else _as_square_matrix(self.frame, "frame")
+        g = np.eye(b.shape[0]) if frame is None else _as_square_matrix(frame, "frame")
         if g.shape != b.shape:
             raise ValueError(f"frame is {g.shape[0]}x{g.shape[0]} but the basis is "
                              f"{b.shape[0]}x{b.shape[0]}")
-        object.__setattr__(self, "basis", _frozen(b))
-        object.__setattr__(self, "strengths", _frozen(s))
-        object.__setattr__(self, "frame", _frozen(g))
+        self._set(basis=_frozen(b), strengths=_frozen(s), frame=_frozen(g))
 
     @property
     def n(self) -> int:

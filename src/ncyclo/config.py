@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +29,7 @@ from .tensors import (
     GaugeMatrix,
     MetricTensor,
     PhysicalConstants,
+    _ReadOnly,
     field_from_3d_vector,
     field_from_gauge,
     gauge_antisymmetric,
@@ -130,24 +130,26 @@ SECTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_ReadOnly):
     """Validated run description holding the parsed (serializable) values.
 
-    The fields are the top-level keys of the JSON document.
+    The fields, ``KEYS``, are the top-level keys of the JSON document; two
+    configurations are equal when their fields are.
     """
 
-    n: int
-    metric: object = "euclidean"
-    gauge: object = None
-    field: object = None
-    particle: object = None
-    initial: object = None
-    integration: object = None
+    KEYS = ("n", "metric", "gauge", "field", "particle", "initial", "integration")
 
-    def __post_init__(self) -> None:
-        # Materialized objects; not a field, so not a key, compared or shown.
-        object.__setattr__(self, "_resolved", {})
+    def __init__(self, n: int, metric: object = "euclidean", gauge: object = None,
+                 field: object = None, particle: object = None, initial: object = None,
+                 integration: object = None) -> None:
+        # _resolved keeps the materialized objects: not a field, so not compared or serialized.
+        self._set(n=n, metric=metric, gauge=gauge, field=field, particle=particle,
+                  initial=initial, integration=integration, _resolved={})
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
 
     # ---------------------------------------------------------- construction
 
@@ -155,9 +157,8 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ConfigError("configuration must be a JSON object")
-        known = {f.name for f in fields(cls)}
         for key in data:
-            if key not in known:
+            if key not in cls.KEYS:
                 raise ConfigError(f"unknown configuration key '{key}'")
         if "n" not in data:
             raise ConfigError("missing required key 'n'")
@@ -295,8 +296,7 @@ class RunConfig:
     # -------------------------------------------------------- serialization
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if getattr(self, f.name) is not None}
+        return {key: getattr(self, key) for key in self.KEYS if getattr(self, key) is not None}
 
     def dumps(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"

@@ -29,14 +29,13 @@ block basis it locates the centers of the cyclotron orbits.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
 
 from .canonical import CanonicalForm
-from .tensors import FieldTensor, MetricTensor, PhysicalConstants, _frozen
+from .tensors import FieldTensor, MetricTensor, PhysicalConstants, _ReadOnly, _frozen
 
 __all__ = [
     "ParticleState",
@@ -56,32 +55,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class ParticleState:
+class ParticleState(_ReadOnly):
     """Position, covariant kinetic momentum, and time of one classical particle."""
 
-    position: np.ndarray
-    momentum: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self) -> None:
-        x = np.array(self.position, dtype=float).reshape(-1)
-        p = np.array(self.momentum, dtype=float).reshape(-1)
+    def __init__(self, position: np.ndarray, momentum: np.ndarray, time: float = 0.0) -> None:
+        x = np.array(position, dtype=float).reshape(-1)
+        p = np.array(momentum, dtype=float).reshape(-1)
         if x.size != p.size:
             raise ValueError("position and momentum must have the same dimension")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p)) and np.isfinite(self.time)):
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p)) and np.isfinite(time)):
             raise ValueError("particle state entries must be finite")
-        object.__setattr__(self, "position", _frozen(x))
-        object.__setattr__(self, "momentum", _frozen(p))
-        object.__setattr__(self, "time", float(self.time))
+        self._set(position=_frozen(x), momentum=_frozen(p), time=float(time))
 
     @property
     def n(self) -> int:
         return self.position.size
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
+class Trajectory(_ReadOnly):
     """Samples of one orbit: ``time`` (N,), ``position`` and ``momentum`` (N, n).
 
     Reads as a sequence of :class:`ParticleState`: ``len`` and iteration work,
@@ -92,14 +83,10 @@ class Trajectory:
     columns by :func:`trajectory_table`.
     """
 
-    time: np.ndarray
-    position: np.ndarray
-    momentum: np.ndarray
-
-    def __post_init__(self) -> None:
-        t = np.asarray(self.time, dtype=float)
-        x = np.asarray(self.position, dtype=float)
-        p = np.asarray(self.momentum, dtype=float)
+    def __init__(self, time: np.ndarray, position: np.ndarray, momentum: np.ndarray) -> None:
+        t = np.asarray(time, dtype=float)
+        x = np.asarray(position, dtype=float)
+        p = np.asarray(momentum, dtype=float)
         if t.ndim != 1 or x.ndim != 2 or x.shape != p.shape or x.shape[0] != t.size:
             raise ValueError(f"a trajectory needs N times and (N, n) positions and momenta, "
                              f"got shapes {t.shape}, {x.shape} and {p.shape}")
@@ -109,9 +96,8 @@ class Trajectory:
             raise ValueError(f"the orbit leaves the floating-point range at step {i} "
                              f"(t = {t[i]:.12g})")
         # Frozen views, so arrays passed in keep their own write flag.
-        object.__setattr__(self, "time", _frozen(t.view()))
-        object.__setattr__(self, "position", _frozen(x.view()))
-        object.__setattr__(self, "momentum", _frozen(p.view()))
+        self._set(time=_frozen(t.view()), position=_frozen(x.view()),
+                  momentum=_frozen(p.view()))
 
     def __len__(self) -> int:
         return self.time.size
@@ -125,8 +111,7 @@ class Trajectory:
         return (self[i] for i in range(len(self)))
 
 
-@dataclass(frozen=True, eq=False)
-class CanonicalCoords:
+class CanonicalCoords(_ReadOnly):
     """Position and momenta in a decomposition basis, of one state or of each sample.
 
     Each field is one ``(n,)`` vector, or ``(N, n)`` with one row per sample.
@@ -134,19 +119,16 @@ class CanonicalCoords:
     block equations read ``Theta @ position = momentum - dual_momentum``.
     """
 
-    position: np.ndarray
-    momentum: np.ndarray
-    dual_momentum: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("position", "momentum", "dual_momentum"):
-            object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype=float)))
-        if not (self.position.shape == self.momentum.shape == self.dual_momentum.shape):
+    def __init__(self, position: np.ndarray, momentum: np.ndarray,
+                 dual_momentum: np.ndarray) -> None:
+        x, p, dual = (_frozen(np.array(value, dtype=float))
+                      for value in (position, momentum, dual_momentum))
+        if not (x.shape == p.shape == dual.shape):
             raise ValueError("canonical coordinate arrays must share one shape")
+        self._set(position=x, momentum=p, dual_momentum=dual)
 
 
-@dataclass(frozen=True, eq=False)
-class OrbitDecomposition:
+class OrbitDecomposition(_ReadOnly):
     """Split of a state, or of each sample, into orbit centers, relatives and free motion.
 
     ``centers`` and ``relatives`` hold one coordinate pair per block, expressed
@@ -157,17 +139,12 @@ class OrbitDecomposition:
     trajectory's split has one leading row per sample, so ``free_energy`` is an array.
     """
 
-    centers: np.ndarray
-    relatives: np.ndarray
-    free_velocity: np.ndarray
-    block_energies: np.ndarray
-    free_energy: float | np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("centers", "relatives", "free_velocity", "block_energies"):
-            object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype=float)))
-        energy = _frozen(np.array(self.free_energy, dtype=float))
-        object.__setattr__(self, "free_energy", float(energy) if energy.ndim == 0 else energy)
+    def __init__(self, centers: np.ndarray, relatives: np.ndarray, free_velocity: np.ndarray,
+                 block_energies: np.ndarray, free_energy: float | np.ndarray) -> None:
+        c, r, v, e, f = (_frozen(np.array(value, dtype=float)) for value in
+                         (centers, relatives, free_velocity, block_energies, free_energy))
+        self._set(centers=c, relatives=r, free_velocity=v, block_energies=e,
+                  free_energy=float(f) if f.ndim == 0 else f)
 
 
 def dynamics_matrix(field: FieldTensor, metric: MetricTensor,

@@ -8,11 +8,9 @@ table of all pairs); no grid, truncation, or operator application is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .tensors import FieldTensor, GaugeMatrix, PhysicalConstants, _frozen
+from .tensors import FieldTensor, GaugeMatrix, PhysicalConstants, _ReadOnly, _frozen
 
 __all__ = [
     "AffineOperator",
@@ -23,30 +21,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class AffineOperator:
+class AffineOperator(_ReadOnly):
     """First-order operator ``scalar + position . x + momentum . (-i hbar grad)``.
 
     ``(n,)`` coefficients make one operator, ``(k, n)`` rows a stack of ``k``.
     """
 
-    scalar: complex
-    position: np.ndarray
-    momentum: np.ndarray
-    hbar: float = 1.0
-
-    def __post_init__(self) -> None:
-        pos = np.array(self.position, dtype=complex)
-        mom = np.array(self.momentum, dtype=complex)
+    def __init__(self, scalar: complex, position: np.ndarray, momentum: np.ndarray,
+                 hbar: float = 1.0) -> None:
+        pos = np.array(position, dtype=complex)
+        mom = np.array(momentum, dtype=complex)
         if pos.shape != mom.shape or pos.ndim not in (1, 2):
             raise ValueError(f"coefficient shapes {pos.shape} and {mom.shape} differ or are "
                              f"not (n,) or (k, n)")
-        if not (np.isfinite(self.hbar) and self.hbar > 0):
+        if not (np.isfinite(hbar) and hbar > 0):
             raise ValueError("hbar must be positive and finite")
-        scalar = np.full(pos.shape[:-1], self.scalar, dtype=complex)
-        object.__setattr__(self, "scalar", _frozen(scalar)[()])
-        object.__setattr__(self, "position", _frozen(pos))
-        object.__setattr__(self, "momentum", _frozen(mom))
+        scalar = np.full(pos.shape[:-1], scalar, dtype=complex)
+        self._set(scalar=_frozen(scalar)[()], position=_frozen(pos), momentum=_frozen(mom),
+                  hbar=hbar)
 
     @property
     def n(self) -> int:

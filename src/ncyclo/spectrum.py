@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .canonical import CanonicalForm
-from .tensors import MetricTensor, PhysicalConstants, _frozen
+from .tensors import MetricTensor, PhysicalConstants, _ReadOnly, _frozen
 
 __all__ = [
     "SpectrumReport",
@@ -31,8 +29,7 @@ __all__ = [
 LADDER_BITS = 43
 
 
-@dataclass(frozen=True, eq=False)
-class SpectrumReport:
+class SpectrumReport(_ReadOnly):
     """Frequencies and discreteness classification of one field configuration.
 
     ``fully_discrete`` is ``None`` when the dynamical metric has mixed
@@ -40,15 +37,11 @@ class SpectrumReport:
     form, so the discrete/continuous label is not applicable there.
     """
 
-    frequencies: np.ndarray
-    free_count: int
-    fully_discrete: bool | None
-    ground_energy: float
-    metric_definite: bool = True
-
-    def __post_init__(self) -> None:
-        freqs = np.array(self.frequencies, dtype=float).reshape(-1)
-        object.__setattr__(self, "frequencies", _frozen(freqs))
+    def __init__(self, frequencies: np.ndarray, free_count: int, fully_discrete: bool | None,
+                 ground_energy: float, metric_definite: bool = True) -> None:
+        self._set(frequencies=_frozen(np.array(frequencies, dtype=float).reshape(-1)),
+                  free_count=free_count, fully_discrete=fully_discrete,
+                  ground_energy=ground_energy, metric_definite=metric_definite)
 
     @property
     def num_blocks(self) -> int:

@@ -316,8 +316,9 @@ class TestClosedForm:
             np.testing.assert_allclose(trajectory.momentum[i], one.momentum, rtol=0, atol=1e-14)
 
     def test_one_hermitian_eigensolve(self, rng, monkeypatch):
-        # The frame's own eigh, then one of the whitened generator: no
-        # decomposition, so no strength cut and no remainder to split again.
+        # The metric's own eigh, made when it is built, gives the frame; the
+        # orbit adds one of the whitened generator: no decomposition, so no
+        # strength cut and no remainder to split again.
         calls = []
         eigh = np.linalg.eigh
 
@@ -325,9 +326,9 @@ class TestClosedForm:
             calls.append(np.iscomplexobj(matrix))
             return eigh(matrix)
 
+        monkeypatch.setattr(np.linalg, "eigh", counted)
         h, metric, constants, state = definite_case(rng, 1.0)
         k = dynamics_matrix(h, metric, constants)
-        monkeypatch.setattr(np.linalg, "eigh", counted)
         evolve_exact_trajectory(state, k, metric, constants, 0.1, 50)
         assert calls == [False, True]
         # The metric keeps its frame, so a second orbit solves the generator only.

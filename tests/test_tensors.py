@@ -2,10 +2,17 @@ import numpy as np
 import pytest
 
 from ncyclo import (
+    AffineOperator,
+    CanonicalCoords,
+    CanonicalForm,
     FieldTensor,
     GaugeMatrix,
     MetricTensor,
+    OrbitDecomposition,
+    ParticleState,
     PhysicalConstants,
+    SpectrumReport,
+    Trajectory,
     check_radiation_gauge,
     field_from_3d_vector,
     field_from_gauge,
@@ -13,6 +20,7 @@ from ncyclo import (
     gauge_antisymmetric,
     gauge_triangular,
 )
+from ncyclo.config import RunConfig
 from conftest import random_antisymmetric, random_gauge, random_orthogonal
 
 
@@ -183,6 +191,33 @@ class TestDomainTypes:
         assert MetricTensor.euclidean(3).signature == (3, 0)
         assert MetricTensor.euclidean(3).is_definite
 
+    @pytest.mark.parametrize("make, diagonal", [
+        (lambda: MetricTensor.euclidean(3), [1.0, 1.0, 1.0]),
+        (lambda: MetricTensor.minkowski(4), [1.0, 1.0, 1.0, -1.0]),
+        (lambda: MetricTensor([[4.0, 0.0], [0.0, 1.0]]), [4.0, 1.0]),
+    ], ids=["euclidean", "minkowski", "anisotropic2d"])
+    def test_diagonal_metric_factored_once_exactly(self, monkeypatch, make, diagonal):
+        # One eigh of the metric gives the signature, the cut and the frame;
+        # on a diagonal metric the inverse and both roots are exact, bit for
+        # bit, signed zeros included.
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        d = np.array(diagonal)
+        metric = make()
+        assert metric.inverse.tobytes() == np.diag(1.0 / d).tobytes()
+        assert metric.signature == (int((d > 0).sum()), int((d < 0).sum()))
+        if metric.is_definite:
+            sign, root, inverse_root = metric.frame
+            assert sign == 1.0 and metric.frame is metric.frame
+            assert root.tobytes() == np.diag(np.sqrt(d)).tobytes()
+            assert inverse_root.tobytes() == np.diag(1.0 / np.sqrt(d)).tobytes()
+        else:
+            with pytest.raises(ValueError, match="indefinite"):
+                metric.frame
+        assert len(calls) == 1
+
     def test_metric_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="not symmetric"):
             MetricTensor([[1.0, 0.5], [0.0, 1.0]])
@@ -255,3 +290,56 @@ class TestDomainTypes:
         h = FieldTensor([[0.0, 1.0], [-1.0, 0.0]])
         with pytest.raises(ValueError):
             h.matrix[0, 1] = 2.0
+
+
+    def test_constants_compare_and_hash_by_value(self):
+        # trajectory_table's cache hashes its arguments: equal constants share it.
+        a, b = PhysicalConstants(mass=2.0, hbar=0.5), PhysicalConstants(mass=2.0, hbar=0.5)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        for other in (PhysicalConstants(mass=2.0), PhysicalConstants(mass=2.0, hbar=0.25)):
+            assert a != other
+        assert PhysicalConstants() == PhysicalConstants(1, 1, 1, 1)
+        assert PhysicalConstants() != (1.0, 1.0, 1.0, 1.0)
+
+
+VALUE_OBJECTS = {
+    "MetricTensor": (lambda: MetricTensor([[4.0, 0.0], [0.0, 1.0]]),
+                     ("matrix", "inverse", "signature", "frame")),
+    "GaugeMatrix": (lambda: GaugeMatrix([[0.0, 1.0], [0.0, 0.0]]), ("matrix",)),
+    "FieldTensor": (lambda: FieldTensor([[0.0, 1.0], [-1.0, 0.0]]), ("matrix",)),
+    "PhysicalConstants": (PhysicalConstants, ("mass", "charge", "light_speed", "hbar")),
+    "CanonicalForm": (lambda: CanonicalForm(np.eye(2), [1.0]), ("basis", "strengths", "frame")),
+    "ParticleState": (lambda: ParticleState([0.0, 1.0], [1.0, 0.0]),
+                      ("position", "momentum", "time")),
+    "Trajectory": (lambda: Trajectory([0.0], [[0.0, 1.0]], [[1.0, 0.0]]),
+                   ("time", "position", "momentum")),
+    "CanonicalCoords": (lambda: CanonicalCoords([0.0, 1.0], [1.0, 0.0], [0.0, 0.0]),
+                        ("position", "momentum", "dual_momentum")),
+    "OrbitDecomposition": (lambda: OrbitDecomposition([[0.0, 1.0]], [[1.0, 0.0]], [], [0.5], 0.0),
+                           ("centers", "relatives", "free_velocity", "block_energies",
+                            "free_energy")),
+    "AffineOperator": (lambda: AffineOperator(0.0, [1.0, 0.0], [0.0, 1.0]),
+                       ("scalar", "position", "momentum", "hbar")),
+    "SpectrumReport": (lambda: SpectrumReport([1.0], 0, True, 0.5),
+                       ("frequencies", "free_count", "fully_discrete", "ground_energy",
+                        "metric_definite")),
+    "RunConfig": (lambda: RunConfig.from_dict({"n": 2, "field": [[0.0, 1.0], [-1.0, 0.0]]}),
+                  ("n", "metric", "gauge", "field", "particle", "initial", "integration")),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_OBJECTS)
+def test_value_objects_are_read_only(name):
+    # Assigning or deleting a field, or adding an attribute, raises
+    # AttributeError and leaves the object as it was.
+    make, names = VALUE_OBJECTS[name]
+    value = make()
+    for field in names:
+        before = getattr(value, field)
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(value, field)
+        assert getattr(value, field) is before
+    with pytest.raises(AttributeError):
+        value.extra = 1
