@@ -2,18 +2,9 @@
 
 The momentum obeys a linear equation ``p' = K p`` with a constant matrix, so
 the flow has a closed form, and every exact sample is evaluated directly from
-its time as a sum of modes.  For a definite metric the modes come from one
-Hermitian eigensolve: whitened by the metric's own frame the generator is
-real antisymmetric, with ``+-lambda`` pairs for the cyclotron motions and
-zeros for the free drift, and no strength cut.  An indefinite metric has no
-such frame, and ``K`` can be defective: a null field (``E`` perpendicular to
-``B``, ``|E| = |B|``) has ``K^3 = 0``.  There one eigensolve gives the modes
-(the eigenvector method of Moler and Van Loan), and each near-defective
-cluster of eigenvalues, which no eigenbasis spans, takes its own invariant
-subspace, where ``exp(tN)`` is ``e^{sigma t}`` times a short power series
-about the cluster's center ``sigma`` (:mod:`ncyclo.modes`).  Both paths use
-numpy alone.  Classic fourth-order Runge-Kutta propagates in blocks of about
-``sqrt(N)`` samples with the degree-4 Taylor polynomial of the step's
+its time as a sum of modes and cluster series (:func:`ncyclo.modes.orbit`,
+with numpy alone).  Classic fourth-order Runge-Kutta propagates in blocks of
+about ``sqrt(N)`` samples with the degree-4 Taylor polynomial of the step's
 exponential: on a linear flow that polynomial is exactly one RK4 step.  Every
 method samples the orbit into one :class:`Trajectory` of time, position and
 momentum arrays.  :func:`write_trajectory_csv` and
@@ -61,8 +52,9 @@ class ParticleState(_ReadOnly):
     def __init__(self, position: np.ndarray, momentum: np.ndarray, time: float = 0.0) -> None:
         x = np.array(position, dtype=float).reshape(-1)
         p = np.array(momentum, dtype=float).reshape(-1)
-        if x.size != p.size:
-            raise ValueError("position and momentum must have the same dimension")
+        if x.size != p.size or not x.size:
+            raise ValueError(f"position and momentum must have one nonempty dimension, "
+                             f"got {x.size} and {p.size}")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p)) and np.isfinite(time)):
             raise ValueError("particle state entries must be finite")
         self._set(position=_frozen(x), momentum=_frozen(p), time=float(time))
@@ -179,24 +171,9 @@ def evolve_exact_trajectory(state: ParticleState, k: np.ndarray, metric: MetricT
     """Sample the closed-form flow at ``steps`` uniform increments of ``dt``.
 
     Every sample is evaluated directly from its time, a batch of rows at a
-    time, as a sum of modes (:func:`ncyclo.modes.sample`).
-
-    For a definite metric ``g`` of sign ``s``, with the frame ``G = s g`` and
-    ``y = G^{-1/2} p``, the generator ``A = G^{-1/2} K G^{1/2}`` of ``y`` is
-    real antisymmetric.  One Hermitian eigensolve ``i A = U diag(lam) U^H``
-    gives ``exp(tA) = U exp(-i lam t) U^H``, so with ``c = U^H y0``
-    ``p(t) = p0 + G^{1/2} Re U [(exp(-i lam t) - 1) c]`` and
-    ``x(t) = x0 + (s/m) G^{-1/2} Re U [phi c]``, with ``phi`` the integral
-    of ``exp(-i lam t)`` over ``[0, t]``, exactly ``t`` at ``lam = 0``.
-    ``s`` and both roots of ``G`` are the metric's :attr:`~MetricTensor.frame`,
-    worked out once per metric.  No strength is cut to zero, so a weak block
-    turns however long the orbit.
-
-    An indefinite metric has no such frame, and ``K`` can be defective, so
-    its orbit is the same kind of sum over the modes of one eigensolve and
-    the series of each near-defective cluster of eigenvalues
-    (:func:`ncyclo.modes.orbit`).
-    Returns ``steps + 1`` samples, the input first.
+    time, as a sum of modes and cluster series (:func:`ncyclo.modes.orbit`,
+    which gives both closed forms).  Returns ``steps + 1`` samples, the input
+    first.
     """
     from . import modes  # here alone: no other command compiles it
 
@@ -205,18 +182,8 @@ def evolve_exact_trajectory(state: ParticleState, k: np.ndarray, metric: MetricT
     if steps < 1:
         raise ValueError("steps must be at least 1")
     t = np.arange(steps + 1) * dt
-    with np.errstate(over="ignore", invalid="ignore"):
-        if metric.is_definite:
-            sign, root, inverse_root = metric.frame
-            a = inverse_root @ k @ root
-            lam, u = np.linalg.eigh(1j * (a / 2.0 - a.T / 2.0))  # exp(tA) = U e^{-i lam t} U^H
-            c = u.conj().T @ (inverse_root @ state.momentum)
-            to_momentum, to_position = root @ u, (sign / constants.mass) * (inverse_root @ u)
-            return Trajectory(state.time + t, *modes.sample(
-                state, t, lam, c, to_momentum, to_position, np.full(lam.size, -1),
-                np.zeros((0, 2, state.n)), 1.0))
-        return Trajectory(state.time + t, *modes.orbit(
-            state, k, metric.inverse / constants.mass, t))
+    with np.errstate(over="ignore", invalid="ignore"):  # Trajectory names an overflow
+        return Trajectory(state.time + t, *modes.orbit(state, k, metric, constants.mass, t))
 
 
 def evolve_rk4(state: ParticleState, k: np.ndarray, metric: MetricTensor,

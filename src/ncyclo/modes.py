@@ -1,13 +1,15 @@
 """A linear flow ``p' = K p``, ``x' = g^{-1} p / m`` sampled as a sum of modes.
 
 :func:`sample` evaluates every sample from its time alone, a batch of rows at
-a time, as a sum of modes ``exp(-i nu t) c``, terms of a series, and a
-polynomial drift: the form of every exact orbit of :mod:`ncyclo.dynamics`.
-For a ``K`` with no antisymmetric frame, :func:`orbit` takes the modes of one
-eigensolve (the eigenvector method of Moler and Van Loan), where
-:func:`split` moves each near-defective cluster of eigenvalues, which no
-eigenbasis spans, onto an orthonormal basis of its invariant subspace and the
-power series of ``exp(t(N - sigma))`` about the cluster's center ``sigma``.
+a time, as a sum of modes ``exp(-i nu t) c`` and terms of a series: the form
+of every exact orbit of :mod:`ncyclo.dynamics`, whose free motion is a mode at
+``nu = 0``.  :func:`orbit` builds that one table of columns.  A definite
+metric takes its modes from one Hermitian eigensolve in its own frame; any
+other ``K`` from one eigensolve (the eigenvector method of Moler and Van
+Loan), where :func:`split` moves each near-defective cluster of eigenvalues,
+which no eigenbasis spans, onto an orthonormal basis of its invariant subspace
+and the power series of ``exp(t(N - sigma))`` about the cluster's center
+``sigma``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 
 import numpy as np
 
-from .tensors import _unit_scaled, frobenius_norm
+from .tensors import MetricTensor, _unit_scaled, frobenius_norm
 
 __all__: list[str] = []
 
@@ -38,9 +40,9 @@ _SERIES_NOISE = 64.0
 
 
 def sample(state, t: np.ndarray, nu: np.ndarray, c: np.ndarray, to_momentum: np.ndarray,
-           to_position: np.ndarray, powers: np.ndarray, drift: np.ndarray,
+           to_position: np.ndarray, powers: np.ndarray,
            reach: float) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and momenta ``x(t)``, ``p(t)`` of a sum of modes ``exp(-i nu t) c`` and a drift.
+    """Positions and momenta ``x(t)``, ``p(t)`` of a sum of modes ``exp(-i nu t) c``.
 
     ``state`` holds the start ``x0``, ``p0``, and
     ``p(t) = p0 + Re to_momentum [(exp(-i nu t) - 1) c]``,
@@ -49,11 +51,11 @@ def sample(state, t: np.ndarray, nu: np.ndarray, c: np.ndarray, to_momentum: np.
     angle ``w = nu t / 2`` gives both without cancellation near ``w = 0``:
     ``-2i sin(w) e^{-iw}`` and ``t sinc(w) e^{-iw}``.  That holds for a
     column whose ``powers`` entry is -1; one with ``j >= 0`` is a term of a
-    cluster's series instead, where both the momentum and the position take
-    ``exp(-i nu t) s^j``, less 1 at ``j = 0``, with ``s = t / reach`` (its
-    ``to_position`` holds the inverse of ``K`` on the cluster).  Row ``j`` of
-    ``drift``, a pair ``(dp, dx)``, adds ``t s^j dp`` to the momentum and
-    ``t s^j dx`` to the position, so no coefficient is multiplied by ``reach``.
+    cluster's series instead, where the momentum takes ``exp(-i nu t) s^j``,
+    less 1 at ``j = 0``, with ``s = t / reach``.  The position takes the
+    same (its ``to_position`` holds the inverse of ``K`` on the cluster),
+    except about zero (``nu = 0``), where it takes the integral
+    ``t s^j / (j + 1)``, so no coefficient is multiplied by ``reach``.
     Each row depends on its time alone, and rows are evaluated a batch at a
     time.  A growing mode (``nu`` off the real axis) can pass the float range
     before its projection does, so a row whose mode amplitudes pass
@@ -65,7 +67,8 @@ def sample(state, t: np.ndarray, nu: np.ndarray, c: np.ndarray, to_momentum: np.
     # An orbit that overflows is reported once, by the caller's Trajectory,
     # instead of through a floating-point warning per operation.
     series, cluster = powers > 0, powers >= 0
-    growing = np.iscomplexobj(nu) and nu.imag.any()
+    integral = cluster & (nu == 0)
+    growing = nu.imag.any()
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, t.size, _BATCH):
             rows = slice(start, start + _BATCH)
@@ -77,6 +80,8 @@ def sample(state, t: np.ndarray, nu: np.ndarray, c: np.ndarray, to_momentum: np.
                 kick[:, series] = (np.exp(-1j * half[:, series])
                                    * (t[rows, None] / reach) ** powers[series])
                 swept = np.where(cluster, kick, swept)
+                swept[:, integral] = (t[rows, None] * (t[rows, None] / reach) ** powers[integral]
+                                      / (powers[integral] + 1))
             excess = 0
             if growing:
                 excess = (np.maximum(_exponent(kick), _exponent(swept))
@@ -88,10 +93,6 @@ def sample(state, t: np.ndarray, nu: np.ndarray, c: np.ndarray, to_momentum: np.
                                                        excess)
             position[rows] = state.position + np.ldexp(((swept * turn) @ to_position.T).real,
                                                        excess)
-            for j, (dp, dx) in enumerate(drift):
-                sj = t[rows, None] * (t[rows, None] / reach) ** j
-                momentum[rows] += sj * dp
-                position[rows] += sj * dx
     position[0], momentum[0] = state.position, state.momentum
     return position, momentum
 
@@ -101,62 +102,67 @@ def _exponent(values: np.ndarray) -> np.ndarray:
     return np.frexp(np.maximum(np.abs(values.real), np.abs(values.imag)))[1]
 
 
-def orbit(state, k: np.ndarray, to_velocity: np.ndarray,
+def orbit(state, k: np.ndarray, metric: MetricTensor, mass: float,
           t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and momenta at the times ``t`` of ``p' = K p``, ``x' = to_velocity p``.
+    """Positions and momenta at the times ``t`` of ``p' = K p``, ``x' = g^{-1} p / m``.
 
-    ``K`` is any real matrix, and can be defective: a null field (``E``
-    perpendicular to ``B``, ``|E| = |B|``) under a Lorentzian metric has
-    ``K^3 = 0``, and from signature (2, 2) on a Jordan block can sit at a
-    nonzero eigenvalue.  No eigenbasis spans such a cluster of eigenvalues.
-    So one eigensolve ``K = V diag(mu) V^{-1}`` gives the modes outside every
-    cluster, the sum of :func:`sample` with ``nu = i mu`` projected by ``V``
-    and ``to_velocity V``, and each cluster has an orthonormal basis ``Z`` of
-    its invariant subspace (:func:`split`), with ``p0 = V c + sum Z b``.  On
-    ``Z``, ``exp(tN) b = e^{sigma t} exp(t(N - sigma)) b`` with
-    ``N = Z^H K Z`` and ``sigma`` the cluster's center, and
-    ``exp(t(N - sigma))`` is its power series, a polynomial of degree below
-    the cluster's size when ``N - sigma`` is nilpotent.  The position gains
-    the integral: one degree higher for a cluster about zero,
-    ``N^{-1} (exp(tN) - I) b`` for any other.
+    Every orbit is one call of :func:`sample`.  For a definite metric ``g``
+    of sign ``s``, with the frame ``G = s g`` and ``y = G^{-1/2} p``, the
+    generator ``A = G^{-1/2} K G^{1/2}`` of ``y`` is real antisymmetric.  One
+    Hermitian eigensolve ``i A = U diag(lam) U^H`` gives the modes,
+    ``nu = lam`` and ``c = U^H y0``, projected by ``G^{1/2} U`` and
+    ``(s/m) G^{-1/2} U``.  ``s`` and both roots of ``G`` are the metric's
+    ``frame``, worked out once per metric.  No strength is cut to zero, so a
+    weak block turns however long the orbit.
+
+    An indefinite metric has no such frame, and ``K`` can be defective: a
+    null field (``E`` perpendicular to ``B``, ``|E| = |B|``) has ``K^3 = 0``,
+    and from signature (2, 2) on a Jordan block can sit at a nonzero
+    eigenvalue.  No eigenbasis spans such a cluster of eigenvalues.  So one
+    eigensolve ``K = V diag(mu) V^{-1}`` gives the modes outside every
+    cluster, ``nu = i mu`` projected by ``V`` and ``g^{-1} V / m``, and each
+    cluster has an orthonormal basis ``Z`` of its invariant subspace
+    (:func:`split`), with ``p0 = V c + sum Z b``.  On ``Z``,
+    ``exp(tN) b = e^{sigma t} exp(t(N - sigma)) b`` with ``N = Z^H K Z`` and
+    ``sigma`` the cluster's center, and ``exp(t(N - sigma))`` is its power
+    series, a polynomial of degree below the cluster's size when
+    ``N - sigma`` is nilpotent.  The position gains the integral,
+    ``N^{-1} (exp(tN) - I) b``, or the series' own for a cluster about zero.
+    The frequencies are real unless a mode grows.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         reach = abs(t[-1]) or 1.0
+        if metric.is_definite:
+            sign, root, inverse_root = metric.frame
+            a = inverse_root @ k @ root
+            lam, u = np.linalg.eigh(1j * (a / 2.0 - a.T / 2.0))  # exp(tA) = U e^{-i lam t} U^H
+            return sample(state, t, lam, u.conj().T @ (inverse_root @ state.momentum), root @ u,
+                          (sign / mass) * (inverse_root @ u), np.full(lam.size, -1), reach)
+        to_velocity = metric.inverse / mass
         mu, v, clusters = split(k, reach)
         coords = np.linalg.solve(np.hstack([v, *(z for _, z, _ in clusters)]), state.momentum)
         # K is real, so its complex modes come in conjugate pairs, whose real
         # parts are the same: each upper mode is taken twice, its pair not.
-        # A mode at zero is a free drift, ``x0 + t to_velocity V c``; a cluster
-        # about zero holds every zero eigenvalue, so it has no such modes.
         amplitude = np.where(mu.imag > 0, 2.0, 1.0) * coords[:mu.size]
-        keep, free = (mu.imag >= 0) & (mu != 0), mu == 0
+        keep = mu.imag >= 0
         nu, c, to_momentum = [1j * mu[keep]], [amplitude[keep]], [v[:, keep]]
         to_position = [to_velocity @ to_momentum[0]]
         powers, start = [np.full(keep.sum(), -1)], mu.size
-        drift = np.zeros((int(free.any()), 2, state.n))
-        if free.any():
-            drift[0, 1] = (to_velocity @ (v[:, free] @ amplitude[free])).real
         for sigma, z, series in clusters:
             b = coords[start:start + z.shape[1]]
             start += z.shape[1]
-            if sigma == 0:
-                # exp(tN) b = sum_j g_j s^j: p gains the terms past the
-                # first, t s^(j-1) g_j / reach, and x their integrals,
-                # t s^j g_j / (j + 1).
-                terms = (series @ b.real) @ z.T
-                kicks = np.zeros_like(terms)
-                kicks[:-1] = terms[1:] / reach
-                swept = (terms @ to_velocity.T) / np.arange(1.0, len(terms) + 1.0)[:, None]
-                drift = np.stack([kicks, swept], axis=1)
-                continue
             terms = (series @ b).T
             nu.append(np.full(terms.shape[1], 1j * sigma))
             c.append(np.ones(terms.shape[1]))
             to_momentum.append(z @ terms)
-            to_position.append(to_velocity @ z @ np.linalg.solve(z.conj().T @ k @ z, terms))
+            # A cluster about zero has no N^-1: sample integrates its series.
+            to_position.append(to_velocity @ z @ (
+                terms if sigma == 0 else np.linalg.solve(z.conj().T @ k @ z, terms)))
             powers.append(np.arange(terms.shape[1]))
-        return sample(state, t, np.concatenate(nu), np.concatenate(c), np.hstack(to_momentum),
-                      np.hstack(to_position), np.concatenate(powers), drift, reach)
+        nu = np.concatenate(nu)
+        return sample(state, t, nu if nu.imag.any() else nu.real, np.concatenate(c),
+                      np.hstack(to_momentum), np.hstack(to_position), np.concatenate(powers),
+                      reach)
 
 
 def split(k: np.ndarray, reach: float) -> tuple:

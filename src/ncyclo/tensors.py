@@ -43,8 +43,8 @@ METRIC_CONDITION_MAX = 1e12
 
 def _as_square_matrix(value, name: str) -> np.ndarray:
     arr = np.array(value, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
+        raise ValueError(f"{name} must be a nonempty square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         j, k = np.argwhere(~np.isfinite(arr))[0]
         raise ValueError(f"{name} has a non-finite entry at row {j}, column {k}")

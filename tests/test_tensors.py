@@ -14,6 +14,8 @@ from ncyclo import (
     SpectrumReport,
     Trajectory,
     check_radiation_gauge,
+    dynamics_matrix,
+    evolve_exact_trajectory,
     field_from_3d_vector,
     field_from_gauge,
     frobenius_norm,
@@ -343,3 +345,55 @@ def test_value_objects_are_read_only(name):
         assert getattr(value, field) is before
     with pytest.raises(AttributeError):
         value.extra = 1
+
+
+EMPTY_INPUTS = {
+    "metric": lambda: MetricTensor(np.zeros((0, 0))),
+    "field": lambda: FieldTensor(np.zeros((0, 0))),
+    "gauge": lambda: GaugeMatrix(np.zeros((0, 0))),
+    "basis": lambda: CanonicalForm(np.zeros((0, 0)), []),
+    "position": lambda: ParticleState([], []),
+}
+
+
+@pytest.mark.parametrize("name", EMPTY_INPUTS)
+def test_empty_inputs_are_refused_by_name(name):
+    # n = 0 is no system: each constructor names its input instead of
+    # accepting it or failing inside numpy.
+    with pytest.raises(ValueError, match=f"^{name} .*must .*nonempty"):
+        EMPTY_INPUTS[name]()
+
+
+REFUSALS = {
+    "state-dimensions": (lambda: ParticleState([0.0, 1.0], [1.0]),
+                         r"^position and momentum must have one nonempty dimension, got 2 and 1$"),
+    "state-not-finite": (lambda: ParticleState([0.0, np.nan], [1.0, 0.0]),
+                         r"^particle state entries must be finite$"),
+    "canonical-shapes": (lambda: CanonicalCoords([0.0, 1.0], [1.0, 0.0], [0.0]),
+                         r"^canonical coordinate arrays must share one shape$"),
+    "K-sizes": (lambda: dynamics_matrix(FieldTensor([[0.0, 1.0], [-1.0, 0.0]]),
+                                        MetricTensor(np.eye(3)), PhysicalConstants()),
+                r"^field is 2x2 but the metric is 3x3$"),
+    "exact-steps": (lambda: evolve_exact_trajectory(
+        ParticleState([0.0, 0.0], [1.0, 0.0]), np.zeros((2, 2)), MetricTensor(np.eye(2)),
+        PhysicalConstants(), 0.1, 0), r"^steps must be at least 1$"),
+    "operator-shapes": (lambda: AffineOperator(0.0, [1.0, 0.0], [1.0]),
+                        r"^coefficient shapes \(2,\) and \(1,\) differ or are not \(n,\) or \(k, n\)$"),
+    "operator-hbar": (lambda: AffineOperator(0.0, [1.0, 0.0], [0.0, 1.0], hbar=0.0),
+                      r"^hbar must be positive and finite$"),
+    "Minkowski-n": (lambda: MetricTensor.minkowski(1),
+                    r"^a Minkowski metric needs at least 2 dimensions$"),
+    "light-speed": (lambda: PhysicalConstants(light_speed=0.0),
+                    r"^light_speed must be positive and finite$"),
+    "gauge-sizes": (lambda: check_radiation_gauge(GaugeMatrix(np.zeros((2, 2))),
+                                                  MetricTensor(np.eye(3))),
+                    r"^gauge is 2x2 but the metric is 3x3$"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_library_refusals_name_their_reason(case):
+    # Each library-level refusal that the CLI's own config checks never reach.
+    make, message = REFUSALS[case]
+    with pytest.raises(ValueError, match=message):
+        make()
