@@ -79,9 +79,10 @@ class Trajectory(_ReadOnly):
         t = np.asarray(time, dtype=float)
         x = np.asarray(position, dtype=float)
         p = np.asarray(momentum, dtype=float)
-        if t.ndim != 1 or x.ndim != 2 or x.shape != p.shape or x.shape[0] != t.size:
-            raise ValueError(f"a trajectory needs N times and (N, n) positions and momenta, "
-                             f"got shapes {t.shape}, {x.shape} and {p.shape}")
+        if (t.ndim != 1 or x.ndim != 2 or x.shape != p.shape or x.shape[0] != t.size
+                or not x.shape[1]):
+            raise ValueError(f"trajectory must have N times and (N, n) positions and momenta, "
+                             f"n nonempty, got shapes {t.shape}, {x.shape} and {p.shape}")
         finite = np.isfinite(t) & np.isfinite(x).all(axis=1) & np.isfinite(p).all(axis=1)
         if not finite.all():
             i = int(np.argmin(finite))
@@ -115,8 +116,8 @@ class CanonicalCoords(_ReadOnly):
                  dual_momentum: np.ndarray) -> None:
         x, p, dual = (_frozen(np.array(value, dtype=float))
                       for value in (position, momentum, dual_momentum))
-        if not (x.shape == p.shape == dual.shape):
-            raise ValueError("canonical coordinate arrays must share one shape")
+        if not (x.shape == p.shape == dual.shape) or 0 in x.shape[-1:]:
+            raise ValueError("canonical coordinate arrays must share one shape, n nonempty")
         self._set(position=x, momentum=p, dual_momentum=dual)
 
 
@@ -181,8 +182,8 @@ def evolve_exact_trajectory(state: ParticleState, k: np.ndarray, metric: MetricT
         raise ValueError("dt must be finite")
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    t = np.arange(steps + 1) * dt
     with np.errstate(over="ignore", invalid="ignore"):  # Trajectory names an overflow
+        t = np.arange(steps + 1) * dt
         return Trajectory(state.time + t, *modes.orbit(state, k, metric, constants.mass, t))
 
 
@@ -190,12 +191,11 @@ def evolve_rk4(state: ParticleState, k: np.ndarray, metric: MetricTensor,
                constants: PhysicalConstants, dt: float, steps: int) -> Trajectory:
     """Classic fourth-order Runge-Kutta trajectory: ``steps + 1`` samples, the input first.
 
-    The flow of ``z = (p, x)`` is linear, so an RK4 step is the fixed step map
-    ``E = [[P, 0], [g^{-1} J / m, I]]``.  ``F(dt [[K, I], [0, 0]]) = [[P, J], [0, I]]``
-    with ``F`` the degree-4 Taylor polynomial of the exponential: one classic
-    RK4 step of this linear flow.  ``P`` advances the momentum and ``J``, the
-    integral of ``P`` over the step (Van Loan), the position.  No inverse of
-    ``K`` appears, so free directions need no care.
+    The flow of ``z = (p, x)`` is linear, ``z' = L z`` with
+    ``L = [[K, 0], [g^{-1} / m, 0]]``, so an RK4 step is the fixed step map
+    ``E = F(dt L)``, ``F`` the degree-4 Taylor polynomial of the exponential:
+    one classic RK4 step of this linear flow.  No inverse of ``K`` appears,
+    so free directions need no care.
 
     With ``b = round(sqrt(steps + 1))`` the first ``b`` samples come from
     iterating ``E``, and every later block of ``b`` samples is the block before
@@ -214,23 +214,19 @@ def evolve_rk4(state: ParticleState, k: np.ndarray, metric: MetricTensor,
     b = round(np.sqrt(steps + 1))
     rows = np.empty((steps + 1, 2 * n))
     rows[0, :n], rows[0, n:] = state.momentum, state.position
-    aug = np.zeros((2 * n, 2 * n))
-    # An orbit that overflows, or a step map that does, is reported once, by
-    # Trajectory, instead of through a floating-point warning per operation.
+    generator = np.zeros((2 * n, 2 * n))
+    # An orbit that overflows, or a step map or a time that does, is reported
+    # once, by Trajectory, instead of through a floating-point warning per operation.
     with np.errstate(over="ignore", invalid="ignore"):
-        aug[:n, :n] = dt * k
-        aug[:n, n:] = dt * np.eye(n)
-        full = _taylor4(aug)
-        step = np.eye(2 * n)
-        step[:n, :n] = full[:n, :n]
-        step[n:, :n] = (metric.inverse / constants.mass) @ full[:n, n:]
+        generator[:n, :n], generator[n:, :n] = k, metric.inverse / constants.mass
+        step = _taylor4(dt * generator)
         leap = np.linalg.matrix_power(step, b)
         for i in range(1, b):
             rows[i] = step @ rows[i - 1]
         for j in range(b, steps + 1, b):
             end = min(j + b, steps + 1)
             rows[j:end] = rows[j - b:end - b] @ leap.T
-    return Trajectory(state.time + np.arange(steps + 1) * dt, rows[:, n:], rows[:, :n])
+        return Trajectory(state.time + np.arange(steps + 1) * dt, rows[:, n:], rows[:, :n])
 
 
 def _apply(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:

@@ -31,9 +31,9 @@ class AffineOperator(_ReadOnly):
                  hbar: float = 1.0) -> None:
         pos = np.array(position, dtype=complex)
         mom = np.array(momentum, dtype=complex)
-        if pos.shape != mom.shape or pos.ndim not in (1, 2):
-            raise ValueError(f"coefficient shapes {pos.shape} and {mom.shape} differ or are "
-                             f"not (n,) or (k, n)")
+        if pos.shape != mom.shape or pos.ndim not in (1, 2) or not pos.shape[-1]:
+            raise ValueError(f"coefficient shapes {pos.shape} and {mom.shape} must be one "
+                             f"(n,) or (k, n), n nonempty")
         if not (np.isfinite(hbar) and hbar > 0):
             raise ValueError("hbar must be positive and finite")
         scalar = np.full(pos.shape[:-1], scalar, dtype=complex)

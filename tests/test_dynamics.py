@@ -202,6 +202,19 @@ class TestEvolveExact:
             evolve_exact_trajectory(state, k, EUCLID2, UNIT, np.inf, 1)[-1]
 
 
+@pytest.mark.parametrize("evolve, where", [
+    (evolve_exact_trajectory, r"step 2 \(t = inf\)"), (evolve_rk4, r"step 1 \(t = 1e\+308\)")],
+    ids=["exact", "rk4"])
+def test_time_past_the_float_range_is_refused_by_name(evolve, where):
+    # dt * steps = 2e308: the time grid overflows with the orbit, and only
+    # Trajectory's refusal reports it (a numpy warning would fail here first).
+    config = RunConfig.load(Path(__file__).resolve().parents[1] / "configs" / "circle2d.json")
+    metric, constants = config.metric_tensor(), config.constants()
+    k = dynamics_matrix(config.field_tensor(), metric, constants)
+    with pytest.raises(ValueError, match=f"^the orbit leaves the floating-point range at {where}$"):
+        evolve(config.initial_state(), k, metric, constants, 1e308, 2)
+
+
 def oracle_error(trajectory, field, metric, constants, dt, steps):
     """Final-sample deviation from the 40-digit oracle, and the orbit's scale."""
     x, p = van_loan_final(field.matrix, metric.matrix, constants.mass, constants.charge,
@@ -301,6 +314,20 @@ class TestClosedForm:
             trajectory = evolve_exact_trajectory(state, k, metric, constants, 0.05, 4000)
             deviation, scale = oracle_error(trajectory, h, metric, constants, 0.05, 4000)
             assert deviation <= gate * scale
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_hermitian_modes_hold_the_energy(self, seed, sign):
+        # The frame's Hermitian eigensolve gives purely real frequencies, so
+        # the kinetic energy stays within 1.7e-16 to 1.3e-15 of its start
+        # over t = 1e4.  With one eig of K, as on an indefinite metric, the
+        # same orbits drift 4.9e-15 to 5.4e-14: eig leaves roundoff real parts
+        # in the turning modes, and the oracle's final sample does not show it.
+        h, metric, constants, state = definite_case(np.random.default_rng(seed), sign)
+        k = dynamics_matrix(h, metric, constants)
+        energy = kinetic_energy(evolve_exact_trajectory(state, k, metric, constants, 0.5, 20_000),
+                                metric, constants)
+        assert np.abs(energy - energy[0]).max() <= 3e-15 * max(1.0, abs(energy[0]))
 
     def test_batches_join(self, rng):
         # Samples are evaluated 1024 rows at a time; each row depends on its
@@ -700,6 +727,28 @@ class TestIndefiniteClosedForm:
         assert np.linalg.cond(np.linalg.eig(k)[1]) > 1e6
         state = ParticleState([0.1, 0.2, -0.3, 0.4], [0.5, -0.1, 0.2, 0.3])
         self.on_the_oracle(h, state, 0.01, 2000, metric=SO22)
+
+    @pytest.mark.parametrize("detuning", [5e-4, 1e-4])
+    def test_cluster_cut_leaves_a_nearby_plane_on_the_modes(self, detuning):
+        # so22_field's Jordan pairs at +-0.5i beside a cyclotron plane at
+        # 0.5 (1 + detuning), under diag(1, 1, -1, -1, 1, 1).  The 1e-6 cut
+        # makes each Jordan pair a cluster and leaves the plane two modes,
+        # 1.4e-12 of the scale off the oracle over t = 2000.  With the 1e-3
+        # cut alone the plane joins both clusters, 5.5e-11 and 6.2e-11 off.
+        omega = 0.5 * (1.0 + detuning)
+        metric = MetricTensor(np.diag([1.0, 1.0, -1.0, -1.0, 1.0, 1.0]))
+        k = np.zeros((6, 6))
+        k[:4, :4] = dynamics_matrix(so22_field(np.array(JORDAN_BLOCKS["complex"])), SO22, UNIT)
+        k[4:, 4:] = [[0.0, omega], [-omega, 0.0]]
+        h = k @ metric.matrix
+        h = FieldTensor((h - h.T) / 2.0)
+        k = dynamics_matrix(h, metric, UNIT)
+        mu, _, clusters = modes.split(k, 2000.0)
+        assert mu.size == 2 and [z.shape[1] for _, z, _ in clusters] == [2, 2]
+        state = ParticleState([0.1, 0.2, -0.3, 0.4, 0.2, -0.1], [0.5, -0.1, 0.2, 0.3, 0.4, 0.6])
+        trajectory = evolve_exact_trajectory(state, k, metric, UNIT, 1.0, 2000)
+        deviation, scale = oracle_error(trajectory, h, metric, UNIT, 1.0, 2000)
+        assert deviation <= 5e-12 * scale, (deviation, scale)
 
     def test_cluster_series_ends_or_refuses(self):
         nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])

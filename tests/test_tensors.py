@@ -353,6 +353,9 @@ EMPTY_INPUTS = {
     "gauge": lambda: GaugeMatrix(np.zeros((0, 0))),
     "basis": lambda: CanonicalForm(np.zeros((0, 0)), []),
     "position": lambda: ParticleState([], []),
+    "coefficient": lambda: AffineOperator(0.0, [], []),
+    "canonical": lambda: CanonicalCoords([], [], []),
+    "trajectory": lambda: Trajectory(np.zeros(2), np.zeros((2, 0)), np.zeros((2, 0))),
 }
 
 
@@ -364,13 +367,19 @@ def test_empty_inputs_are_refused_by_name(name):
         EMPTY_INPUTS[name]()
 
 
+def test_a_trajectory_of_no_samples_keeps_its_dimension():
+    # n = 0 is refused, but zero samples of n >= 1 are a trajectory.
+    trajectory = Trajectory(np.zeros(0), np.zeros((0, 3)), np.zeros((0, 3)))
+    assert len(trajectory) == 0 and trajectory.position.shape == (0, 3)
+
+
 REFUSALS = {
     "state-dimensions": (lambda: ParticleState([0.0, 1.0], [1.0]),
                          r"^position and momentum must have one nonempty dimension, got 2 and 1$"),
     "state-not-finite": (lambda: ParticleState([0.0, np.nan], [1.0, 0.0]),
                          r"^particle state entries must be finite$"),
     "canonical-shapes": (lambda: CanonicalCoords([0.0, 1.0], [1.0, 0.0], [0.0]),
-                         r"^canonical coordinate arrays must share one shape$"),
+                         r"^canonical coordinate arrays must share one shape, n nonempty$"),
     "K-sizes": (lambda: dynamics_matrix(FieldTensor([[0.0, 1.0], [-1.0, 0.0]]),
                                         MetricTensor(np.eye(3)), PhysicalConstants()),
                 r"^field is 2x2 but the metric is 3x3$"),
@@ -378,7 +387,8 @@ REFUSALS = {
         ParticleState([0.0, 0.0], [1.0, 0.0]), np.zeros((2, 2)), MetricTensor(np.eye(2)),
         PhysicalConstants(), 0.1, 0), r"^steps must be at least 1$"),
     "operator-shapes": (lambda: AffineOperator(0.0, [1.0, 0.0], [1.0]),
-                        r"^coefficient shapes \(2,\) and \(1,\) differ or are not \(n,\) or \(k, n\)$"),
+                        r"^coefficient shapes \(2,\) and \(1,\) must be one \(n,\) or \(k, n\), "
+                        r"n nonempty$"),
     "operator-hbar": (lambda: AffineOperator(0.0, [1.0, 0.0], [0.0, 1.0], hbar=0.0),
                       r"^hbar must be positive and finite$"),
     "Minkowski-n": (lambda: MetricTensor.minkowski(1),
