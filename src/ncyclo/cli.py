@@ -11,9 +11,11 @@ numpy arrays and scalars, into strict JSON with the bytes of
 the first entry that is not finite.  ``simulate`` checks its trajectory table
 and renders its report before it opens the trajectory file, so a refusal
 leaves no file behind, and removes the file again when the write fails.  The
-report reads both integrals of the motion, the dual momentum and the kinetic
-energy, from that table at every written row, and measures each block's
-frequency from its phase demodulated by the turn the closed form predicts.
+check walks the table a block of rows at a time, and the report reads both
+integrals of the motion, the dual momentum and the kinetic energy, from
+those blocks at every written row; no table of the whole orbit is held.  The
+report measures each block's frequency from its phase demodulated by the
+turn the closed form predicts.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .dynamics import (
 )
 from .operators import canonical_momentum, commutator, dual_momentum
 from .spectrum import classify_spectrum, cyclotron_frequencies, level_listing
-from .tensors import _unit_scaled, check_radiation_gauge, frobenius_norm
+from .tensors import _BATCH, _unit_scaled, check_radiation_gauge, frobenius_norm
 
 __all__ = ["main"]
 
@@ -152,12 +154,13 @@ def cmd_spectrum(config: RunConfig, out_path: str | None, levels: int) -> int:
     return 0
 
 
-def _drift(values: np.ndarray) -> float:
-    """Largest deviation of a row from the first, relative to ``max(1, |first row|)``."""
-    # From the column extremes, with no temporary: rounding is monotone, so
-    # this is bit for bit np.abs(values - values[0]).max().
-    first = values[0]
-    deviation = np.maximum(values.max(axis=0) - first, first - values.min(axis=0)).max()
+def _drift(first: np.ndarray, high: np.ndarray, low: np.ndarray) -> float:
+    """Largest deviation of a row from the first, relative to ``max(1, |first row|)``.
+
+    ``high`` and ``low`` are the column extremes of the rows: rounding is
+    monotone, so this is bit for bit ``np.abs(values - first).max()``.
+    """
+    deviation = np.maximum(high - first, first - low).max()
     return deviation / max(1.0, np.abs(first).max())
 
 
@@ -178,7 +181,8 @@ def _block_statistics(times, split, form, turns):
         unit_radii = np.linalg.norm(unit, axis=1)
         radii, mean_radius = np.ldexp(unit_radii, exponent), np.ldexp(unit_radii.mean(), exponent)
         entry = {"strength": form.strengths[l], "center": centers[0],
-                 "center_drift": _drift(centers), "radius": mean_radius,
+                 "center_drift": _drift(centers[0], centers.max(axis=0), centers.min(axis=0)),
+                 "radius": mean_radius,
                  "radius_drift": 0.0, "measured_frequency": None}
         if mean_radius > 1e-12:
             angle = np.arctan2(relatives[:, 1], relatives[:, 0])
@@ -201,10 +205,18 @@ def cmd_simulate(config: RunConfig, path: str, fmt: str) -> int:
     try:
         trajectory = evolve(state, kmat, metric, constants, dt, steps)
         form = decompose(field, config.gamma_tensor())
-        # The table checks itself, holds both integrals of the motion at every
-        # row, and is the one the writer reuses.
-        table = trajectory_table(trajectory, field, metric, constants)
-    except MemoryError:  # only the orbit's steps + 1 rows and their columns can outgrow it
+        # Each block of the table checks itself; of both integrals of the
+        # motion the walk keeps the first row and the column extremes, which
+        # the drifts need, and each writer share makes its own blocks again.
+        extremes = {}
+        for start in range(0, len(trajectory), _BATCH):
+            table = trajectory_table(trajectory, field, metric, constants, start, start + _BATCH)
+            for name in ("pT", "E_total"):
+                column = table[name]
+                first, high, low = extremes.get(name, (column[0],) * 3)
+                extremes[name] = (first, np.maximum(high, column.max(axis=0)),
+                                  np.minimum(low, column.min(axis=0)))
+    except MemoryError:  # only the orbit's steps + 1 rows, or a block of its table, can outgrow it
         raise ValueError(f"integration.steps: {steps} steps make an orbit of {steps + 1} "
                          f"samples, too many to allocate") from None
 
@@ -213,8 +225,8 @@ def cmd_simulate(config: RunConfig, path: str, fmt: str) -> int:
     samples = trajectory[np.r_[0:count - 1:max(1, count // _REPORT_SAMPLES), count - 1]]
 
     with np.errstate(all="ignore"):  # a report value past the float range is named by _layout
-        residuals = {"dual_momentum_drift": _drift(table["pT"]),
-                     "energy_drift": _drift(table["E_total"])}
+        residuals = {"dual_momentum_drift": _drift(*extremes["pT"]),
+                     "energy_drift": _drift(*extremes["E_total"])}
         split = orbit_decomposition(samples, form, field, constants)
         # p' = K p turns block l at -s sign(q) omega_l in the frame s g; the
         # identity stands in for an indefinite metric's frame.

@@ -48,7 +48,8 @@ drops the empty slots.  The tables are built on first use, each power of ten
 on the first use of its exponent, so importing this module does no work.
 
 :func:`_write_rows` is the one path from a trajectory's columns to its file:
-one share of rows per usable CPU, each cut once into chunks for the kernel.
+one share of rows per usable CPU, each cut once into chunks for the kernel,
+whose columns it asks for a chunk at a time.
 """
 
 from __future__ import annotations
@@ -224,7 +225,10 @@ def _chunk(rows: np.ndarray, ends: tuple[str, ...], shortest: bool) -> str:
     # digit word takes the digit that a point pushes up.
     quad, zeros, points, least, prefix, exponent, *masks = _tables(shortest)
     tails = _tails(ends)
-    out = np.empty((values.size, 3 + tails.shape[1]), "<u8")
+    # In a bytearray, translate drops the empty slots with no bytes copy of
+    # them all, so the heap keeps a chunk's pages for the next chunk.
+    text = bytearray(values.size * (3 + tails.shape[1]) * 8)
+    out = np.frombuffer(text, "<u8").reshape(values.size, -1)
     lead = r // _LOW
     r -= lead * _LOW
     lead[zero] = 0
@@ -257,37 +261,41 @@ def _chunk(rows: np.ndarray, ends: tuple[str, ...], shortest: bool) -> str:
     slots = out.view(np.uint8).reshape(values.size, -1)
     python = _repr if shortest else _printf
     for i in np.flatnonzero(doubt):
-        text = python(float(values[i])).encode()
+        exact = python(float(values[i])).encode()
         slots[i, :31] = 0
-        slots[i, :len(text)] = np.frombuffer(text, np.uint8)
-    return out.tobytes().translate(None, b"\0").decode("ascii")
+        slots[i, :len(exact)] = np.frombuffer(exact, np.uint8)
+    return text.translate(None, b"\0").decode("ascii")
 
 
-def _write_rows(stream, columns: list[np.ndarray], ends: tuple[str, ...], shortest: bool) -> None:
-    """Write the rows of ``columns``, each value's text followed by its column's end.
+def _write_rows(stream, rows: range, columns, ends: tuple[str, ...], shortest: bool) -> None:
+    """Write the ``rows``, each value's text followed by its column's end.
 
-    A row holds a sample's values of ``columns`` in order, one per entry of a
-    2-D column, so ``ends`` has one entry per value.  The rows are split into
-    one contiguous share per usable CPU, at most one per ``_SHARE_ROWS`` rows
-    begun; each share walks chunks of ``_CHUNK // len(ends)`` rows, each
-    stacked once and formatted by :func:`_chunk`.  This process formats the
-    first share into ``stream`` and a forked child each other share into a
-    temporary file, copied into ``stream`` after the child exits, so the
-    bytes are those of one share.  A child that fails raises
-    ``ChildProcessError``; every child is reaped before this returns or
-    raises, the ones still running on an error after a ``SIGTERM``.
+    ``columns(start, stop)`` returns the columns of the rows ``start:stop``,
+    each a 1-D or 2-D array.  A row holds a sample's values of the columns in
+    order, one per entry of a 2-D column, so ``ends`` has one entry per
+    value.  The rows are split into one contiguous share per usable CPU, at
+    most one per ``_SHARE_ROWS`` rows begun; each share walks chunks of
+    ``_CHUNK // len(ends)`` rows, each asked of ``columns``, stacked once and
+    formatted by :func:`_chunk`, so no share holds more than a chunk of
+    them.  This process formats the first share into ``stream`` and a forked
+    child each other share into a temporary file, copied into ``stream``
+    after the child exits, so the bytes are those of one share.  A child that
+    fails raises ``ChildProcessError``; every child is reaped before this
+    returns or raises, the ones still running on an error after a
+    ``SIGTERM``.
     """
-    rows, step = len(columns[0]), max(1, _CHUNK // len(ends))
+    step = max(1, _CHUNK // len(ends))
 
     def write_share(out, starts: range) -> None:
         for start in starts:
-            chunk = [column[start:min(start + step, starts.stop)] for column in columns]
+            chunk = columns(start, min(start + step, starts.stop))
             out.write(_chunk(np.column_stack(chunk), ends, shortest))
 
     # Where os has sched_getaffinity (Linux) it has fork; elsewhere one share.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    count = max(1, min(cpus, -(-rows // _SHARE_ROWS)))
-    shares = [range(rows * i // count, rows * (i + 1) // count, step) for i in range(count)]
+    count = max(1, min(cpus, -(-len(rows) // _SHARE_ROWS)))
+    cuts = [rows.start + len(rows) * i // count for i in range(count + 1)]
+    shares = [range(begin, end, step) for begin, end in zip(cuts, cuts[1:])]
     spools, pids = [], []  # a temporary file per forked share; the children not yet reaped
     try:
         for share in shares[1:]:

@@ -20,8 +20,6 @@ block basis it locates the centers of the cyclotron orbits.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -69,10 +67,11 @@ class Trajectory(_ReadOnly):
 
     Reads as a sequence of :class:`ParticleState`: ``len`` and iteration work,
     an int index returns one state, and a slice or an index array returns a
-    shorter trajectory.  Finiteness is checked once, over all samples; the
-    error names the first sample that left the floating-point range.  Values
-    derived from the samples are checked where they are computed, the written
-    columns by :func:`trajectory_table`.
+    shorter trajectory.  Finiteness is checked once, over all samples, when
+    the trajectory is built, not again in a slice of it; the error names the
+    first sample that left the floating-point range.  Values derived from the
+    samples are checked where they are computed, the written columns by
+    :func:`trajectory_table`.
     """
 
     def __init__(self, time: np.ndarray, position: np.ndarray, momentum: np.ndarray) -> None:
@@ -98,7 +97,12 @@ class Trajectory(_ReadOnly):
     def __getitem__(self, index):
         if isinstance(index, (int, np.integer)):
             return ParticleState(self.position[index], self.momentum[index], self.time[index])
-        return Trajectory(self.time[index], self.position[index], self.momentum[index])
+        if not isinstance(index, slice):
+            return Trajectory(self.time[index], self.position[index], self.momentum[index])
+        part = Trajectory.__new__(Trajectory)  # read-only views of finite samples: no check
+        part._set(time=self.time[index], position=self.position[index],
+                  momentum=self.momentum[index])
+        return part
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -183,8 +187,11 @@ def evolve_exact_trajectory(state: ParticleState, k: np.ndarray, metric: MetricT
     if steps < 1:
         raise ValueError("steps must be at least 1")
     with np.errstate(over="ignore", invalid="ignore"):  # Trajectory names an overflow
-        t = np.arange(steps + 1) * dt
-        return Trajectory(state.time + t, *modes.orbit(state, k, metric, constants.mass, t))
+        t = np.arange(steps + 1, dtype=float)
+        t *= dt  # in place, here and below: the time grid is the one array of its size
+        position, momentum = modes.orbit(state, k, metric, constants.mass, t)
+        t += state.time
+        return Trajectory(t, position, momentum)
 
 
 def evolve_rk4(state: ParticleState, k: np.ndarray, metric: MetricTensor,
@@ -226,7 +233,10 @@ def evolve_rk4(state: ParticleState, k: np.ndarray, metric: MetricTensor,
         for j in range(b, steps + 1, b):
             end = min(j + b, steps + 1)
             rows[j:end] = rows[j - b:end - b] @ leap.T
-        return Trajectory(state.time + np.arange(steps + 1) * dt, rows[:, n:], rows[:, :n])
+        t = np.arange(steps + 1, dtype=float)
+        t *= dt
+        t += state.time
+        return Trajectory(t, rows[:, n:], rows[:, :n])
 
 
 def _apply(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -310,37 +320,39 @@ def orbit_decomposition(state: ParticleState | Trajectory, form: CanonicalForm,
     )
 
 
-@lru_cache(maxsize=1)
 def trajectory_table(trajectory: Trajectory, field: FieldTensor, metric: MetricTensor,
-                     constants: PhysicalConstants) -> MappingProxyType:
-    """Columns of both trajectory formats, in order: ``t, x, p, pT, E_total``.
+                     constants: PhysicalConstants, start: int = 0,
+                     stop: int | None = None) -> dict[str, np.ndarray]:
+    """Columns of both trajectory formats over the rows ``start:stop``: ``t, x, p, pT, E_total``.
 
     ``x``, ``p`` and the dual momentum ``pT`` have one row of n values per
-    sample; ``t`` and ``E_total`` one value per sample.  The samples of a
+    sample; ``t`` and ``E_total`` one value per sample.  ``t``, ``x`` and
+    ``p`` are views of the trajectory; ``pT`` and ``E_total`` are computed
+    for the rows asked for alone, so a caller that walks an orbit a block of
+    rows at a time never holds them for the whole orbit, and each row's bits
+    do not depend on the block (:func:`_apply`).  The samples of a
     :class:`Trajectory` are finite, but ``pT`` and ``E_total`` can still
     overflow: a ``ValueError`` then names the first non-finite entry by its
-    CSV column and step, so every table returned is finite.  The last result
-    is kept and shared, keyed on its immutable arguments, so a check and a
-    writer of one run build one table; the mapping and its arrays are read-only.
-    ``E_total`` is built before ``pT``: the ``g^-1 p`` rows it sums over are
-    freed before ``pT``'s rows are made, so the table's peak is its new columns
-    and one column's finiteness mask, not an extra orbit-sized array.
+    CSV column and its step in the whole trajectory, so every table returned
+    is finite.
     """
+    rows = range(len(trajectory))[start:stop]
+    part = trajectory[rows.start:rows.stop]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
-        energy = _frozen(kinetic_energy(trajectory, metric, constants))
         table = {
-            "t": trajectory.time,
-            "x": trajectory.position,
-            "p": trajectory.momentum,
-            "pT": _frozen(dual_momentum_value(trajectory, field, constants)),
-            "E_total": energy,
+            "t": part.time,
+            "x": part.position,
+            "p": part.momentum,
+            "pT": dual_momentum_value(part, field, constants),
+            "E_total": kinetic_energy(part, metric, constants),
         }
-    if not all(np.isfinite(column).all() for column in table.values()):
+    if not (np.isfinite(table["pT"]).all() and np.isfinite(table["E_total"]).all()):
         finite = np.column_stack([np.isfinite(column) for column in table.values()])
         step, column = np.argwhere(~finite)[0]
         raise ValueError(f"the trajectory column {_column_labels(table)[column]} leaves the "
-                         f"floating-point range at step {step} (t = {trajectory.time[step]:.12g})")
-    return MappingProxyType(table)
+                         f"floating-point range at step {rows[step]} "
+                         f"(t = {part.time[step]:.12g})")
+    return table
 
 
 def _column_labels(table: dict[str, np.ndarray]) -> list[str]:
@@ -361,14 +373,20 @@ def write_trajectory_csv(trajectory: Trajectory, field: FieldTensor,
 
     Numbers are rendered with 17 significant digits so the file round-trips
     bit-faithfully: the bytes of ``'%.17g' % value``, made a chunk at a time
-    by numpy (:func:`ncyclo.digits._write_rows`).
+    by numpy (:func:`ncyclo.digits._write_rows`), each chunk's columns from
+    :func:`trajectory_table` of its rows.  That raises at the first chunk
+    with an entry past the float range, so a caller checks the table before
+    it writes, as ``simulate`` does before it opens the file.
     """
     from . import digits  # here alone: no other command compiles it
 
-    table = trajectory_table(trajectory, field, metric, constants)
-    labels = _column_labels(table)
+    def columns(start: int, stop: int) -> list[np.ndarray]:
+        return list(trajectory_table(trajectory, field, metric, constants, start, stop).values())
+
+    labels = _column_labels(trajectory_table(trajectory, field, metric, constants, 0, 0))
     stream.write(",".join(labels) + "\n")
-    digits._write_rows(stream, list(table.values()), (",",) * (len(labels) - 1) + ("\n",), False)
+    digits._write_rows(stream, range(len(trajectory)), columns,
+                       (",",) * (len(labels) - 1) + ("\n",), False)
 
 
 def write_trajectory_structured(trajectory: Trajectory, field: FieldTensor,
@@ -381,26 +399,30 @@ def write_trajectory_structured(trajectory: Trajectory, field: FieldTensor,
     sort_keys=True)`` and a final newline by construction: the text around
     the numbers is ``json``'s own layout of a one-row document, ``json``
     renders a float with ``float.__repr__``, whose bytes the numpy kernel of
-    :mod:`ncyclo.digits` writes, and :func:`trajectory_table` returns finite
-    columns only.  Each row's last number is followed by the text that opens
-    the next row, or, for the last row, closes the list.
+    :mod:`ncyclo.digits` writes a chunk at a time, and :func:`trajectory_table`
+    of each chunk's rows returns finite columns only.  Each row's last number
+    is followed by the text that opens the next row, or, for the last row,
+    closes the list.
     """
     from . import digits  # here alone: no other command compiles it
 
-    table = trajectory_table(trajectory, field, metric, constants)
-    if not len(trajectory):  # json's own text of an empty list
+    def columns(start: int, stop: int) -> list[np.ndarray]:
+        table = trajectory_table(trajectory, field, metric, constants, start, stop)
+        return [table[name] for name in sorted(table)]
+
+    count = len(trajectory)
+    if not count:  # json's own text of an empty list
         stream.write(json.dumps({"trajectory": []}, indent=2) + "\n")
         return
-    columns = [table[name] for name in sorted(table)]
+    empty = trajectory_table(trajectory, field, metric, constants, 0, 0)
     slots = {name: None if column.ndim == 1 else [None] * column.shape[1]
-             for name, column in table.items()}
+             for name, column in empty.items()}
     # json's own layout of a one-row document: its first two and last two
     # lines open and close the document, the lines between are the row, and
     # the text between its null slots follows each number.
     lines = json.dumps({"trajectory": [slots]}, indent=2, sort_keys=True).split("\n")
     head, *ends, tail = "\n".join(lines[2:-2]).split("null")
     stream.write("\n".join(lines[:2]) + "\n" + head)
-    digits._write_rows(stream, [column[:-1] for column in columns], (*ends, tail + ",\n" + head),
-                       True)
-    digits._write_rows(stream, [column[-1:] for column in columns], (*ends, tail), True)
+    digits._write_rows(stream, range(count - 1), columns, (*ends, tail + ",\n" + head), True)
+    digits._write_rows(stream, range(count - 1, count), columns, (*ends, tail), True)
     stream.write("\n" + "\n".join(lines[-2:]) + "\n")

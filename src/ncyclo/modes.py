@@ -18,13 +18,10 @@ import math
 
 import numpy as np
 
-from .tensors import MetricTensor, _unit_scaled, frobenius_norm
+from .tensors import _BATCH, MetricTensor, _unit_scaled, frobenius_norm
 
 __all__: list[str] = []
 
-# Rows are evaluated this many at a time, which bounds the memory held by
-# the temporaries of one batch.
-_BATCH = 1024
 # Eigenvalues of K within these shares of |K| of each other form clusters,
 # tried in turn while the eigenvectors of the others have a condition number
 # past _MODE_CONDITION_MAX: a near-defective cluster, which no

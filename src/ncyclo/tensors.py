@@ -39,6 +39,10 @@ SYMMETRY_RTOL = 1e-12
 # or more, is refused as singular or too ill-conditioned to invert.  The ratio
 # is the same in every orthonormal frame, so the verdict is too.
 METRIC_CONDITION_MAX = 1e12
+# Orbit rows are evaluated this many at a time, which bounds the memory held
+# by the temporaries of one batch: the samples of an exact orbit
+# (ncyclo.modes) and the blocks of its table that simulate checks.
+_BATCH = 1024
 
 
 def _as_square_matrix(value, name: str) -> np.ndarray:
@@ -227,7 +231,8 @@ class FieldTensor(_ReadOnly):
 class PhysicalConstants(_ReadOnly):
     """Particle and unit constants.  Defaults give dimensionless desk units.
 
-    Two sets compare and hash by their values.
+    Two sets compare and hash by their values, so equal sets are one dict
+    key, as a frozen dataclass's are (``__eq__`` alone would unhash them).
     """
 
     def __init__(self, mass: float = 1.0, charge: float = 1.0, light_speed: float = 1.0,

@@ -592,6 +592,64 @@ class TestSimulateCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "structured"])
+    @pytest.mark.parametrize("batch", [1, 3, 1024])
+    def test_overflow_in_a_later_block_refused_by_name(self, tmp_path, capsys, monkeypatch,
+                                                       batch, fmt):
+        # A 1+1 D runaway with H = 1e300 and q = 1e-300, so K is of order 1:
+        # x grows like cosh(t), and H x passes the float range from step 1642
+        # on, in the second block of 1024 rows, though the orbit stays finite.
+        # The check names the first bad entry by its step in the whole orbit,
+        # as the table of the whole orbit does, before the file opens.
+        monkeypatch.setattr(cli, "_BATCH", batch)
+        data = {"n": 2, "metric": "minkowski", "field": [[0.0, 1e300], [-1e300, 0.0]],
+                "particle": {"m": 1.0, "q": 1e-300, "c": 1.0},
+                "initial": {"x": [0.0, 0.0], "p": [0.0, -1.0]},
+                "integration": {"dt": 0.012, "steps": 1800, "method": "exact"}}
+        config = write_config(tmp_path, data)
+        run = RunConfig.load(config)
+        metric, field, constants = run.metric_tensor(), run.field_tensor(), run.constants()
+        trajectory = dynamics.evolve_exact_trajectory(
+            run.initial_state(), dynamics.dynamics_matrix(field, metric, constants), metric,
+            constants, 0.012, 1800)
+        with pytest.raises(ValueError) as whole:
+            dynamics.trajectory_table(trajectory, field, metric, constants)
+        assert str(whole.value) == ("the trajectory column pT1 leaves the floating-point "
+                                    "range at step 1642 (t = 19.704)")
+        out = tmp_path / "traj.out"
+        code, captured = run_without_warnings(
+            ["simulate", "--config", config, "--out", str(out), "--format", fmt], capsys)
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {whole.value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", OUTPUT_FORMATS)
+    @pytest.mark.parametrize("steps", [1, 1023, 1024, 2048])
+    def test_report_does_not_depend_on_the_block_size(self, tmp_path, capsys, monkeypatch,
+                                                      steps, fmt):
+        # RK4, so both integrals drift past a step: walked in blocks of 1, 3
+        # or 1024 rows, the check reads the drifts of the whole table's columns.
+        config = circle2d(tmp_path, integration={"dt": 0.05, "steps": steps, "method": "rk4"})
+        run = RunConfig.load(config)
+        metric, field, constants = run.metric_tensor(), run.field_tensor(), run.constants()
+        trajectory = dynamics.evolve_rk4(
+            run.initial_state(), dynamics.dynamics_matrix(field, metric, constants), metric,
+            constants, 0.05, steps)
+        table = dynamics.trajectory_table(trajectory, field, metric, constants)
+        drifts = [np.abs(table[name] - table[name][0]).max()
+                  / max(1.0, np.abs(table[name][0]).max()) for name in ("pT", "E_total")]
+        reports = set()
+        for batch in (1, 3, 1024):
+            monkeypatch.setattr(cli, "_BATCH", batch)
+            out = tmp_path / f"traj{batch}.out"
+            main(["simulate", "--config", config, "--out", str(out), "--format", fmt])
+            report = capsys.readouterr().out.replace(str(out), "traj.out")
+            residuals = json.loads(report)["residuals"]
+            assert [residuals["dual_momentum_drift"], residuals["energy_drift"]] == drifts
+            reports.add(report)
+        assert len(reports) == 1
+        assert steps == 1 or min(drifts) > 0.0
+
+    @pytest.mark.parametrize("fmt", ["csv", "structured"])
     @pytest.mark.parametrize("method", ["exact", "rk4"])
     def test_non_finite_report_entry_refused_by_name(self, tmp_path, capsys, method, fmt):
         # The orbit and its columns fit, but the orbit center (c/q) pT / s =
@@ -657,9 +715,11 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("fmt", OUTPUT_FORMATS)
     @pytest.mark.parametrize("count", [2, 1001, 1024, 1025])
     def test_one_table_and_the_report_samples(self, tmp_path, capsys, monkeypatch, fmt, count):
-        # One run evaluates each integral of the motion once over its whole
-        # orbit, for the check and the writer alike, and splits every
-        # (count // 512)-th of its count samples and the last.
+        # One run evaluates each integral of the motion a block of rows at a
+        # time, never over the whole orbit: the check walks every row once in
+        # blocks of cli._BATCH, and the writer, in one share here, every row
+        # once more in its chunks.  The report splits every (count // 512)-th
+        # of its count samples and the last.
         calls = []
 
         def spy(owner, name):
@@ -673,14 +733,19 @@ class TestSimulateCommand:
         for owner, name in ((dynamics, "dual_momentum_value"), (dynamics, "kinetic_energy"),
                             (cli, "orbit_decomposition")):
             spy(owner, name)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         dt = 2.0 * np.pi / 512
         config = circle2d(tmp_path, integration={"dt": dt, "steps": count - 1, "method": "exact"})
         assert main(["simulate", "--config", config, "--out", str(tmp_path / "traj"),
                      "--format", fmt]) == 0
         [samples] = [state for name, state in calls if name == "orbit_decomposition"]
-        full = sorted(name for name, state in calls
-                      if state is not samples and np.size(state.time) == count)
-        assert full == ["dual_momentum_value", "kinetic_energy"]
+        for integral in ("dual_momentum_value", "kinetic_energy"):
+            blocks = [state.time for name, state in calls if name == integral
+                      and state is not samples and state.time.size]
+            assert max(block.size for block in blocks) <= min(count, cli._BATCH)
+            rows = np.concatenate(blocks)
+            np.testing.assert_array_equal(rows[:count], np.arange(count) * dt)
+            np.testing.assert_array_equal(rows[count:], np.arange(count) * dt)
         stride = max(1, count // 512)
         index = sorted(set(range(0, count, stride)) | {count - 1})
         np.testing.assert_array_equal(samples.time, np.arange(count)[index] * dt)

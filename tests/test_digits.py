@@ -33,7 +33,8 @@ def expected(rows):
 def text_rows(rows, shortest):
     """The writer's text of ``rows`` as one 2-D column, values joined by commas."""
     buffer = io.StringIO()
-    digits._write_rows(buffer, [rows], (",",) * (rows.shape[1] - 1) + ("\n",), shortest)
+    digits._write_rows(buffer, range(len(rows)), lambda start, stop: [rows[start:stop]],
+                       (",",) * (rows.shape[1] - 1) + ("\n",), shortest)
     return buffer.getvalue()
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -10,7 +11,7 @@ import sympy
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ncyclo import digits, dynamics, modes
+from ncyclo import cli, digits, dynamics, modes
 from ncyclo import (
     CanonicalForm,
     FieldTensor,
@@ -138,10 +139,14 @@ class TestTrajectory:
         position[3:, 0] = 1e10
         trajectory = Trajectory(0.5 * np.arange(5), position, np.zeros((5, 2)))
         trajectory_table(trajectory[:3], h, EUCLID2, UNIT)
-        with pytest.raises(ValueError) as exc:
-            trajectory_table(trajectory, h, EUCLID2, UNIT)
-        assert str(exc.value) == ("the trajectory column pT2 leaves the floating-point range "
-                                  "at step 3 (t = 1.5)")
+        # The whole orbit, and every range that holds step 3, name the same
+        # entry by its step in the whole orbit.
+        for start, stop in ((0, None), (2, 5), (3, 4), (-2, None)):
+            with pytest.raises(ValueError) as exc:
+                trajectory_table(trajectory, h, EUCLID2, UNIT, start, stop)
+            assert str(exc.value) == ("the trajectory column pT2 leaves the floating-point "
+                                      "range at step 3 (t = 1.5)")
+        assert trajectory_table(trajectory, h, EUCLID2, UNIT, 1, 3)["pT"].shape == (2, 2)
 
 
 class TestEvolveExact:
@@ -385,7 +390,8 @@ class TestClosedForm:
 ], ids=["definite-exact", "indefinite-exact", "rk4"])
 def test_peak_memory_is_the_orbit_itself(metric, evolve):
     # A 1e5-step orbit holds 7.2 MB of samples; every path evaluates them
-    # in place, with temporaries of one batch or one sqrt(N) block.
+    # in place, with temporaries of one batch or one sqrt(N) block, and
+    # forms its time grid in place.
     h = FieldTensor([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.5, 0.0],
                      [0.0, -0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])  # spatial, so bounded
     state = ParticleState([0.1, 0.2, 0.3, 0.4], [1.0, 0.0, 0.0, 0.5])
@@ -398,53 +404,75 @@ def test_peak_memory_is_the_orbit_itself(metric, evolve):
     finally:
         tracemalloc.stop()
     size = trajectory.time.nbytes + trajectory.position.nbytes + trajectory.momentum.nbytes
-    assert peak <= 1.5 * size
+    assert peak <= 1.15 * size
+
+
+def orbit4(steps):
+    """A bounded n = 4 orbit of ``steps`` steps, its field and its metric."""
+    metric = MetricTensor.euclidean(4)
+    h = FieldTensor([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.5, 0.0],
+                     [0.0, -0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    state = ParticleState([0.1, 0.2, 0.3, 0.4], [1.0, 0.0, 0.0, 0.5])
+    trajectory = evolve_exact_trajectory(state, dynamics_matrix(h, metric, UNIT), metric,
+                                         UNIT, 0.0123, steps)
+    return h, metric, trajectory
+
+
+def orbit_bytes(trajectory):
+    return trajectory.time.nbytes + trajectory.position.nbytes + trajectory.momentum.nbytes
 
 
 @pytest.mark.parametrize("write", [write_trajectory_csv, write_trajectory_structured])
 def test_writer_peak_memory_is_below_the_orbit(write, monkeypatch):
-    # The writers stack and format one chunk of rows at a time: beside the
-    # table's own pT and E_total columns, they hold one chunk, not a stacked
-    # copy of the whole orbit.  With chunks of 64 rows of this n = 4 table's
-    # 14 values a 1e4-step orbit spans 157 of them, as a long one does with
-    # the default size.
+    # Each share makes pT and E_total for one chunk of its rows at a time,
+    # and stacks and formats that chunk alone: the writer's peak does not
+    # grow with the orbit, and stays far below a 1e5-step orbit's 7.2 MB.
+    # Chunks of 64 rows of this n = 4 table's 14 values keep the kernel's
+    # own temporaries, which a JSON row's long ends widen, below the bound.
     monkeypatch.setattr(digits, "_CHUNK", 64 * 14)
-    metric = MetricTensor.euclidean(4)
-    h = FieldTensor([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.5, 0.0],
-                     [0.0, -0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
-    state = ParticleState([0.1, 0.2, 0.3, 0.4], [1.0, 0.0, 0.0, 0.5])
-    trajectory = evolve_exact_trajectory(state, dynamics_matrix(h, metric, UNIT), metric,
-                                         UNIT, 0.0123, 10_000)
-    size = trajectory.time.nbytes + trajectory.position.nbytes + trajectory.momentum.nbytes
+    peaks = {}
     with open(os.devnull, "w", encoding="utf-8") as sink:  # nothing kept in memory
-        write(trajectory[:3], h, metric, UNIT, sink)
+        for steps in (10_000, 100_000):
+            h, metric, trajectory = orbit4(steps)
+            write(trajectory[:3], h, metric, UNIT, sink)
+            tracemalloc.start()
+            try:
+                write(trajectory, h, metric, UNIT, sink)
+                peaks[steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert peaks[100_000] <= 1.2 * peaks[10_000]
+    assert peaks[100_000] <= 0.1 * orbit_bytes(trajectory)
+
+
+def test_check_peak_memory_is_one_block(tmp_path, monkeypatch):
+    # Before the file opens, simulate checks pT and E_total and takes their
+    # drifts a block of rows at a time, and splits a few hundred samples for
+    # the report: beside the orbit it holds nothing that grows with it.
+    peaks = {}
+
+    def stop_at_the_write(trajectory, field, metric, constants, stream):
+        peaks[len(trajectory) - 1] = tracemalloc.get_traced_memory()[1]
+
+    monkeypatch.setattr(cli, "write_trajectory_csv", stop_at_the_write)
+    for steps in (3, 10_000, 100_000):
+        h, metric, trajectory = orbit4(steps)
+        monkeypatch.setattr(cli, "evolve_exact_trajectory", lambda *args: trajectory)
+        config = tmp_path / f"orbit{steps}.json"
+        config.write_text(json.dumps({
+            "n": 4, "field": h.matrix.tolist(),
+            "initial": {"x": trajectory.position[0].tolist(),
+                        "p": trajectory.momentum[0].tolist()},
+            "integration": {"dt": 0.0123, "steps": steps, "method": "exact"}}))
         tracemalloc.start()
         try:
-            write(trajectory, h, metric, UNIT, sink)
-            peak = tracemalloc.get_traced_memory()[1]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["simulate", "--config", str(config),
+                             "--out", str(tmp_path / "orbit.csv")]) == 0
         finally:
             tracemalloc.stop()
-    assert peak <= 1.5 * size
-
-
-def test_table_peak_memory_is_its_new_columns():
-    # The table adds pT and E_total to the orbit's own columns and holds
-    # nothing else of the orbit's size: each column is allocated once, and
-    # its finiteness is checked a column at a time.
-    metric = MetricTensor.euclidean(4)
-    h = FieldTensor([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.5, 0.0],
-                     [0.0, -0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
-    state = ParticleState([0.1, 0.2, 0.3, 0.4], [1.0, 0.0, 0.0, 0.5])
-    trajectory = evolve_exact_trajectory(state, dynamics_matrix(h, metric, UNIT), metric,
-                                         UNIT, 0.0123, 10_000)
-    trajectory_table(trajectory[:3], h, metric, UNIT)
-    tracemalloc.start()
-    try:
-        table = trajectory_table(trajectory, h, metric, UNIT)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * (table["pT"].nbytes + table["E_total"].nbytes)
+    assert peaks[100_000] <= 1.2 * peaks[10_000]
+    assert peaks[100_000] <= 0.1 * orbit_bytes(trajectory)
 
 
 def stagewise_rk4(state, k, metric, constants, dt, steps):
@@ -1288,6 +1316,40 @@ class TestTrajectoryStructured:
         assert buffer.getvalue() == expected
 
 
+@pytest.mark.parametrize("write", [write_trajectory_csv, write_trajectory_structured])
+@pytest.mark.parametrize("rows", [0, 1, 1024, 1025, 2049])
+@pytest.mark.parametrize("chunk", [1, 3, None], ids=["1", "3", "default"])
+def test_chunk_boundaries_keep_the_bytes(rng, monkeypatch, write, rows, chunk):
+    # Each chunk of 1 row, 3 rows or the default's rows makes pT and E_total
+    # for its own rows, in this process or a forked share, and the bytes are
+    # still '%.17g' or json.dumps of the whole orbit's table, row for row.
+    n = 3
+    if chunk is not None:
+        monkeypatch.setattr(digits, "_CHUNK", chunk * (3 * n + 2))
+    specials = np.array([-0.0, 5e-324, 1.0 / 3.0, -2.5e150])
+    position = rng.choice(specials, (rows, n)) * rng.choice([1.0, 0.7], (rows, n))
+    momentum = np.where(rng.random((rows, n)) < 0.5, rng.choice(specials, (rows, n)),
+                        rng.standard_normal((rows, n)))
+    trajectory = Trajectory(0.37 * np.arange(rows), position, momentum)
+    h = FieldTensor(random_antisymmetric(rng, n))
+    metric = MetricTensor(random_spd(rng, n))
+    constants = PhysicalConstants(mass=0.7, charge=-1.3, light_speed=3.0)
+
+    table = trajectory_table(trajectory, h, metric, constants)
+    if write is write_trajectory_csv:
+        values = np.column_stack(list(table.values())).tolist()
+        expected = "".join(",".join("%.17g" % value for value in row) + "\n" for row in values)
+        expected = ",".join(["t", "x1", "x2", "x3", "p1", "p2", "p3", "pT1", "pT2", "pT3",
+                             "E_total"]) + "\n" + expected
+    else:
+        columns = {name: column.tolist() for name, column in table.items()}
+        dicts = [dict(zip(columns, values)) for values in zip(*columns.values())]
+        expected = json.dumps({"trajectory": dicts}, indent=2, sort_keys=True) + "\n"
+    buffer = io.StringIO()
+    write(trajectory, h, metric, constants, buffer)
+    assert buffer.getvalue() == expected
+
+
 def usable_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
@@ -1362,5 +1424,6 @@ class TestShareWriters:
         usable_cpus(monkeypatch, 3)
         h, trajectory = circle_orbit(1000)
         with pytest.raises(OSError, match="no space left"):
-            digits._write_rows(FullDisk(), [trajectory.time], ("\n",), False)
+            digits._write_rows(FullDisk(), range(len(trajectory)),
+                               lambda start, stop: [trajectory.time[start:stop]], ("\n",), False)
         assert_no_child_left()

@@ -182,3 +182,29 @@ def test_crossed_fields_with_e_above_b_list_no_frequency(tmp_path, capsys, e, b)
     config, _ = crossed_fields(tmp_path, e, b)
     assert main(["spectrum", "--config", str(config)]) == 0
     assert json.loads(capsys.readouterr().out)["frequencies"] == []
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: energy_drift is taken relative to the "
+                                       "first energy, while the energy rounds like |p|^2")
+def test_exact_runaway_passes_its_checks(tmp_path, capsys):
+    # Section 22, E > B, 2000 exact steps to kappa tau = 10: every sample
+    # lies within 1e-15 of the scale off the closed form, but the mass shell
+    # -mc^2/2 is computed from momenta of order e^10 |p0|, so its roundoff is
+    # 2.5e-7 of the first energy and simulate exits 1 on energy_drift.
+    e, b = 1.0, 0.5
+    config, kappa = crossed_fields(tmp_path, e, b, steps=2000)
+    data = json.loads(config.read_text())
+    data["integration"]["dt"] = 10.0 / (2000 * kappa)
+    config.write_text(json.dumps(data))
+    out = tmp_path / "runaway.csv"
+    code = main(["simulate", "--config", str(config), "--out", str(out)])
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    tau, p = rows[:, 0], rows[:, 5:9]
+    k = Q / (M * C) * np.array(data["field"]) @ np.diag([1.0, 1.0, 1.0, -1.0])
+    p0 = np.array(data["initial"]["p"])
+    angle = kappa * tau[:, None, None]
+    turn = (np.sinh(angle) / kappa * k + (np.cosh(angle) - 1.0) / kappa**2 * (k @ k)) @ p0
+    assert kappa * tau[-1] == pytest.approx(10.0, rel=1e-12)
+    assert np.abs(p - (p0 + turn)).max() <= 1e-15 * np.abs(p).max()
+    report = json.loads(capsys.readouterr().out)
+    assert (code, report["failed_invariants"]) == (0, [])

@@ -295,7 +295,7 @@ class TestDomainTypes:
 
 
     def test_constants_compare_and_hash_by_value(self):
-        # trajectory_table's cache hashes its arguments: equal constants share it.
+        # A value, as a frozen dataclass was: equal constants are one dict key.
         a, b = PhysicalConstants(mass=2.0, hbar=0.5), PhysicalConstants(mass=2.0, hbar=0.5)
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
         for other in (PhysicalConstants(mass=2.0), PhysicalConstants(mass=2.0, hbar=0.25)):
