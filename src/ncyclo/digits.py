@@ -69,6 +69,7 @@ _DOUBT = 1e-9  # a decision this close is left to % or repr itself
 _K = 330  # |k| < _K for every finite double
 _CHUNK = 4096  # values formatted at once, which bounds the temporaries
 _SHARE_ROWS = 1024  # rows begun per share at most: a write of this many or fewer forks nothing
+_REFUSED = 3  # the exit status of a writer process whose spool holds a ValueError's text
 _TINY = np.finfo(float).tiny  # the least normal value
 _printf = "%.17g".__mod__
 _repr = float.__repr__
@@ -279,10 +280,10 @@ def _write_rows(stream, rows: range, columns, ends: tuple[str, ...], shortest: b
     formatted by :func:`_chunk`, so no share holds more than a chunk of
     them.  This process formats the first share into ``stream`` and a forked
     child each other share into a temporary file, copied into ``stream``
-    after the child exits, so the bytes are those of one share.  A child that
-    fails raises ``ChildProcessError``; every child is reaped before this
-    returns or raises, the ones still running on an error after a
-    ``SIGTERM``.
+    after the child exits, so the bytes are those of one share.  A child's
+    ``ValueError`` is raised here with its text, any other failure of a
+    child as ``ChildProcessError``; every child is reaped before this
+    returns or raises, the ones still running on an error after a ``SIGTERM``.
     """
     step = max(1, _CHUNK // len(ends))
 
@@ -307,17 +308,24 @@ def _write_rows(stream, rows: range, columns, ends: tuple[str, ...], shortest: b
                     write_share(spools[-1], share)
                     spools[-1].flush()
                     status = 0
+                except ValueError as error:  # its text takes the place of the rows
+                    spools[-1].seek(0)
+                    spools[-1].write(str(error))
+                    spools[-1].truncate()  # which flushes the text first
+                    status = _REFUSED
                 finally:
                     os._exit(status)
             pids.append(pid)
         write_share(stream, shares[0])
         for spool in spools:
-            status = os.waitpid(pids[0], 0)[1]
+            status = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
             pid = pids.pop(0)
+            spool.seek(0)
+            if status == _REFUSED:
+                raise ValueError(spool.read())
             if status:
                 raise ChildProcessError(f"the trajectory writer process {pid} failed with "
-                                        f"exit status {os.waitstatus_to_exitcode(status)}")
-            spool.seek(0)
+                                        f"exit status {status}")
             shutil.copyfileobj(spool, stream)
     except BaseException:
         import signal  # here alone, on the error path: it costs a millisecond of import

@@ -68,7 +68,7 @@ class Trajectory(_ReadOnly):
     Reads as a sequence of :class:`ParticleState`: ``len`` and iteration work,
     an int index returns one state, and a slice or an index array returns a
     shorter trajectory.  Finiteness is checked once, over all samples, when
-    the trajectory is built, not again in a slice of it; the error names the
+    the trajectory is built, not again in a part of it; the error names the
     first sample that left the floating-point range.  Values derived from the
     samples are checked where they are computed, the written columns by
     :func:`trajectory_table`.
@@ -95,13 +95,11 @@ class Trajectory(_ReadOnly):
         return self.time.size
 
     def __getitem__(self, index):
-        if isinstance(index, (int, np.integer)):
+        if np.ndim(self.time[index]) == 0:  # an int, or a 0-d array of one
             return ParticleState(self.position[index], self.momentum[index], self.time[index])
-        if not isinstance(index, slice):
-            return Trajectory(self.time[index], self.position[index], self.momentum[index])
-        part = Trajectory.__new__(Trajectory)  # read-only views of finite samples: no check
-        part._set(time=self.time[index], position=self.position[index],
-                  momentum=self.momentum[index])
+        part = Trajectory.__new__(Trajectory)  # read-only, finite samples: no check
+        part._set(time=_frozen(self.time[index]), position=_frozen(self.position[index]),
+                  momentum=_frozen(self.momentum[index]))
         return part
 
     def __iter__(self):
@@ -163,8 +161,7 @@ def dynamics_matrix(field: FieldTensor, metric: MetricTensor,
 
 def _taylor4(a: np.ndarray) -> np.ndarray:
     # I + a + a^2/2 + a^3/6 + a^4/24, by Horner's rule.
-    eye = np.eye(a.shape[0])
-    poly = eye
+    poly = eye = np.eye(a.shape[0])
     for j in (4.0, 3.0, 2.0, 1.0):
         poly = eye + (a @ poly) / j
     return poly
@@ -357,13 +354,9 @@ def trajectory_table(trajectory: Trajectory, field: FieldTensor, metric: MetricT
 
 def _column_labels(table: dict[str, np.ndarray]) -> list[str]:
     # The CSV header: a 1-D column's name, name1..namen for the values of a 2-D one.
-    labels = []
-    for name, column in table.items():
-        if column.ndim == 1:
-            labels.append(name)
-        else:
-            labels += [f"{name}{i + 1}" for i in range(column.shape[1])]
-    return labels
+    return [label for name, column in table.items()
+            for label in ([name] if column.ndim == 1
+                          else [f"{name}{i + 1}" for i in range(column.shape[1])])]
 
 
 def write_trajectory_csv(trajectory: Trajectory, field: FieldTensor,

@@ -26,7 +26,7 @@ __all__: list[str] = []
 # tried in turn while the eigenvectors of the others have a condition number
 # past _MODE_CONDITION_MAX: a near-defective cluster, which no
 # well-conditioned eigenbasis spans, moves onto a series about its center.
-_CLUSTER_CUTS = (1e-12, 1e-9, 1e-6, 1e-3)
+_CLUSTER_CUTS = (1e-6, 1e-3)
 _MODE_CONDITION_MAX = 1e2
 # The basis of a cluster takes at most this many powers.
 _POWERS_MAX = 64
@@ -166,8 +166,8 @@ def split(k: np.ndarray, reach: float) -> tuple:
     """Eigenpairs ``mu, V`` of ``K`` outside every cluster, and each cluster's ``(sigma, Z, P)``.
 
     One eigensolve gives ``mu`` and ``V``.  While the columns of ``V`` left
-    have a condition number past ``_MODE_CONDITION_MAX``, eigenvalues linked
-    at the distances ``_CLUSTER_CUTS`` (shares of ``|K|``) form clusters
+    have a condition number past ``_MODE_CONDITION_MAX`` (100), eigenvalues
+    linked within ``_CLUSTER_CUTS`` (1e-6, then 1e-3 of ``|K|``) form clusters
     (:func:`_clusters`): a near-defective cluster, which no well-conditioned
     eigenbasis spans, leaves the modes.  Each cluster takes an orthonormal
     basis ``Z`` of its invariant subspace (:func:`_cluster_basis`) and the

@@ -176,9 +176,7 @@ class MetricTensor(_ReadOnly):
         """Flat metric ``diag(1, ..., 1, -1)``: the last axis is time-like."""
         if n < 2:
             raise ValueError("a Minkowski metric needs at least 2 dimensions")
-        diag = np.ones(n)
-        diag[-1] = -1.0
-        return cls(np.diag(diag))
+        return cls(np.diag([1.0] * (n - 1) + [-1.0]))
 
 
 class GaugeMatrix(_ReadOnly):

@@ -105,12 +105,15 @@ class TestTrajectory:
         third = trajectory[3]
         assert isinstance(third, ParticleState) and third.time == 0.75
         np.testing.assert_array_equal(third.position, trajectory.position[3])
-        assert trajectory[np.int64(-1)].time == 2.0
+        assert trajectory[np.int64(-1)].time == trajectory[np.array(-1)].time == 2.0
         evens = trajectory[::2]
         assert isinstance(evens, Trajectory)
         np.testing.assert_array_equal(evens.time, [0.0, 0.5, 1.0, 1.5, 2.0])
-        np.testing.assert_array_equal(trajectory[[0, 8]].momentum,
-                                      trajectory.momentum[[0, 8]])
+        ends = trajectory[[0, 8]]
+        np.testing.assert_array_equal(ends.momentum, trajectory.momentum[[0, 8]])
+        for arr in (evens.time, ends.time, ends.position, ends.momentum):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
         assert [st.time for st in trajectory] == list(trajectory.time)
 
     def test_arrays_are_read_only(self):
@@ -639,12 +642,12 @@ def boost(axis, rapidity):
 class TestIndefiniteClosedForm:
     """Indefinite metrics: modes, and a series on each near-defective cluster, on the oracle."""
 
-    def on_the_oracle(self, h, state, dt, steps, constants=UNIT, metric=None):
+    def on_the_oracle(self, h, state, dt, steps, constants=UNIT, metric=None, gate=1e-12):
         metric = metric or MetricTensor.minkowski(state.n)
         trajectory = evolve_exact_trajectory(state, dynamics_matrix(h, metric, constants),
                                              metric, constants, dt, steps)
         deviation, scale = oracle_error(trajectory, h, metric, constants, dt, steps)
-        assert deviation <= 1e-12 * scale, (deviation, scale)
+        assert deviation <= gate * scale, (deviation, scale)
         return trajectory
 
     @pytest.mark.parametrize("rapidity", [None, 0.5, 2.0], ids=["plain", "0.5", "2"])
@@ -737,6 +740,37 @@ class TestIndefiniteClosedForm:
             assert not modes.split(k, 1000 * dt)[2]
         deviation, scale = oracle_error(trajectory, h, metric, UNIT, dt, 1000)
         assert deviation <= 1e-9 * scale
+
+    def test_mode_condition_cap_sends_a_boosted_cluster_to_its_series(self):
+        # The frame of the test above at rapidity 3 and seed 4: its eigenbasis
+        # has condition 5.0e2, past the cap of 1e2, so the 1e-6 cut (which
+        # finds no cluster) and then the 1e-3 cut are tried, and the 1e-3 cut
+        # puts {0, +-5e-4 i} on a series, 8.5e-14 of the scale off the oracle
+        # over t = 1000.  A cap of 6e2 or more leaves them to the modes, which
+        # land 1.2e-12 off: this pins the cap between 4e2 and 6e2.
+        lorentz = lorentz_transform(np.random.default_rng(4), 3.0, 5)
+        h = FieldTensor(lorentz.T @ spacetime_field(5, {(0, 1): 1.0, (2, 3): 5e-4}) @ lorentz)
+        metric = MetricTensor.minkowski(5)
+        k = dynamics_matrix(h, metric, UNIT)
+        assert 4e2 < np.linalg.cond(np.linalg.eig(k)[1]) < 6e2
+        state = ParticleState([0.1, 0.2, 0.3, 0.4, 0.5], [0.3, -0.2, 0.5, 0.1, 1.2])
+        self.on_the_oracle(h, state, 1.0, 1000, gate=5e-13)
+
+    # ROADMAP item 11's table: today these land 4.7e-5, 4.7e-9, 1.0e-11,
+    # 4.5e-11 and 7.3e-13 of the scale off; its compensated-power prototype
+    # landed 1.5e-16 to 5.9e-16.
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 11: the cluster series loses its "
+                                           "terms to cancellation")
+    @pytest.mark.parametrize("delta, rapidity", [(1e-5, 3.0), (1e-7, 4.0), (0.0, 3.0),
+                                                 (1e-4, 3.0), (1e-6, 1.0)])
+    def test_near_null_field_on_the_oracle(self, delta, rapidity):
+        # B along x3 and E = B (1 + delta) along x1, mapped by
+        # L = boost(0, rapidity) boost(2, 0.3) (H -> L^T H L), over t = 100.
+        lorentz = boost(0, rapidity) @ boost(2, 0.3)
+        h = spacetime_field(4, {(0, 1): 1.0, (0, 3): 1.0 + delta})
+        self.on_the_oracle(FieldTensor(lorentz.T @ h @ lorentz),
+                           ParticleState(np.zeros(4), [0.3, 0.1, 0.2, -1.5]), 0.05, 2000,
+                           gate=5e-15)
 
     def test_weak_boost_at_a_long_reach(self):
         # Over t = 4e14 the boost 1e-13 grows by e^40: no short series holds
@@ -848,7 +882,7 @@ ALGEBRA_CASES = [
 
 
 @pytest.mark.parametrize("case", ALGEBRA_CASES)
-def test_exact_flow_keeps_the_commutator_algebra(case):
+def test_exact_flow_keeps_the_commutator_algebra(case, request):
     """The propagator ``M`` of ``z = (x, p)`` keeps the brackets: ``M J M^T = J``.
 
     ``{x^j, p_k} = delta^j_k`` and ``{p_j, p_k} = (q/c) H_jk`` give
@@ -858,8 +892,10 @@ def test_exact_flow_keeps_the_commutator_algebra(case):
     The columns of ``M`` are the orbits of the ``2n`` unit starts.  Beside
     seeded fields of signatures (n, 0), (n - 1, 1) and (n - 2, 2), the cases
     are null fields, Jordan blocks and a null rotation beside a cyclotron
-    block, which need no oracle here; the near-null field of ROADMAP item 11
-    is the strict xfail.
+    block; the near-null field of ROADMAP item 11 is the strict xfail.  The
+    brackets hold for some wrong series too, such as one with no degree-1
+    term on a real Jordan pair, so ``M`` of the Jordan cases also meets the
+    40-digit oracle.
     """
     h, metric = case()
     n = metric.n
@@ -876,6 +912,11 @@ def test_exact_flow_keeps_the_commutator_algebra(case):
         j = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), sign * bracket]])
         bound = 1e-13 * (np.abs(m) @ np.abs(j) @ np.abs(m).T)
         assert (np.abs(m @ j @ m.T - j) <= bound).all() == kept
+    if request.node.callspec.id.startswith("jordan-"):
+        want = np.column_stack([np.concatenate(van_loan_final(
+            h.matrix, metric.matrix, constants.mass, constants.charge, constants.light_speed,
+            start[:n], start[n:], 3.0, 1)) for start in np.eye(2 * n)])
+        assert np.abs(m - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 def exact_classes(h, signs):
@@ -1414,6 +1455,25 @@ class TestShareWriters:
                            match=r"^the trajectory writer process \d+ failed with exit status 1$"):
             write_trajectory_structured(trajectory, h, EUCLID2, UNIT, io.StringIO())
         assert_no_child_left()
+
+    @pytest.mark.parametrize("write", [write_trajectory_csv, write_trajectory_structured])
+    def test_refusal_in_a_forked_share_is_raised_by_name(self, write, monkeypatch):
+        # A 1+1 D runaway whose H x passes the float range from step 1642 on,
+        # though the orbit stays finite: on two CPUs that row lies in the
+        # forked share, whose refusal is raised here with its own text, the
+        # text a write on one CPU raises.
+        h, metric = FieldTensor([[0.0, 1e300], [-1e300, 0.0]]), MetricTensor.minkowski(2)
+        constants = PhysicalConstants(charge=1e-300)
+        trajectory = evolve_exact_trajectory(ParticleState([0.0, 0.0], [0.0, -1.0]),
+                                             dynamics_matrix(h, metric, constants), metric,
+                                             constants, 0.012, 1800)
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            with pytest.raises(ValueError) as refused:
+                write(trajectory, h, metric, constants, io.StringIO())
+            assert str(refused.value) == ("the trajectory column pT1 leaves the floating-point "
+                                          "range at step 1642 (t = 19.704)")
+            assert_no_child_left()
 
     def test_children_are_stopped_when_this_process_fails(self, monkeypatch):
         class FullDisk(io.StringIO):
