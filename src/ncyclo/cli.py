@@ -11,11 +11,14 @@ numpy arrays and scalars, into strict JSON with the bytes of
 the first entry that is not finite.  ``simulate`` checks its trajectory table
 and renders its report before it opens the trajectory file, so a refusal
 leaves no file behind, and removes the file again when the write fails.  The
-check walks the table a block of rows at a time, and the report reads both
-integrals of the motion, the dual momentum and the kinetic energy, from
-those blocks at every written row; no table of the whole orbit is held.  The
-report measures each block's frequency from its phase demodulated by the
-turn the closed form predicts.
+orbit is never held whole: its trajectory evaluates a block of rows at a
+time as it is read.  The check walks it once, a block at a time, and the
+report reads both integrals of the motion, the dual momentum and the
+kinetic energy, from those blocks at every written row, and its samples
+from the same walk; each writer share then evaluates its own rows again.
+No array of ``simulate`` grows with the step count.  The report measures
+each block's frequency from its phase demodulated by the turn the closed
+form predicts.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .canonical import (
 from .config import RunConfig
 # Not called here: perfbench's tracer wraps dual_momentum_value and kinetic_energy in cli.
 from .dynamics import (
+    Trajectory,
     dual_momentum_value,
     dynamics_matrix,
     evolve_exact_trajectory,
@@ -193,6 +197,44 @@ def _block_statistics(times, split, form, turns):
     return blocks
 
 
+def _walk(trajectory, field, metric, constants) -> tuple[dict, Trajectory]:
+    """Check the orbit and its table in one walk, a block of ``_BATCH`` rows at a time.
+
+    Of both integrals of the motion it keeps the first row and the column
+    extremes, which the drifts need, and of the samples every
+    ``(count // _REPORT_SAMPLES)``-th and the last, each once; nothing it
+    holds grows with the orbit.  It refuses the first sample past the float
+    range by name, else the first ``pT`` or ``E_total`` entry past it: a
+    sample is named even after a column overflowed in an earlier block.
+    """
+    count = len(trajectory)
+    index = np.r_[0:count - 1:max(1, count // _REPORT_SAMPLES), count - 1]
+    samples = np.empty(index.size), np.empty((index.size, field.n)), np.empty((index.size, field.n))
+    extremes, refusal = {}, None
+    for start in range(0, count, _BATCH):
+        stop = min(start + _BATCH, count)
+        if refusal is not None:
+            trajectory[start:stop]  # raises at a sample past the float range
+            continue
+        try:
+            table = trajectory_table(trajectory, field, metric, constants, start, stop)
+        except ValueError as error:
+            trajectory[start:stop]  # raises if the error was a sample's
+            refusal = error
+            continue
+        for name in ("pT", "E_total"):
+            column = table[name]
+            first, high, low = extremes.get(name, (column[0],) * 3)
+            extremes[name] = (first, np.maximum(high, column.max(axis=0)),
+                              np.minimum(low, column.min(axis=0)))
+        low, high = np.searchsorted(index, (start, stop))
+        for column, name in zip(samples, ("t", "x", "p")):
+            column[low:high] = table[name][index[low:high] - start]
+    if refusal is not None:
+        raise refusal
+    return extremes, Trajectory(*samples)
+
+
 def cmd_simulate(config: RunConfig, path: str, fmt: str) -> int:
     metric = config.metric_tensor()
     field = config.field_tensor()
@@ -202,27 +244,13 @@ def cmd_simulate(config: RunConfig, path: str, fmt: str) -> int:
 
     evolve = evolve_exact_trajectory if method == "exact" else evolve_rk4
     kmat = dynamics_matrix(field, metric, constants)
+    trajectory = evolve(state, kmat, metric, constants, dt, steps)
+    form = decompose(field, config.gamma_tensor())
     try:
-        trajectory = evolve(state, kmat, metric, constants, dt, steps)
-        form = decompose(field, config.gamma_tensor())
-        # Each block of the table checks itself; of both integrals of the
-        # motion the walk keeps the first row and the column extremes, which
-        # the drifts need, and each writer share makes its own blocks again.
-        extremes = {}
-        for start in range(0, len(trajectory), _BATCH):
-            table = trajectory_table(trajectory, field, metric, constants, start, start + _BATCH)
-            for name in ("pT", "E_total"):
-                column = table[name]
-                first, high, low = extremes.get(name, (column[0],) * 3)
-                extremes[name] = (first, np.maximum(high, column.max(axis=0)),
-                                  np.minimum(low, column.min(axis=0)))
-    except MemoryError:  # only the orbit's steps + 1 rows, or a block of its table, can outgrow it
+        extremes, samples = _walk(trajectory, field, metric, constants)
+    except MemoryError:  # only a block of the orbit or of its table can outgrow it
         raise ValueError(f"integration.steps: {steps} steps make an orbit of {steps + 1} "
                          f"samples, too many to allocate") from None
-
-    # Every (count // _REPORT_SAMPLES)-th sample and the last, each once.
-    count = len(trajectory)
-    samples = trajectory[np.r_[0:count - 1:max(1, count // _REPORT_SAMPLES), count - 1]]
 
     with np.errstate(all="ignore"):  # a report value past the float range is named by _layout
         residuals = {"dual_momentum_drift": _drift(*extremes["pT"]),

@@ -77,6 +77,14 @@ def _check_count(value, ctx: str, *_) -> None:
         raise ConfigError(f"{ctx} must be a positive integer, got {value!r}")
 
 
+def _check_steps(value, ctx: str, *_) -> None:
+    # Sample i is taken at i * dt: past 2**53 float64 no longer tells i from i + 1.
+    _check_count(value, ctx)
+    if value > 2**53:
+        raise ConfigError(f"{ctx}: {value} steps index samples past 2**53, where float64 no "
+                          f"longer tells consecutive sample times i*dt apart")
+
+
 def _one_of(choices: tuple):
     def check(value, ctx: str, *_) -> None:
         if value not in choices:
@@ -125,7 +133,7 @@ REQUIRED = object()
 SECTIONS = {
     "particle": {key: (_check_finite, 1.0) for key in ("m", "q", "c", "hbar")},
     "initial": {key: (_check_vector, REQUIRED) for key in ("x", "p")},
-    "integration": {"dt": (_check_positive, REQUIRED), "steps": (_check_count, REQUIRED),
+    "integration": {"dt": (_check_positive, REQUIRED), "steps": (_check_steps, REQUIRED),
                     "method": (_one_of(INTEGRATION_METHODS), "exact")},
 }
 

@@ -6,8 +6,9 @@ its time as a sum of modes and cluster series (:func:`ncyclo.modes.orbit`,
 with numpy alone).  Classic fourth-order Runge-Kutta propagates in blocks of
 about ``sqrt(N)`` samples with the degree-4 Taylor polynomial of the step's
 exponential: on a linear flow that polynomial is exactly one RK4 step.  Every
-method samples the orbit into one :class:`Trajectory` of time, position and
-momentum arrays.  :func:`write_trajectory_csv` and
+method returns one :class:`Trajectory` backed by its row source, which
+evaluates the orbit a block of rows at a time as it is read, so no array of
+the whole orbit need ever exist.  :func:`write_trajectory_csv` and
 :func:`write_trajectory_structured` lay out the text around the numbers and
 pass the columns to :mod:`ncyclo.digits`, whose exact numpy kernel writes
 ``'%.17g'`` text in CSV and ``repr``'s shortest text in the structured rows,
@@ -20,11 +21,12 @@ block basis it locates the centers of the cyclotron orbits.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 
 import numpy as np
 
 from .canonical import CanonicalForm
-from .tensors import FieldTensor, MetricTensor, PhysicalConstants, _ReadOnly, _frozen
+from .tensors import _BATCH, FieldTensor, MetricTensor, PhysicalConstants, _ReadOnly, _frozen
 
 __all__ = [
     "ParticleState",
@@ -67,10 +69,16 @@ class Trajectory(_ReadOnly):
 
     Reads as a sequence of :class:`ParticleState`: ``len`` and iteration work,
     an int index returns one state, and a slice or an index array returns a
-    shorter trajectory.  Finiteness is checked once, over all samples, when
-    the trajectory is built, not again in a part of it; the error names the
-    first sample that left the floating-point range.  Values derived from the
-    samples are checked where they are computed, the written columns by
+    shorter trajectory of arrays.  One built from arrays is checked finite
+    once, when it is built.  One that :func:`evolve_exact_trajectory` or
+    :func:`evolve_rk4` returns is backed by its row source: it evaluates
+    whole blocks of rows as they are asked for, checks each one as it
+    evaluates it and keeps the last, so a walk in row order evaluates each
+    block once and holds one, and a row's bits do not depend on how it was
+    asked for.  ``time``, ``position`` and ``momentum`` evaluate every row on
+    first access.  The error names the first sample past the floating-point
+    range by its step in the whole orbit.  Values derived from the samples
+    are checked where they are computed, the written columns by
     :func:`trajectory_table`.
     """
 
@@ -82,28 +90,98 @@ class Trajectory(_ReadOnly):
                 or not x.shape[1]):
             raise ValueError(f"trajectory must have N times and (N, n) positions and momenta, "
                              f"n nonempty, got shapes {t.shape}, {x.shape} and {p.shape}")
-        finite = np.isfinite(t) & np.isfinite(x).all(axis=1) & np.isfinite(p).all(axis=1)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            raise ValueError(f"the orbit leaves the floating-point range at step {i} "
-                             f"(t = {t[i]:.12g})")
+        _check_samples(t, x, p, 0)
         # Frozen views, so arrays passed in keep their own write flag.
-        self._set(time=_frozen(t.view()), position=_frozen(x.view()),
-                  momentum=_frozen(p.view()))
+        self._hold(_frozen(t.view()), _frozen(x.view()), _frozen(p.view()))
+
+    def _hold(self, *rows: np.ndarray) -> "Trajectory":
+        # Every row in one block, finite and read-only: nothing to evaluate.
+        t, x, _ = rows
+        self._set(_count=t.size, _size=max(t.size, 1), _n=x.shape[1], _source=None,
+                  _last=[0, rows])
+        return self
+
+    @classmethod
+    def _from_source(cls, count: int, size: int, n: int, source) -> "Trajectory":
+        """``count`` rows in blocks of ``size``; ``source(i)`` gives block ``i``'s ``t, x, p``."""
+        trajectory = cls.__new__(cls)
+        trajectory._set(_count=count, _size=size, _n=n, _source=source, _last=[-1, None])
+        return trajectory
+
+    def _block(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._last[0] != i:
+            self._last[:] = -1, None  # so the last block is not held beside the next one
+            # An orbit that overflows is refused once, below, instead of
+            # through a floating-point warning per operation.
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows = self._source(i)
+            _check_samples(*rows, i * self._size)
+            self._last[:] = i, tuple(map(_frozen, rows))
+        return self._last[1]
+
+    def _take(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``t, x, p`` of the rows of an index array: each block they touch is evaluated once."""
+        size, n = self._size, self._n
+        out = np.empty(rows.size), np.empty((rows.size, n)), np.empty((rows.size, n))
+        blocks = rows // size
+        order = np.argsort(blocks, kind="stable")
+        for group in np.split(order, np.flatnonzero(np.diff(blocks[order])) + 1):
+            if group.size:
+                i = int(blocks[group[0]])
+                for column, block in zip(out, self._block(i)):
+                    column[group] = block[rows[group] - i * size]
+        return tuple(map(_frozen, out))
+
+    def _rows(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``t, x, p`` of the rows ``start:stop``: views of one block, or copies across blocks."""
+        size, count = self._size, stop - start
+        first, last = start // size, (stop - 1) // size
+        if first == last:
+            return tuple(column[start - first * size:stop - first * size]
+                         for column in self._block(first))
+        out = np.empty(count), np.empty((count, self._n)), np.empty((count, self._n))
+        for i in range(first, last + 1):
+            low, high = max(start, i * size), min(stop, (i + 1) * size)
+            for column, block in zip(out, self._block(i)):
+                column[low - start:high - start] = block[low - i * size:high - i * size]
+        return tuple(map(_frozen, out))
+
+    @cached_property
+    def _whole(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self._rows(0, self._count)
+
+    time = property(lambda self: self._whole[0])
+    position = property(lambda self: self._whole[1])
+    momentum = property(lambda self: self._whole[2])
 
     def __len__(self) -> int:
-        return self.time.size
+        return self._count
 
     def __getitem__(self, index):
-        if np.ndim(self.time[index]) == 0:  # an int, or a 0-d array of one
-            return ParticleState(self.position[index], self.momentum[index], self.time[index])
-        part = Trajectory.__new__(Trajectory)  # read-only, finite samples: no check
-        part._set(time=_frozen(self.time[index]), position=_frozen(self.position[index]),
-                  momentum=_frozen(self.momentum[index]))
-        return part
+        if isinstance(index, slice):
+            rows = range(self._count)[index]
+            part = (self._rows(rows.start, rows.start + len(rows)) if rows.step == 1
+                    else self._take(np.arange(rows.start, rows.stop, rows.step)))
+        elif np.ndim(index) == 0:  # an int, or a 0-d array of one
+            i = range(self._count)[index]
+            t, x, p = self._block(i // self._size)
+            i %= self._size
+            return ParticleState(x[i], p[i], t[i])
+        else:
+            part = self._take(np.arange(self._count)[index])
+        return Trajectory.__new__(Trajectory)._hold(*part)
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
+
+
+def _check_samples(t: np.ndarray, x: np.ndarray, p: np.ndarray, first: int) -> None:
+    # Rows from step `first` on: the first one past the float range is named.
+    if not (np.isfinite(t).all() and np.isfinite(x).all() and np.isfinite(p).all()):
+        finite = np.isfinite(t) & np.isfinite(x).all(axis=1) & np.isfinite(p).all(axis=1)
+        i = int(np.argmin(finite))
+        raise ValueError(f"the orbit leaves the floating-point range at step {first + i} "
+                         f"(t = {t[i]:.12g})")
 
 
 class CanonicalCoords(_ReadOnly):
@@ -172,10 +250,11 @@ def evolve_exact_trajectory(state: ParticleState, k: np.ndarray, metric: MetricT
                             steps: int) -> Trajectory:
     """Sample the closed-form flow at ``steps`` uniform increments of ``dt``.
 
-    Every sample is evaluated directly from its time, a batch of rows at a
-    time, as a sum of modes and cluster series (:func:`ncyclo.modes.orbit`,
-    which gives both closed forms).  Returns ``steps + 1`` samples, the input
-    first.
+    Returns ``steps + 1`` samples, the input first, backed by their source:
+    the analysis of ``K`` is made here, once (:func:`ncyclo.modes.orbit`,
+    which gives both closed forms, over the orbit's reach ``|steps dt|``),
+    and every sample is evaluated from its time alone, as a sum of modes and
+    cluster series, in blocks of ``_BATCH`` rows as they are asked for.
     """
     from . import modes  # here alone: no other command compiles it
 
@@ -183,12 +262,18 @@ def evolve_exact_trajectory(state: ParticleState, k: np.ndarray, metric: MetricT
         raise ValueError("dt must be finite")
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    with np.errstate(over="ignore", invalid="ignore"):  # Trajectory names an overflow
-        t = np.arange(steps + 1, dtype=float)
-        t *= dt  # in place, here and below: the time grid is the one array of its size
-        position, momentum = modes.orbit(state, k, metric, constants.mass, t)
+    sampler = modes.orbit(state, k, metric, constants.mass, abs(float(steps) * dt) or 1.0)
+
+    def block(i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        t = np.arange(i * _BATCH, min((i + 1) * _BATCH, steps + 1), dtype=float)
+        t *= dt
+        position, momentum = sampler(t)
+        if i == 0:
+            position[0], momentum[0] = state.position, state.momentum
         t += state.time
-        return Trajectory(t, position, momentum)
+        return t, position, momentum
+
+    return Trajectory._from_source(steps + 1, _BATCH, state.n, block)
 
 
 def evolve_rk4(state: ParticleState, k: np.ndarray, metric: MetricTensor,
@@ -205,10 +290,12 @@ def evolve_rk4(state: ParticleState, k: np.ndarray, metric: MetricTensor,
     iterating ``E``, and every later block of ``b`` samples is the block before
     it times the leap ``E^b``: about ``2 sqrt(steps)`` array operations instead
     of one matrix-vector product pair per sample, and roundoff that grows like
-    ``2 sqrt(steps)`` roundoffs instead of ``steps``.  Only samples grow, never
-    a power of ``E``, so an orbit that overflows is refused at the sample that
-    leaves the float range.  The independent check of it and of the exact
-    orbits is the 40-digit oracle of the tests (``tests/oracle.py``).
+    ``2 sqrt(steps)`` roundoffs instead of ``steps``.  The trajectory is backed
+    by that recurrence, which holds the last block it reached and walks on
+    from it, or from the first block again for an earlier one.  Only samples
+    grow, never a power of ``E``, so an orbit that overflows is refused at the
+    sample that leaves the float range.  The independent check of it and of
+    the exact orbits is the 40-digit oracle of the tests (``tests/oracle.py``).
     """
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive")
@@ -216,24 +303,31 @@ def evolve_rk4(state: ParticleState, k: np.ndarray, metric: MetricTensor,
         raise ValueError("steps must be at least 1")
     n = state.n
     b = round(np.sqrt(steps + 1))
-    rows = np.empty((steps + 1, 2 * n))
-    rows[0, :n], rows[0, n:] = state.momentum, state.position
     generator = np.zeros((2 * n, 2 * n))
-    # An orbit that overflows, or a step map or a time that does, is reported
-    # once, by Trajectory, instead of through a floating-point warning per operation.
+    # A step map or a leap that overflows is refused through the samples it
+    # makes, by Trajectory, instead of through a floating-point warning.
     with np.errstate(over="ignore", invalid="ignore"):
         generator[:n, :n], generator[n:, :n] = k, metric.inverse / constants.mass
         step = _taylor4(dt * generator)
         leap = np.linalg.matrix_power(step, b)
-        for i in range(1, b):
-            rows[i] = step @ rows[i - 1]
-        for j in range(b, steps + 1, b):
-            end = min(j + b, steps + 1)
-            rows[j:end] = rows[j - b:end - b] @ leap.T
-        t = np.arange(steps + 1, dtype=float)
+    reached = [-1, None]  # the last block of the recurrence, and its rows z = (p, x)
+
+    def block(i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        j, rows = reached
+        if not 0 <= j <= i:
+            j, rows = 0, np.empty((b, 2 * n))
+            rows[0, :n], rows[0, n:] = state.momentum, state.position
+            for r in range(1, b):
+                rows[r] = step @ rows[r - 1]
+        for j in range(j + 1, i + 1):
+            rows = rows[:min(b, steps + 1 - j * b)] @ leap.T
+        reached[:] = i, rows
+        t = np.arange(i * b, i * b + len(rows), dtype=float)
         t *= dt
         t += state.time
-        return Trajectory(t, rows[:, n:], rows[:, :n])
+        return t, rows[:, n:], rows[:, :n]
+
+    return Trajectory._from_source(steps + 1, b, n, block)
 
 
 def _apply(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -324,14 +418,15 @@ def trajectory_table(trajectory: Trajectory, field: FieldTensor, metric: MetricT
 
     ``x``, ``p`` and the dual momentum ``pT`` have one row of n values per
     sample; ``t`` and ``E_total`` one value per sample.  ``t``, ``x`` and
-    ``p`` are views of the trajectory; ``pT`` and ``E_total`` are computed
-    for the rows asked for alone, so a caller that walks an orbit a block of
-    rows at a time never holds them for the whole orbit, and each row's bits
-    do not depend on the block (:func:`_apply`).  The samples of a
-    :class:`Trajectory` are finite, but ``pT`` and ``E_total`` can still
-    overflow: a ``ValueError`` then names the first non-finite entry by its
-    CSV column and its step in the whole trajectory, so every table returned
-    is finite.
+    ``p`` are the trajectory's rows, evaluated by its source if it has one;
+    ``pT`` and ``E_total`` are computed for the rows asked for alone, so a
+    caller that walks an orbit a block of rows at a time never holds any
+    column for the whole orbit, and each row's bits do not depend on the
+    block (:func:`_apply`).  The samples of a :class:`Trajectory` are finite,
+    and one past the float range is refused as its rows are evaluated, but
+    ``pT`` and ``E_total`` can still overflow: a ``ValueError`` then names
+    the first non-finite entry by its CSV column and its step in the whole
+    trajectory, so every table returned is finite.
     """
     rows = range(len(trajectory))[start:stop]
     part = trajectory[rows.start:rows.stop]

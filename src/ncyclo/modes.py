@@ -1,15 +1,15 @@
 """A linear flow ``p' = K p``, ``x' = g^{-1} p / m`` sampled as a sum of modes.
 
-:func:`sample` evaluates every sample from its time alone, a batch of rows at
-a time, as a sum of modes ``exp(-i nu t) c`` and terms of a series: the form
-of every exact orbit of :mod:`ncyclo.dynamics`, whose free motion is a mode at
-``nu = 0``.  :func:`orbit` builds that one table of columns.  A definite
-metric takes its modes from one Hermitian eigensolve in its own frame; any
-other ``K`` from one eigensolve (the eigenvector method of Moler and Van
-Loan), where :func:`split` moves each near-defective cluster of eigenvalues,
-which no eigenbasis spans, onto an orthonormal basis of its invariant subspace
-and the power series of ``exp(t(N - sigma))`` about the cluster's center
-``sigma``.
+:func:`sample` evaluates a batch of samples, each from its time alone, as a
+sum of modes ``exp(-i nu t) c`` and terms of a series: the form of every
+exact orbit of :mod:`ncyclo.dynamics`, whose free motion is a mode at
+``nu = 0``.  :func:`orbit` analyses ``K`` once and returns that sampler.  A
+definite metric takes its modes from one Hermitian eigensolve in its own
+frame; any other ``K`` from one eigensolve (the eigenvector method of Moler
+and Van Loan), where :func:`split` moves each near-defective cluster of
+eigenvalues, which no eigenbasis spans, onto an orthonormal basis of its
+invariant subspace and the power series of ``exp(t(N - sigma))`` about the
+cluster's center ``sigma``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .tensors import _BATCH, MetricTensor, _unit_scaled, frobenius_norm
+from .tensors import MetricTensor, _unit_scaled, frobenius_norm
 
 __all__: list[str] = []
 
@@ -53,44 +53,46 @@ def sample(state, t: np.ndarray, nu: np.ndarray, c: np.ndarray, to_momentum: np.
     same (its ``to_position`` holds the inverse of ``K`` on the cluster),
     except about zero (``nu = 0``), where it takes the integral
     ``t s^j / (j + 1)``, so no coefficient is multiplied by ``reach``.
-    Each row depends on its time alone, and rows are evaluated a batch at a
-    time.  A growing mode (``nu`` off the real axis) can pass the float range
-    before its projection does, so a row whose mode amplitudes pass
-    ``2^1000`` is scaled down by a power of two, which the projection's result
-    gets back: the orbit is refused at the first sample that leaves the range
-    itself.
+    Each row depends on its time alone, but BLAS may round it differently
+    in a batch of another shape, so a caller that wants the same bits for a
+    row however it asks for it evaluates the same batches
+    (:func:`ncyclo.dynamics.evolve_exact_trajectory` takes blocks of
+    ``_BATCH`` rows).  A growing mode (``nu`` off the real axis) can pass the
+    float range before its projection does, so a row whose mode amplitudes
+    pass ``2^1000`` is scaled down by a power of two, which the projection's
+    result gets back: the orbit is refused at the first sample that leaves
+    the range itself.
     """
-    position, momentum = np.empty((t.size, state.n)), np.empty((t.size, state.n))
     # An orbit that overflows is reported once, by the caller's Trajectory,
     # instead of through a floating-point warning per operation.
     series, cluster = powers > 0, powers >= 0
     integral = cluster & (nu == 0)
-    growing = nu.imag.any()
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, t.size, _BATCH):
-            rows = slice(start, start + _BATCH)
-            half = np.outer(t[rows], nu) / 2.0
-            turn = np.exp(-1j * half) * c
-            kick = -2j * np.sin(half)
-            swept = t[rows, None] * np.sinc(half / np.pi)
-            if cluster.any():
-                kick[:, series] = (np.exp(-1j * half[:, series])
-                                   * (t[rows, None] / reach) ** powers[series])
-                swept = np.where(cluster, kick, swept)
-                swept[:, integral] = (t[rows, None] * (t[rows, None] / reach) ** powers[integral]
-                                      / (powers[integral] + 1))
-            excess = 0
-            if growing:
-                excess = (np.maximum(_exponent(kick), _exponent(swept))
-                          + _exponent(turn)).max(axis=1, initial=0) - 1000
-                excess = np.maximum(excess, 0)[:, None]
-                np.ldexp(turn.real, -excess, out=turn.real)
-                np.ldexp(turn.imag, -excess, out=turn.imag)
-            momentum[rows] = state.momentum + np.ldexp(((kick * turn) @ to_momentum.T).real,
-                                                       excess)
-            position[rows] = state.position + np.ldexp(((swept * turn) @ to_position.T).real,
-                                                       excess)
-    position[0], momentum[0] = state.position, state.momentum
+        # half and turn are formed in place, by the same operations: fewer
+        # temporaries per batch keep the heap from returning pages to the
+        # system and faulting them in again for the next batch.
+        half = np.outer(t, nu)
+        half /= 2.0
+        turn = np.multiply(-1j, half)
+        np.exp(turn, out=turn)
+        turn *= c
+        kick = -2j * np.sin(half)
+        swept = t[:, None] * np.sinc(half / np.pi)
+        if cluster.any():
+            kick[:, series] = (np.exp(-1j * half[:, series])
+                               * (t[:, None] / reach) ** powers[series])
+            swept = np.where(cluster, kick, swept)
+            swept[:, integral] = (t[:, None] * (t[:, None] / reach) ** powers[integral]
+                                  / (powers[integral] + 1))
+        excess = 0
+        if nu.imag.any():
+            excess = (np.maximum(_exponent(kick), _exponent(swept))
+                      + _exponent(turn)).max(axis=1, initial=0) - 1000
+            excess = np.maximum(excess, 0)[:, None]
+            np.ldexp(turn.real, -excess, out=turn.real)
+            np.ldexp(turn.imag, -excess, out=turn.imag)
+        momentum = state.momentum + np.ldexp(((kick * turn) @ to_momentum.T).real, excess)
+        position = state.position + np.ldexp(((swept * turn) @ to_position.T).real, excess)
     return position, momentum
 
 
@@ -99,11 +101,13 @@ def _exponent(values: np.ndarray) -> np.ndarray:
     return np.frexp(np.maximum(np.abs(values.real), np.abs(values.imag)))[1]
 
 
-def orbit(state, k: np.ndarray, metric: MetricTensor, mass: float,
-          t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and momenta at the times ``t`` of ``p' = K p``, ``x' = g^{-1} p / m``.
+def orbit(state, k: np.ndarray, metric: MetricTensor, mass: float, reach: float):
+    """The sampler of ``p' = K p``, ``x' = g^{-1} p / m`` from ``state``, up to ``|t| = reach``.
 
-    Every orbit is one call of :func:`sample`.  For a definite metric ``g``
+    The analysis of ``K`` is made here, once; the sampler it returns maps a
+    batch of times ``t`` to their positions and momenta, one :func:`sample`
+    call each.  ``reach`` is the largest ``|t|`` asked for, which the series
+    of a cluster are built to hold (:func:`split`).  For a definite metric ``g``
     of sign ``s``, with the frame ``G = s g`` and ``y = G^{-1/2} p``, the
     generator ``A = G^{-1/2} K G^{1/2}`` of ``y`` is real antisymmetric.  One
     Hermitian eigensolve ``i A = U diag(lam) U^H`` gives the modes,
@@ -128,13 +132,13 @@ def orbit(state, k: np.ndarray, metric: MetricTensor, mass: float,
     The frequencies are real unless a mode grows.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        reach = abs(t[-1]) or 1.0
         if metric.is_definite:
             sign, root, inverse_root = metric.frame
             a = inverse_root @ k @ root
             lam, u = np.linalg.eigh(1j * (a / 2.0 - a.T / 2.0))  # exp(tA) = U e^{-i lam t} U^H
-            return sample(state, t, lam, u.conj().T @ (inverse_root @ state.momentum), root @ u,
-                          (sign / mass) * (inverse_root @ u), np.full(lam.size, -1), reach)
+            modes = (lam, u.conj().T @ (inverse_root @ state.momentum), root @ u,
+                     (sign / mass) * (inverse_root @ u), np.full(lam.size, -1))
+            return lambda t: sample(state, t, *modes, reach)
         to_velocity = metric.inverse / mass
         mu, v, clusters = split(k, reach)
         coords = np.linalg.solve(np.hstack([v, *(z for _, z, _ in clusters)]), state.momentum)
@@ -157,9 +161,9 @@ def orbit(state, k: np.ndarray, metric: MetricTensor, mass: float,
                 terms if sigma == 0 else np.linalg.solve(z.conj().T @ k @ z, terms)))
             powers.append(np.arange(terms.shape[1]))
         nu = np.concatenate(nu)
-        return sample(state, t, nu if nu.imag.any() else nu.real, np.concatenate(c),
-                      np.hstack(to_momentum), np.hstack(to_position), np.concatenate(powers),
-                      reach)
+        modes = (nu if nu.imag.any() else nu.real, np.concatenate(c), np.hstack(to_momentum),
+                 np.hstack(to_position), np.concatenate(powers))
+        return lambda t: sample(state, t, *modes, reach)
 
 
 def split(k: np.ndarray, reach: float) -> tuple:

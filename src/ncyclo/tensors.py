@@ -40,8 +40,8 @@ SYMMETRY_RTOL = 1e-12
 # is the same in every orthonormal frame, so the verdict is too.
 METRIC_CONDITION_MAX = 1e12
 # Orbit rows are evaluated this many at a time, which bounds the memory held
-# by the temporaries of one batch: the samples of an exact orbit
-# (ncyclo.modes) and the blocks of its table that simulate checks.
+# by the temporaries of one batch: the blocks of an exact orbit
+# (ncyclo.dynamics) and of the table that simulate checks.
 _BATCH = 1024
 
 

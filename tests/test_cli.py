@@ -18,7 +18,7 @@ from conftest import (
     random_antisymmetric,
     random_spd,
 )
-from ncyclo import cli, dynamics
+from ncyclo import cli, dynamics, modes
 from ncyclo.cli import OUTPUT_FORMATS, cmd_verify, main
 from ncyclo.config import RunConfig
 from ncyclo.operators import canonical_momentum, commutator, dual_momentum
@@ -540,15 +540,17 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("method", ["exact", "rk4"])
     def test_unallocatable_step_count_refused_by_name(self, tmp_path, capsys, method):
-        # 1e17 samples take exabytes, past even a 57-bit address space, so
-        # numpy's allocation fails before any memory is touched.
+        # No array grows with the step count, so nothing fails to allocate;
+        # past 2**53 the sample times i*dt run together, and the count is
+        # refused by its key when the config is read.
         out = tmp_path / "traj.csv"
         config = circle2d(tmp_path, integration={"dt": 0.01, "steps": 10**17, "method": method})
         code, captured = run_without_warnings(
             ["simulate", "--config", config, "--out", str(out)], capsys)
         assert (code, captured.out) == (2, "")
-        assert captured.err == ("error: integration.steps: 100000000000000000 steps make an "
-                                "orbit of 100000000000000001 samples, too many to allocate\n")
+        assert captured.err == ("error: integration.steps: 100000000000000000 steps index "
+                                "samples past 2**53, where float64 no longer tells "
+                                "consecutive sample times i*dt apart\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("method", ["exact", "rk4"])
@@ -620,6 +622,27 @@ class TestSimulateCommand:
             ["simulate", "--config", config, "--out", str(out), "--format", fmt], capsys)
         assert (code, captured.out) == (2, "")
         assert captured.err == f"error: {whole.value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["exact", "rk4"])
+    def test_sample_past_the_float_range_named_before_an_earlier_column(self, tmp_path, capsys,
+                                                                        method):
+        # A boost at rate 0.5 in (x3, t) under Minkowski: E_total, a square of p,
+        # leaves the float range at step 35749, and the sample itself at
+        # step 71168.  The walk checks every block's samples on to the end,
+        # so the sample is named, as a check of the whole orbit's samples
+        # before its table names it.
+        config = write_config(tmp_path, {
+            "n": 4, "metric": "minkowski",
+            "field": [[0.0] * 4, [0.0] * 4, [0.0, 0.0, 0.0, 0.5], [0.0, 0.0, -0.5, 0.0]],
+            "initial": {"x": [0.0] * 4, "p": [1.0, 0.0, 0.25, 0.1]},
+            "integration": {"dt": 0.02, "steps": 100_000, "method": method}})
+        out = tmp_path / "traj.csv"
+        code, captured = run_without_warnings(
+            ["simulate", "--config", config, "--out", str(out)], capsys)
+        assert (code, captured.out) == (2, "")
+        assert captured.err == ("error: the orbit leaves the floating-point range at step 71168 "
+                                "(t = 1423.36)\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("fmt", OUTPUT_FORMATS)
@@ -749,6 +772,32 @@ class TestSimulateCommand:
         stride = max(1, count // 512)
         index = sorted(set(range(0, count, stride)) | {count - 1})
         np.testing.assert_array_equal(samples.time, np.arange(count)[index] * dt)
+
+    @pytest.mark.parametrize("fmt", OUTPUT_FORMATS)
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_each_orbit_row_is_evaluated_twice(self, tmp_path, capsys, monkeypatch, fmt, cpus):
+        # The check's walk evaluates every block of the exact orbit once, and
+        # the writer once more: in one share, every block once; in two, each
+        # share its own blocks, the block that holds the cut in both.  The
+        # report's samples come from the walk.
+        rows = []
+
+        def counted(state, t, *args):
+            rows.append(t.size)
+            return sample(state, t, *args)
+
+        sample = modes.sample
+        monkeypatch.setattr(modes, "sample", counted)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        config = circle2d(tmp_path, integration={"dt": 0.01, "steps": 2500, "method": "exact"})
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "traj"),
+                     "--format", fmt]) == 0
+        # In this process: the walk, then the first share, all of the orbit
+        # or its first 1250 rows; a structured file's last row, written on
+        # its own, is in the block the share ended in or in the last one.
+        walk = [1024, 1024, 453]
+        share = walk if cpus == 1 else [1024, 1024] + [453] * (fmt == "structured")
+        assert rows == walk + share
 
     def test_bad_output_format(self, tmp_path, capsys):
         config = circle2d(tmp_path)

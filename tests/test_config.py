@@ -187,6 +187,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match="^integration: missing key 'steps'$"):
             RunConfig.from_dict(with_overrides(integration={"dt": 0.1}))
 
+    def test_step_count_bound_is_2_to_the_53(self):
+        # Sample i is taken at i * dt; up to 2**53 every index is a distinct float.
+        config = RunConfig.from_dict(with_overrides(integration={"dt": 0.1, "steps": 2**53}))
+        assert config.integration_settings()[1] == 2**53
+        with pytest.raises(ConfigError, match=r"^integration\.steps: 9007199254740993 steps "
+                                              r"index samples past 2\*\*53"):
+            RunConfig.from_dict(with_overrides(integration={"dt": 0.1, "steps": 2**53 + 1}))
+
     def test_bad_initial_length(self):
         with pytest.raises(ConfigError, match="initial.x"):
             RunConfig.from_dict(with_overrides(initial={"x": [0.0], "p": [1.0, 0.0]}))
