@@ -12,10 +12,11 @@ the first entry that is not finite.  ``simulate`` checks its trajectory table
 and renders its report before it opens the trajectory file, so a refusal
 leaves no file behind, and removes the file again when the write fails.  The
 orbit is never held whole: its trajectory evaluates a block of rows at a
-time as it is read.  The check walks it once, a block at a time, and the
-report reads both integrals of the motion, the dual momentum and the
-kinetic energy, from those blocks at every written row, and its samples
-from the same walk; each writer share then evaluates its own rows again.
+time as it is read.  The check walks it once, a block at a time, refuses
+the first block with an entry past the float range (a sample of it before
+a column, as the writers do), reads both integrals of the motion, the dual
+momentum and the kinetic energy, at every written row, and keeps the
+report's samples; each writer share then evaluates its own rows again.
 No array of ``simulate`` grows with the step count.  The report measures
 each block's frequency from its phase demodulated by the turn the closed
 form predicts.
@@ -203,25 +204,17 @@ def _walk(trajectory, field, metric, constants) -> tuple[dict, Trajectory]:
     Of both integrals of the motion it keeps the first row and the column
     extremes, which the drifts need, and of the samples every
     ``(count // _REPORT_SAMPLES)``-th and the last, each once; nothing it
-    holds grows with the orbit.  It refuses the first sample past the float
-    range by name, else the first ``pT`` or ``E_total`` entry past it: a
-    sample is named even after a column overflowed in an earlier block.
+    holds grows with the orbit.  It refuses the first block with an entry
+    past the float range, a sample of it before a ``pT`` or ``E_total``
+    entry: the rule of :func:`trajectory_table` and of both writers.
     """
     count = len(trajectory)
     index = np.r_[0:count - 1:max(1, count // _REPORT_SAMPLES), count - 1]
     samples = np.empty(index.size), np.empty((index.size, field.n)), np.empty((index.size, field.n))
-    extremes, refusal = {}, None
+    extremes = {}
     for start in range(0, count, _BATCH):
         stop = min(start + _BATCH, count)
-        if refusal is not None:
-            trajectory[start:stop]  # raises at a sample past the float range
-            continue
-        try:
-            table = trajectory_table(trajectory, field, metric, constants, start, stop)
-        except ValueError as error:
-            trajectory[start:stop]  # raises if the error was a sample's
-            refusal = error
-            continue
+        table = trajectory_table(trajectory, field, metric, constants, start, stop)
         for name in ("pT", "E_total"):
             column = table[name]
             first, high, low = extremes.get(name, (column[0],) * 3)
@@ -230,8 +223,6 @@ def _walk(trajectory, field, metric, constants) -> tuple[dict, Trajectory]:
         low, high = np.searchsorted(index, (start, stop))
         for column, name in zip(samples, ("t", "x", "p")):
             column[low:high] = table[name][index[low:high] - start]
-    if refusal is not None:
-        raise refusal
     return extremes, Trajectory(*samples)
 
 

@@ -68,18 +68,18 @@ class Trajectory(_ReadOnly):
     """Samples of one orbit: ``time`` (N,), ``position`` and ``momentum`` (N, n).
 
     Reads as a sequence of :class:`ParticleState`: ``len`` and iteration work,
-    an int index returns one state, and a slice or an index array returns a
-    shorter trajectory of arrays.  One built from arrays is checked finite
-    once, when it is built.  One that :func:`evolve_exact_trajectory` or
-    :func:`evolve_rk4` returns is backed by its row source: it evaluates
-    whole blocks of rows as they are asked for, checks each one as it
-    evaluates it and keeps the last, so a walk in row order evaluates each
-    block once and holds one, and a row's bits do not depend on how it was
-    asked for.  ``time``, ``position`` and ``momentum`` evaluate every row on
-    first access.  The error names the first sample past the floating-point
-    range by its step in the whole orbit.  Values derived from the samples
-    are checked where they are computed, the written columns by
-    :func:`trajectory_table`.
+    an int index returns one state, and a slice of step 1 returns a shorter
+    trajectory of arrays; an index array, a mask or another step is refused.
+    One built from arrays is checked finite once, when it is built.  One that
+    :func:`evolve_exact_trajectory` or :func:`evolve_rk4` returns is backed
+    by its row source: it evaluates whole blocks of rows as they are asked
+    for, checks each one as it evaluates it and keeps the last, so a walk in
+    row order evaluates each block once and holds one, and a row's bits do
+    not depend on how it was asked for.  ``time``, ``position`` and
+    ``momentum`` evaluate every row on first access.  The error names the
+    first sample past the floating-point range in the rows read, by its step
+    in the whole orbit.  Values derived from the samples are checked where
+    they are computed, the written columns by :func:`trajectory_table`.
     """
 
     def __init__(self, time: np.ndarray, position: np.ndarray, momentum: np.ndarray) -> None:
@@ -119,19 +119,6 @@ class Trajectory(_ReadOnly):
             self._last[:] = i, tuple(map(_frozen, rows))
         return self._last[1]
 
-    def _take(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``t, x, p`` of the rows of an index array: each block they touch is evaluated once."""
-        size, n = self._size, self._n
-        out = np.empty(rows.size), np.empty((rows.size, n)), np.empty((rows.size, n))
-        blocks = rows // size
-        order = np.argsort(blocks, kind="stable")
-        for group in np.split(order, np.flatnonzero(np.diff(blocks[order])) + 1):
-            if group.size:
-                i = int(blocks[group[0]])
-                for column, block in zip(out, self._block(i)):
-                    column[group] = block[rows[group] - i * size]
-        return tuple(map(_frozen, out))
-
     def _rows(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``t, x, p`` of the rows ``start:stop``: views of one block, or copies across blocks."""
         size, count = self._size, stop - start
@@ -158,18 +145,15 @@ class Trajectory(_ReadOnly):
         return self._count
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            rows = range(self._count)[index]
-            part = (self._rows(rows.start, rows.start + len(rows)) if rows.step == 1
-                    else self._take(np.arange(rows.start, rows.stop, rows.step)))
-        elif np.ndim(index) == 0:  # an int, or a 0-d array of one
-            i = range(self._count)[index]
-            t, x, p = self._block(i // self._size)
-            i %= self._size
-            return ParticleState(x[i], p[i], t[i])
-        else:
-            part = self._take(np.arange(self._count)[index])
-        return Trajectory.__new__(Trajectory)._hold(*part)
+        rows = range(self._count)[index]  # an index array or a mask raises TypeError here
+        if isinstance(rows, range):
+            if rows.step != 1:
+                raise ValueError(f"a trajectory is sliced in steps of 1, not {rows.step}")
+            part = self._rows(rows.start, rows.start + len(rows))
+            return Trajectory.__new__(Trajectory)._hold(*part)
+        t, x, p = self._block(rows // self._size)
+        i = rows % self._size
+        return ParticleState(x[i], p[i], t[i])
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))

@@ -220,11 +220,6 @@ class FieldTensor(_ReadOnly):
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def associated(self) -> "FieldTensor":
-        """The field generated by the transposed gauge matrix; equal to ``-H``."""
-        return FieldTensor(-self.matrix)
-
 
 class PhysicalConstants(_ReadOnly):
     """Particle and unit constants.  Defaults give dimensionless desk units.

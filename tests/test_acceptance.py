@@ -133,7 +133,7 @@ def test_criterion_3_conservation_over_long_trajectories():
         trajectory = integrate()
         duals = np.array([dual_momentum_value(s, h, constants) for s in trajectory])
         worst_dual = max(worst_dual, float(np.abs(duals - reference_dual).max()) / scale)
-        for sample in trajectory[::500]:
+        for sample in (trajectory[i] for i in range(0, len(trajectory), 500)):
             centers = orbit_decomposition(sample, form, h, constants).centers
             worst_center = max(worst_center,
                                float(np.abs(centers - reference_centers).max()) / scale)

@@ -443,7 +443,8 @@ class TestSimulateCommand:
     def test_long_boost_refused_at_the_sample_that_overflows(self, tmp_path, capsys):
         # The boost block of minkowski4d grows like exp(t / 2); propagated in
         # blocks, its first non-finite sample is the one that stepping one step
-        # at a time reaches too.
+        # at a time reaches too, for both methods read in row order.  simulate
+        # refuses the first block that fails, at E_total, a square of p.
         sample = json.loads((SAMPLE_CONFIGS[0].parent / "minkowski4d.json").read_text())
         field = np.zeros((4, 4))
         field[2:, 2:] = np.array(sample["field"])[2:, 2:]
@@ -455,11 +456,21 @@ class TestSimulateCommand:
             "initial": sample["initial"],
             "integration": {"dt": 0.02, "steps": 100_000, "method": "exact"},
         })
+        run = RunConfig.load(config)
+        metric, field, constants = run.metric_tensor(), run.field_tensor(), run.constants()
+        k = dynamics.dynamics_matrix(field, metric, constants)
+        for evolve in (dynamics.evolve_exact_trajectory, dynamics.evolve_rk4):
+            trajectory = evolve(run.initial_state(), k, metric, constants, 0.02, 100_000)
+            with pytest.raises(ValueError) as refusal:
+                for start in range(0, len(trajectory), 1000):
+                    trajectory[start:start + 1000]
+            assert str(refusal.value) == ("the orbit leaves the floating-point range "
+                                          "at step 71168 (t = 1423.36)")
         assert main(["simulate", "--config", config, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: the orbit leaves the floating-point range "
-                                "at step 71168 (t = 1423.36)\n")
+        assert captured.err == ("error: the trajectory column E_total leaves the "
+                                "floating-point range at step 35749 (t = 714.98)\n")
         assert not out.exists()
 
     def test_orbit_with_overflowing_squares_refused_by_name(self, tmp_path, capsys):
@@ -625,13 +636,11 @@ class TestSimulateCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("method", ["exact", "rk4"])
-    def test_sample_past_the_float_range_named_before_an_earlier_column(self, tmp_path, capsys,
-                                                                        method):
+    def test_first_failing_block_refused_at_its_column(self, tmp_path, capsys, method):
         # A boost at rate 0.5 in (x3, t) under Minkowski: E_total, a square of p,
         # leaves the float range at step 35749, and the sample itself at
-        # step 71168.  The walk checks every block's samples on to the end,
-        # so the sample is named, as a check of the whole orbit's samples
-        # before its table names it.
+        # step 71168.  The walk refuses the first block that fails, as the
+        # writers would, so the column is named and no later block is read.
         config = write_config(tmp_path, {
             "n": 4, "metric": "minkowski",
             "field": [[0.0] * 4, [0.0] * 4, [0.0, 0.0, 0.0, 0.5], [0.0, 0.0, -0.5, 0.0]],
@@ -641,8 +650,8 @@ class TestSimulateCommand:
         code, captured = run_without_warnings(
             ["simulate", "--config", config, "--out", str(out)], capsys)
         assert (code, captured.out) == (2, "")
-        assert captured.err == ("error: the orbit leaves the floating-point range at step 71168 "
-                                "(t = 1423.36)\n")
+        assert captured.err == ("error: the trajectory column E_total leaves the "
+                                "floating-point range at step 35749 (t = 714.98)\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("fmt", OUTPUT_FORMATS)

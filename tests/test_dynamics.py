@@ -106,15 +106,29 @@ class TestTrajectory:
         assert isinstance(third, ParticleState) and third.time == 0.75
         np.testing.assert_array_equal(third.position, trajectory.position[3])
         assert trajectory[np.int64(-1)].time == trajectory[np.array(-1)].time == 2.0
-        evens = trajectory[::2]
-        assert isinstance(evens, Trajectory)
-        np.testing.assert_array_equal(evens.time, [0.0, 0.5, 1.0, 1.5, 2.0])
-        ends = trajectory[[0, 8]]
-        np.testing.assert_array_equal(ends.momentum, trajectory.momentum[[0, 8]])
-        for arr in (evens.time, ends.time, ends.position, ends.momentum):
+        middle = trajectory[2:5]
+        assert isinstance(middle, Trajectory)
+        np.testing.assert_array_equal(middle.time, [0.5, 0.75, 1.0])
+        ends = trajectory[0], trajectory[8]
+        np.testing.assert_array_equal([st.momentum for st in ends], trajectory.momentum[[0, 8]])
+        for arr in (middle.time, middle.position, ends[1].position, ends[1].momentum):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
         assert [st.time for st in trajectory] == list(trajectory.time)
+
+    def test_gathers_are_refused(self):
+        # One read path, in rows: an index array, a mask or a step other than 1
+        # is refused, whether the trajectory has a row source or arrays.
+        h, k, state = unit_circle_setup()
+        sourced = evolve_exact_trajectory(state, k, EUCLID2, UNIT, 0.25, 8)
+        held = Trajectory(sourced.time, sourced.position, sourced.momentum)
+        for trajectory in (sourced, held):
+            for index in ([0, 8], np.array([0, 8]), np.array([3]), np.arange(9) % 2 == 0):
+                with pytest.raises(TypeError):
+                    trajectory[index]
+            for index, step in ((slice(None, None, 2), 2), (slice(-1, 0, -3), -3)):
+                with pytest.raises(ValueError, match=f"sliced in steps of 1, not {step}$"):
+                    trajectory[index]
 
     def test_arrays_are_read_only(self):
         h, k, state = unit_circle_setup()
@@ -679,8 +693,8 @@ def blockwise_case(case):
 @pytest.mark.parametrize("case", ["definite", "cluster", "jordan", "rk4"])
 def test_rows_do_not_depend_on_how_they_are_asked_for(case):
     # A trajectory's source always evaluates whole blocks, so a row asked for
-    # alone, in a slice or in an index array, in any order and across block
-    # edges, has the bits of the full evaluation.
+    # alone or in a slice, in any order and across block edges, has the bits
+    # of the full evaluation.
     whole = blockwise_case(case)
     t, x, p = whole.time, whole.position, whole.momentum
     rng = np.random.default_rng(8)
@@ -691,13 +705,23 @@ def test_rows_do_not_depend_on_how_they_are_asked_for(case):
         same_bits(state.position, x[i])
         same_bits(state.momentum, p[i])
     for index in (slice(2040, 2060), slice(1023, 1025), slice(5, 1500), slice(2990, None),
-                  slice(None), slice(None, None, 7), slice(-1, 0, -3), slice(54, 56),
-                  rng.permutation(3001)[:400], [3000, 0, 1024, 1023, 3000],
-                  np.arange(3001) % 5 == 0):
+                  slice(None), slice(54, 56)):
         part = trajectory[index]
         same_bits(part.time, t[index])
         same_bits(part.position, x[index])
         same_bits(part.momentum, p[index])
+    # Strided, permuted, repeated and masked rows, each read alone in that
+    # order; the index array of them is refused.
+    for index in (np.arange(3001)[::7], np.arange(3001)[-1:0:-3], rng.permutation(3001)[:400],
+                  [3000, 0, 1024, 1023, 3000], np.flatnonzero(np.arange(3001) % 5 == 0)):
+        states = [trajectory[int(i)] for i in index]
+        same_bits([state.time for state in states], t[index])
+        same_bits([state.position for state in states], x[index])
+        same_bits([state.momentum for state in states], p[index])
+        with pytest.raises(TypeError):
+            trajectory[np.asarray(index)]
+    with pytest.raises(ValueError, match="not 7$"):
+        trajectory[::7]
 
 
 class TestIndefiniteClosedForm:
@@ -1225,7 +1249,10 @@ class TestDualMomentum:
         constants = PhysicalConstants(mass=0.7, charge=1.3, light_speed=0.9)
         k = dynamics_matrix(h, metric, constants)
         state = ParticleState(rng.standard_normal(n), rng.standard_normal(n))
-        trajectory = evolve_rk4(state, k, metric, constants, 0.05, 40)[::3]
+        whole = evolve_rk4(state, k, metric, constants, 0.05, 40)
+        states = [whole[i] for i in range(0, 41, 3)]
+        trajectory = Trajectory(*(np.array([getattr(st, name) for st in states])
+                                  for name in ("time", "position", "momentum")))
         np.testing.assert_array_equal(
             dual_momentum_value(trajectory, h, constants),
             [dual_momentum_value(st, h, constants) for st in trajectory])

@@ -127,7 +127,7 @@ def _check_call(call, cfg, tmp_path, capsys):
 @pytest.mark.parametrize("name, steps", [("spatial4-1e5", 20_000), ("boost4-1e5", None)])
 def test_benchmark_indefinite_orbits_pass_its_check(name, steps, tmp_path, capsys):
     # The bounded orbit is cut short for test time; the boost runs its full
-    # length, since its refusal comes only after 71168 steps.
+    # length, since its refusal comes only at step 35749, in the 35th of its blocks.
     configs, calls = workloads.build("orbit_indefinite", 1, _ROOT / "configs")
     [call] = [c for c in calls if c.command == "simulate" and c.config == name]
     cfg = configs[name]

@@ -284,10 +284,6 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="leaves the floating-point range"):
             field_from_3d_vector([8e307, 8e307, 8e307])
 
-    def test_associated_field_is_negation(self, rng):
-        h = FieldTensor(random_antisymmetric(rng, 4))
-        np.testing.assert_array_equal(h.associated.matrix, -h.matrix)
-
     def test_matrices_are_read_only(self):
         h = FieldTensor([[0.0, 1.0], [-1.0, 0.0]])
         with pytest.raises(ValueError):
