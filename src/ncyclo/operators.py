@@ -25,12 +25,13 @@ class AffineOperator(_ReadOnly):
     """First-order operator ``scalar + position . x + momentum . (-i hbar grad)``.
 
     ``(n,)`` coefficients make one operator, ``(k, n)`` rows a stack of ``k``.
+    Real coefficients stay real, so :func:`commutator` takes real products.
     """
 
     def __init__(self, scalar: complex, position: np.ndarray, momentum: np.ndarray,
                  hbar: float = 1.0) -> None:
-        pos = np.array(position, dtype=complex)
-        mom = np.array(momentum, dtype=complex)
+        dtype = np.result_type(np.asarray(position), np.asarray(momentum), float)
+        pos, mom = np.array(position, dtype=dtype), np.array(momentum, dtype=dtype)
         if pos.shape != mom.shape or pos.ndim not in (1, 2) or not pos.shape[-1]:
             raise ValueError(f"coefficient shapes {pos.shape} and {mom.shape} must be one "
                              f"(n,) or (k, n), n nonempty")

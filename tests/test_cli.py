@@ -993,12 +993,13 @@ class TestVerifyCommand:
             assert captured.out.endswith("maximum deviation: nan\n")
             assert captured.err == "verify: relation violated: [p, p] vs i*hbar*(q/c)*H\n"
 
-    @pytest.mark.parametrize("kind", ["seeded8", "non-finite"])
+    @pytest.mark.parametrize("kind", ["seeded8", "seeded64", "non-finite"])
     def test_rows_render_entry_by_entry(self, tmp_path, capsys, rng, kind):
-        # Each row is printed through one template; the bytes are those of
-        # f"{v:.3e}" per entry, nan included.
-        if kind == "seeded8":
-            data = {"n": 8, "field": random_antisymmetric(rng, 8).tolist(),
+        # The rows are numpy text, a block at a time; the bytes are those of
+        # one '%' template per row, nan included, from the library's tables.
+        if kind != "non-finite":
+            n = int(kind.removeprefix("seeded"))
+            data = {"n": n, "field": random_antisymmetric(rng, n).tolist(),
                     "particle": {"q": -1.3, "c": 2.0, "hbar": 0.7}}
         else:
             data = {"n": 2, "field": [[0.0, 1.0], [-1.0, 0.0]],
@@ -1012,15 +1013,13 @@ class TestVerifyCommand:
             tables = [("[p, p] vs i*hbar*(q/c)*H", np.abs(commutator(kin, kin) - expected)),
                       ("[pT, pT] vs -i*hbar*(q/c)*H", np.abs(commutator(dual, dual) + expected)),
                       ("[p, pT] vs 0", np.abs(commutator(kin, dual)))]
-        lines = []
-        for name, table in tables:
-            lines.append(f"{name}  (max deviation {float(table.max()):.3e})")
-            lines += ["  " + "  ".join(f"{value:.3e}" for value in row) for row in table]
+        text = "".join(f"{name}  (max deviation {float(table.max()):.3e})\n" + percent_rows(table)
+                       for name, table in tables)
         code, captured = run_without_warnings(
             ["verify", "--config", write_config(tmp_path, data)], capsys)
-        assert code == (0 if kind == "seeded8" else 1)
-        assert captured.out.startswith("\n".join(lines) + "\nmaximum deviation: ")
-        assert captured.out.count("\n") == len(lines) + 1
+        assert code == (1 if kind == "non-finite" else 0)
+        assert captured.out.startswith(text + "maximum deviation: ")
+        assert captured.out.count("\n") == text.count("\n") + 1
         assert ("  nan  nan\n" in captured.out) == (kind == "non-finite")
 
     def test_violation_measured_against_field_scale(self, tmp_path, capsys):
@@ -1247,6 +1246,45 @@ def test_render_names_a_non_finite_entry(document):
         assert cli._render(document) == expected + "\n"
 
 
+def percent_rows(table):
+    """The reference text of verify's rows: one ``%`` template per row."""
+    line = "  " + "  ".join(["%.3e"] * table.shape[1])
+    return "".join(line % tuple(row) + "\n" for row in table.tolist())
+
+
+# Entries for verify's tables: zeros and subnormals, exact binary ties of the
+# fourth digit (j/16 times a power of ten), decimal ties that the nearest
+# double puts on either side, carries to the next exponent (9.99951e99 to a
+# three-digit one, the double below a power of ten with log10 rounded up to
+# it), the two-digit exponent's edges, nan and inf, and any float at all,
+# whose sign sends a block to '%'.
+E3_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-100, 1e-99,
+                     9.9995e-100, 9.9995e99, 9.99951e99, 1e99, 1e100, math.nan, math.inf]),
+    st.builds(lambda j, k: (j * 10**k) / 16, st.integers(8, 79).map(lambda i: 2 * i + 1),
+              st.integers(0, 12)),
+    st.builds(lambda digits, k: float(f"{digits}5e{k}"), st.sampled_from(["9.999", "1.062",
+              "2.718", "5.000"]), st.integers(-101, 99)),
+    st.builds(lambda digits, k: float(f"{digits}e{k}"), st.sampled_from(["9.9995", "9.99951"]),
+              st.integers(-100, 99)),
+    st.integers(-99, 99).map(lambda k: np.nextafter(float(f"1e{k}"), 0.0)),
+    st.floats(min_value=0.0, allow_infinity=False), st.floats())
+
+
+# A failing example makes hypothesis import libcst, whose own deprecation
+# warning would otherwise turn the report into a pytest internal error.
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict:DeprecationWarning")
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(palette=st.lists(E3_ENTRIES, min_size=1, max_size=6),
+       picks=hnp.arrays(np.intp, st.tuples(st.integers(1, 40), st.integers(1, 40)),
+                        elements=st.integers(0, 5)))
+def test_verify_rows_are_percent_e3(palette, picks):
+    # A table of 1-40 x 1-40 entries drawn from a few of the values above:
+    # the numpy text is the '%' text of every row.
+    table = np.array(palette)[picks % len(palette)]
+    assert cli._e3_text(table) == percent_rows(table)
+
+
 class TestRobustnessProperties:
     """Huge fields in rotated definite frames: the blocks, or one named refusal."""
 
@@ -1431,7 +1469,7 @@ from ncyclo.cli import main
 loaded = []
 for args in json.loads(sys.argv[1]):
     assert main(args) == 0, args
-    loaded.append("ncyclo.modes" in sys.modules)
+    loaded.append([name in sys.modules for name in ("ncyclo.modes", "ncyclo.digits")])
 print(json.dumps(loaded))
 """
 
@@ -1439,8 +1477,9 @@ print(json.dumps(loaded))
 def test_only_the_exact_flow_loads_modes(tmp_path):
     # ncyclo.modes is imported where the exact flow runs, as the writers
     # import digits: a fresh interpreter that runs decompose, spectrum,
-    # verify and an RK4 simulate on uniform3d never compiles it, and the
-    # exact simulate run after them does.
+    # verify and an RK4 simulate on uniform3d never compiles modes, and the
+    # exact simulate run after them does.  Neither is loaded before the first
+    # simulate: verify's tables compile nothing of digits.
     import subprocess
     import sys
     uniform = next(path for path in SAMPLE_CONFIGS if path.stem == "uniform3d")
@@ -1454,7 +1493,8 @@ def test_only_the_exact_flow_loads_modes(tmp_path):
     proc = subprocess.run([sys.executable, "-c", MODES_PROBE, json.dumps(calls)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [False] * 4 + [True]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[False, False]] * 3 + [[False, True],
+                                                                             [True, True]]
 
 
 class TestEntryPoint:

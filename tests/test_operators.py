@@ -107,16 +107,74 @@ class TestMomentumConstruction:
                 dual_momentum(gauge, PhysicalConstants(), np.array(index))
 
 
+def with_dtype(op, dtype):
+    """The same operator with its coefficients cast to ``dtype``."""
+    return AffineOperator(op.scalar, op.position.astype(dtype), op.momentum.astype(dtype), op.hbar)
+
+
+class TestCoefficientTypes:
+    def test_real_coefficients_stay_real(self, rng):
+        gauge = GaugeMatrix(random_gauge(rng, 4))
+        for build in (canonical_momentum, dual_momentum):
+            for index in (1, np.arange(4)):
+                op = build(gauge, PhysicalConstants(charge=-1.5), index)
+                assert op.position.dtype == op.momentum.dtype == np.float64
+        op = AffineOperator(2, [1, 0], [0, 1])
+        assert op.position.dtype == op.momentum.dtype == np.float64
+        assert op.scalar.dtype == np.complex128
+
+    def test_complex_coefficients_stay_complex(self):
+        for position, momentum in (([1j, 0.0], [0.0, 1.0]), ([1.0, 0.0], [0.0, 1.0 + 2j])):
+            op = AffineOperator(0.0, position, momentum)
+            assert op.position.dtype == op.momentum.dtype == np.complex128
+            np.testing.assert_array_equal(op.position, position)
+            np.testing.assert_array_equal(op.momentum, momentum)
+
+    def test_verify_stacks_equal_the_complex_tables_bit_for_bit(self, rng):
+        # Every momentum row is a unit row, so each product picks out one
+        # position coefficient exactly, in real and in complex arithmetic.
+        constants = PhysicalConstants(charge=-1.3, light_speed=2.0, hbar=0.7)
+        gauge = GaugeMatrix(random_gauge(rng, 64))
+        index = np.arange(64)
+        stacks = (canonical_momentum(gauge, constants, index),
+                  dual_momentum(gauge, constants, index))
+        for a, b in ((0, 0), (1, 1), (0, 1)):
+            real = commutator(stacks[a], stacks[b])
+            full = commutator(with_dtype(stacks[a], complex), with_dtype(stacks[b], complex))
+            assert real.dtype == full.dtype == np.complex128
+            assert real.tobytes() == full.tobytes()
+
+    def test_random_real_operators_agree_with_complex_to_roundoff(self, rng):
+        for _ in range(20):
+            k1, k2, n = (int(v) for v in rng.integers(1, 9, size=3))
+            ops = [AffineOperator(0.0, rng.standard_normal((k, n)), rng.standard_normal((k, n)),
+                                  hbar=0.3) for k in (k1, k2)]
+            real = commutator(*ops)
+            full = commutator(*(with_dtype(op, complex) for op in ops))
+            # Two sums of n products of standard normals, each to a few ulps.
+            scale = 0.3 * sum(np.abs(ops[0].position) @ np.abs(ops[1].momentum).T
+                              + np.abs(ops[0].momentum) @ np.abs(ops[1].position).T)
+            assert np.all(np.abs(real - full) <= 4 * n * np.finfo(float).eps * scale)
+
+
 class TestCommutator:
-    def test_momentum_commutators_random_gauges(self, rng):
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_momentum_commutators_random_gauges(self, rng, dtype):
+        # The library's real operators, and the same operators made complex.
         constants = PhysicalConstants(charge=2.0, light_speed=0.5, hbar=0.25)
         factor = 1j * constants.hbar * constants.coupling
+        def kin_of(*args):
+            return with_dtype(canonical_momentum(*args), dtype)
+
+        def dual_of(*args):
+            return with_dtype(dual_momentum(*args), dtype)
+
         for _ in range(25):
             n = int(rng.integers(2, 6))
             gauge = GaugeMatrix(random_gauge(rng, n))
             h = field_from_gauge(gauge)
-            kin = [canonical_momentum(gauge, constants, j) for j in range(n)]
-            dual = [dual_momentum(gauge, constants, j) for j in range(n)]
+            kin = [kin_of(gauge, constants, j) for j in range(n)]
+            dual = [dual_of(gauge, constants, j) for j in range(n)]
             for j in range(n):
                 for k in range(n):
                     assert commutator(kin[j], kin[k]) == pytest.approx(
@@ -127,10 +185,8 @@ class TestCommutator:
         # The stacked tables of one n = 5 gauge equal the per-pair values bit for bit.
         gauge = GaugeMatrix(random_gauge(rng, 5))
         index = np.arange(5)
-        stacks = (canonical_momentum(gauge, constants, index),
-                  dual_momentum(gauge, constants, index))
-        singles = [[build(gauge, constants, j) for j in range(5)]
-                   for build in (canonical_momentum, dual_momentum)]
+        stacks = (kin_of(gauge, constants, index), dual_of(gauge, constants, index))
+        singles = [[build(gauge, constants, j) for j in range(5)] for build in (kin_of, dual_of)]
         for a, b in ((0, 0), (1, 1), (0, 1)):
             table = commutator(stacks[a], stacks[b])
             pairs = np.array([[commutator(x, y) for y in singles[b]] for x in singles[a]])
